@@ -12,8 +12,8 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                    PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
                    restrict_section, solve_coboundary)
 from .errors import (ClassificationError, DimensionError, JetliftError, LiftError,
-                     LiftObstructedError, ParseError, PreconditionError,
-                     WindowOverflowError)
+                     LiftObstructedError, OrderError, ParseError,
+                     PreconditionError, WindowOverflowError)
 from .flows import (DefectReport, InvarianceReport, flow_jet, flow_series_picard,
                     jet_defect, stratum_invariance_check, verify_dj)
 from .frobenius import (CounterexamplePoint, Distribution, InvolutivityCertificate,
@@ -49,6 +49,7 @@ __all__ = [
     "LiftScenario", "LiftState", "LiftResult", "local_jet_section",
     "defect_cochain", "lift_step", "lift_to_order",
     "parse_scenario", "parse_scenario_file",
-    "JetliftError", "DimensionError", "ClassificationError", "PreconditionError",
-    "WindowOverflowError", "ParseError", "LiftError", "LiftObstructedError",
+    "JetliftError", "DimensionError", "ClassificationError", "OrderError",
+    "PreconditionError", "WindowOverflowError", "ParseError", "LiftError",
+    "LiftObstructedError",
 ]

@@ -229,6 +229,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant (or zero) polynomial equals its scalar, so it hashes like it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            c = self.terms.get((0,) * self.num_vars)
+            if c is not None:
+                return hash(c)
         return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -264,7 +271,7 @@ class Poly:
                 f"series has dim {gamma.dim}, polynomial has {self.num_vars} variables")
         order = gamma.order
         zero = Fraction(0)
-        # per-variable power cache: powers[k][j] = (component k series)**j
+        # per-variable power cache: powers[k][j] = (component k series)**j, j >= 1
         max_exp = [0] * self.num_vars
         for e in self.terms:
             for k, ek in enumerate(e):
@@ -274,17 +281,23 @@ class Poly:
         powers: List[List[List[Fraction]]] = []
         for k in range(self.num_vars):
             comp = [gamma.coeffs[j][k] for j in range(order + 1)]
-            pk = [[Fraction(1)] + [zero] * order]
-            for _ in range(max_exp[k]):
+            pk = [None, comp]
+            for _ in range(1, max_exp[k]):
                 pk.append(series_mul(pk[-1], comp, order, zero))
             powers.append(pk)
         acc = [zero] * (order + 1)
         for e, c in self.terms.items():
-            term = [c] + [zero] * order
+            term = None
             for k, ek in enumerate(e):
                 if ek:
-                    term = series_mul(term, powers[k][ek], order, zero)
-            acc = [a + b for a, b in zip(acc, term)]
+                    pk = powers[k][ek]
+                    term = pk if term is None else series_mul(term, pk, order, zero)
+            if term is None:
+                acc[0] += c
+                continue
+            for j, v in enumerate(term):
+                if v:
+                    acc[j] += c * v
         return TruncSeries(1, order, [(v,) for v in acc])
 
     def substitute(self, values: Sequence["Poly"]) -> "Poly":

@@ -13,6 +13,10 @@ class ClassificationError(JetliftError):
     """A field does not have the time-component classification an operation needs."""
 
 
+class OrderError(JetliftError, ValueError):
+    """A jet order, defect order or bracket length is below its minimum."""
+
+
 class PreconditionError(JetliftError):
     """An exact mathematical precondition failed (e.g. lower-order jets differ)."""
 

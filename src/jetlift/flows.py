@@ -1,12 +1,19 @@
 """Jets of integral curves, the Picard oracle, and defect/invariance checks.
 
-`flow_jet` evaluates iterated derivation powers: the i-th derivative of any
-coordinate along the integral curve of D equals (D^i x_k) at the basepoint.
-`flow_series_picard` integrates the same curve by Picard iteration and is kept
-deliberately independent of `flow_jet`, so the two can certify each other.  The
-defect machinery compares flows of two fields whose jets agree to some order: the
-first disagreement is a tangent vector equal to an iterated Lie bracket, and
-`verify_dj` computes it three independent ways.
+`flow_jet` is the truncated jet engine.  The i-th derivative of coordinate k
+along the integral curve of D is (D^i x_k) at the basepoint.  The engine moves
+the field to the basepoint once (x -> x + point), so every row is a constant
+term.  A polynomial field lowers total degree by at most 1 per application, so
+after the i-th of n derivations a term of total degree above n - i can never
+reach the constant term; such terms are never formed.
+
+`flow_series_picard` integrates the same curve by Picard iteration on truncated
+series.  It shares no code with `flow_jet`, so the two certify each other.
+
+The defect machinery compares flows of two fields whose n-jets agree.  The first
+disagreement is a tangent vector equal to an iterated Lie bracket.  `verify_dj`
+computes it three independent ways: from the Picard oracle, from the truncated
+engine, and from the bracket.
 """
 
 from __future__ import annotations
@@ -14,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._backend import kernel as _k
 from .algebra import Poly, Scalar, TruncSeries, as_fraction, poly_det
-from .errors import DimensionError, PreconditionError
-from .jets import Jet, TangentVector, jet_difference
-from .vectorfields import VectorField, apply_derivation, iterated_bracket
+from .errors import DimensionError, OrderError, PreconditionError
+from .jets import Jet, TangentVector, jet_difference, jet_from_series
+from .vectorfields import VectorField, iterated_bracket
 
 __all__ = [
     "flow_jet",
@@ -32,6 +41,8 @@ __all__ = [
     "MinorViolation",
 ]
 
+Terms = Dict[Tuple[int, ...], Fraction]
+
 
 def _check_point(field: VectorField, point: Sequence[Scalar]) -> Tuple[Fraction, ...]:
     pt = tuple(as_fraction(c) for c in point)
@@ -41,17 +52,74 @@ def _check_point(field: VectorField, point: Sequence[Scalar]) -> Tuple[Fraction,
     return pt
 
 
+def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
+    """Terms of f(x + pt) of total degree <= max_degree, by binomial expansion."""
+    out: Terms = {}
+    for e, c in terms.items():
+        partial = [((), 0, c)]       # (exponent prefix, its degree, coefficient)
+        for ek, pk in zip(e, pt):
+            if not ek or not pk:
+                partial = [(t + (ek,), d + ek, v) for t, d, v in partial
+                           if d + ek <= max_degree]
+                continue
+            shifts = [comb(ek, j) * pk ** (ek - j) for j in range(ek + 1)]
+            partial = [(t + (j,), d + j, v * shifts[j]) for t, d, v in partial
+                       for j in range(min(ek, max_degree - d) + 1)]
+        for t, _, v in partial:
+            out[t] = out.get(t, 0) + v
+    return {t: v for t, v in out.items() if v}
+
+
+def _degree_levels(field: VectorField, pt: Tuple[Fraction, ...],
+                   max_degree: int) -> List[List[Terms]]:
+    """levels[E][k]: recentred component k cut to total degree <= E, E = 0..max_degree."""
+    m = field.num_vars
+    levels: List[List[Terms]] = [[{} for _ in range(m)] for _ in range(max_degree + 1)]
+    if max_degree < 0:
+        return levels
+    for k, comp in enumerate(field.components):
+        if not comp.is_polynomial():
+            raise ValueError("flow jets need non-negative exponents")
+        terms = _recentre(comp.terms, pt, max_degree) if any(pt) else comp.terms
+        for e, c in terms.items():
+            for level in levels[sum(e):]:
+                level[k][e] = c
+    return levels
+
+
+def _truncated_derivation(levels: List[List[Terms]], power: Terms, cap: int) -> Terms:
+    """D(power) without any term of total degree above `cap`.
+
+    A field term of degree e times a derivative of a degree-d term has degree
+    e + d - 1, so the degree-d part of `power` only meets field terms of degree
+    <= cap + 1 - d.  `power` itself has no term of degree above cap + 1.
+    """
+    by_degree: Dict[int, Terms] = {}
+    for t, c in power.items():
+        by_degree.setdefault(sum(t), {})[t] = c
+    out: Terms = {}
+    for d, part in by_degree.items():
+        if not d:
+            continue
+        part = _k.derive_terms(levels[cap + 1 - d], part)
+        if part:
+            out = _k.add_terms(out, part) if out else part
+    return out
+
+
 def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
     """Order-n jet of the integral curve through `point`: x_i[k] = (D^i x_k)(point)."""
     pt = _check_point(field, point)
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise OrderError("order must be >= 0")
     m = field.num_vars
     rows: List[Tuple[Fraction, ...]] = [pt]
+    levels = _degree_levels(field, pt, order - 1)
     powers = [Poly.variable(m, k) for k in range(m)]
-    for _ in range(order):
-        powers = [apply_derivation(field, p) for p in powers]
-        rows.append(tuple(p.eval(pt) for p in powers))
+    for i in range(1, order + 1):
+        powers = [Poly._raw(m, _truncated_derivation(levels, p.terms, order - i))
+                  for p in powers]
+        rows.append(tuple(p.constant_term() for p in powers))
     return Jet(m, order, rows)
 
 
@@ -59,16 +127,19 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
                        order: int) -> TruncSeries:
     """Truncated integral-curve series by Picard iteration.
 
-    gamma_{j+1}(t) = point + integral_0^t D(gamma_j(s)) ds, truncated at `order`;
-    the iteration is run to its fixed point and the stabilization is asserted.
+    gamma_{j+1}(t) = point + integral_0^t D(gamma_j(s)) ds.  Coefficient j of the
+    Picard map depends only on coefficients below j, so round j runs to order j
+    and fixes coefficient j.  One more round at full order must reproduce the
+    series; that fixed point is asserted, and it certifies the result.
     """
     pt = _check_point(field, point)
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise OrderError("order must be >= 0")
     m = field.num_vars
-    gamma = TruncSeries.constant(pt, order)
-    for _ in range(order + 1):
-        gamma = _picard_round(field, pt, gamma)
+    zero_row = (Fraction(0),) * m
+    gamma = TruncSeries.constant(pt, 0)
+    for j in range(1, order + 1):
+        gamma = _picard_round(field, pt, TruncSeries(m, j, gamma.coeffs + (zero_row,)))
     settled = _picard_round(field, pt, gamma)
     if settled != gamma:
         raise AssertionError("Picard iteration failed to stabilize")
@@ -86,8 +157,8 @@ def _picard_round(field: VectorField, pt, gamma: TruncSeries) -> TruncSeries:
     return TruncSeries(field.num_vars, order, rows)
 
 
-def _first_jet_disagreement(j1: Jet, j2: Jet) -> Optional[int]:
-    for i in range(min(j1.order, j2.order) + 1):
+def _first_jet_disagreement(j1: Jet, j2: Jet, order: int) -> Optional[int]:
+    for i in range(order + 1):
         if j1.coords[i] != j2.coords[i]:
             return i
     return None
@@ -97,30 +168,26 @@ def jet_defect(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
                order: int) -> TangentVector:
     """Difference of the order-(n+1) flow jets of two fields whose n-jets agree.
 
-    Orientation: flow of d2 minus flow of d1.  The result is cross-checked against
-    the iterated bracket [d1, d2]^(n+1) at the point; a mismatch would falsify the
-    defect identity and raises AssertionError.
+    Orientation: flow of d2 minus flow of d1.  This is `verify_dj` with its
+    verdict enforced: a defect that differs from the iterated bracket
+    [d1, d2]^(n+1) at the point would falsify the defect identity and raises
+    AssertionError.
     """
-    if order < 1:
-        raise ValueError("defects need order >= 1")
-    jn1 = flow_jet(d1, point, order)
-    jn2 = flow_jet(d2, point, order)
-    bad = _first_jet_disagreement(jn1, jn2)
-    if bad is not None:
-        raise PreconditionError(
-            f"flow jets differ at order {bad}: {jn1.coords[bad]} != {jn2.coords[bad]}")
-    diff = jet_difference(flow_jet(d2, point, order + 1),
-                          flow_jet(d1, point, order + 1))
-    bracket_vec = iterated_bracket(d1, d2, order + 1).value_at(point)
-    if diff.vec != bracket_vec:
-        raise AssertionError(
-            f"defect {diff.vec} does not equal iterated bracket {bracket_vec}")
-    return diff
+    report = verify_dj(d1, d2, point, order)
+    for vec in (report.from_jets, report.from_derivation_powers):
+        if vec != report.from_bracket:
+            raise AssertionError(
+                f"defect {vec} does not equal iterated bracket {report.from_bracket}")
+    return TangentVector(report.point, report.from_jets)
 
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Three independent evaluations of the same defect vector."""
+    """Three independent evaluations of the same defect vector.
+
+    `from_jets` comes from the Picard oracle, `from_derivation_powers` from the
+    truncated jet engine, and `from_bracket` from the iterated Lie bracket.
+    """
     order: int
     point: Tuple[Fraction, ...]
     from_jets: Tuple[Fraction, ...]
@@ -145,32 +212,26 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
               order: int) -> DefectReport:
     """Compute the flow-jet defect three ways and report whether they coincide.
 
-    (a) difference of the order-(n+1) flow jets, (b) ((D2^{n+1} - D1^{n+1}) x_k) at
-    the point, (c) the iterated bracket value.  The precondition (order-n jets agree)
-    is checked, not assumed.
+    Each field's jet is computed once by `flow_jet`, at order n+1; the
+    precondition (the order-n prefixes agree) is checked on it, not assumed.
+    (a) jet difference: the order-(n+1) Picard series of both fields, read as
+    jets and subtracted.  (b) derivation powers: ((D2^{n+1} - D1^{n+1}) x_k) at
+    the point, the top rows of the truncated jets.  (c) the iterated bracket
+    [d1, d2]^(n+1) at the point.  The three share no jet code.
     """
     if order < 1:
-        raise ValueError("defects need order >= 1")
+        raise OrderError("defects need order >= 1")
     pt = _check_point(d1, point)
-    jn1 = flow_jet(d1, pt, order)
-    jn2 = flow_jet(d2, pt, order)
-    bad = _first_jet_disagreement(jn1, jn2)
+    j1 = flow_jet(d1, pt, order + 1)
+    j2 = flow_jet(d2, pt, order + 1)
+    bad = _first_jet_disagreement(j1, j2, order)
     if bad is not None:
         raise PreconditionError(
-            f"flow jets differ at order {bad}: {jn1.coords[bad]} != {jn2.coords[bad]}")
+            f"flow jets differ at order {bad}: {j1.coords[bad]} != {j2.coords[bad]}")
 
-    a = jet_difference(flow_jet(d2, pt, order + 1), flow_jet(d1, pt, order + 1)).vec
-
-    m = d1.num_vars
-    powers_vec = []
-    for k in range(m):
-        p1 = p2 = Poly.variable(m, k)
-        for _ in range(order + 1):
-            p1 = apply_derivation(d1, p1)
-            p2 = apply_derivation(d2, p2)
-        powers_vec.append((p2 - p1).eval(pt))
-    b = tuple(powers_vec)
-
+    a = jet_difference(jet_from_series(flow_series_picard(d2, pt, order + 1)),
+                       jet_from_series(flow_series_picard(d1, pt, order + 1))).vec
+    b = tuple(x2 - x1 for x1, x2 in zip(j1.coords[-1], j2.coords[-1]))
     c = iterated_bracket(d1, d2, order + 1).value_at(pt)
     return DefectReport(order, pt, a, b, c)
 

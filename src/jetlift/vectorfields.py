@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .algebra import Poly, Scalar, as_fraction
-from .errors import ClassificationError, DimensionError
+from .errors import ClassificationError, DimensionError, OrderError
 
 __all__ = [
     "VectorField",
@@ -143,7 +143,7 @@ def lie_bracket(d1: VectorField, d2: VectorField) -> VectorField:
 def iterated_bracket(d1: VectorField, d2: VectorField, n: int) -> VectorField:
     """[D1, D2]^(n): the base case n=2 is the plain bracket, then [D1, . ] repeatedly."""
     if n < 2:
-        raise ValueError(f"iterated bracket needs n >= 2, got {n}")
+        raise OrderError(f"iterated bracket needs n >= 2, got {n}")
     result = lie_bracket(d1, d2)
     for _ in range(n - 2):
         result = lie_bracket(d1, result)

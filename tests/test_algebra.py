@@ -48,6 +48,13 @@ class TestPolyBasics:
         assert Poly(2, {(1, 0): 2}) == 2 * X2
         assert Poly(2, {(1, 0): 2}) != Poly(2, {(0, 1): 2})
 
+    def test_constant_hashes_like_its_scalar(self):
+        assert Poly.constant(1, 3) == 3 and hash(Poly.constant(1, 3)) == hash(3)
+        half = Fraction(1, 2)
+        assert hash(Poly.constant(2, half)) == hash(half)
+        assert Poly.zero(2) == 0 and hash(Poly.zero(2)) == hash(0)
+        assert len({Poly.constant(1, 3), 3, Poly.zero(1), 0}) == 2
+
 
 class TestPartial:
     def test_power_rule(self):

@@ -131,6 +131,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2 and "parse error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["flowjet", "--vars", "x,y", "--field", "1,0", "--point", "0,0",
+         "--order", "-1"],
+        ["defect", "--vars", "x,y", "--f1", "1,0", "--f2", "1,x",
+         "--point", "0,0", "--n", "0"],
+        ["verify-dj", "--vars", "x,y", "--f1", "1,0", "--f2", "1,x",
+         "--point", "0,0", "--n", "0"],
+        ["iterbracket", "--vars", "x,y", "--f1", "1,0", "--f2", "0,x",
+         "--n", "1"],
+    ], ids=["flowjet", "defect", "verify-dj", "iterbracket"])
+    def test_order_out_of_range_exit_code(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["bracket", "--vars", "x,y"])

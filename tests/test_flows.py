@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlift.algebra import Poly, TruncSeries
-from jetlift.errors import DimensionError, PreconditionError
+from jetlift.errors import DimensionError, JetliftError, OrderError, PreconditionError
 from jetlift.flows import (flow_jet, flow_series_picard, jet_defect,
                            stratum_invariance_check, verify_dj)
 from jetlift.frobenius import Distribution
 from jetlift.jets import Jet, jet_from_series, jet_project
-from jetlift.vectorfields import VectorField, iterated_bracket
+from jetlift.vectorfields import VectorField, apply_derivation, iterated_bracket
 
-from strategies import points, vector_fields
+from strategies import fractions, points, vector_fields
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -48,6 +48,60 @@ class TestFlowJet:
         with pytest.raises(DimensionError):
             flow_jet(field(X, Y), [1], 2)
 
+    def test_negative_order(self):
+        with pytest.raises(OrderError, match="order must be >= 0"):
+            flow_jet(field(X, Y), [1, 0], -1)
+        assert issubclass(OrderError, JetliftError)
+        assert issubclass(OrderError, ValueError)
+
+    def test_laurent_field_rejected(self):
+        # like the Picard oracle, the engine expands only polynomial fields
+        inv = Poly(1, {(-1,): 1}, laurent=True)
+        with pytest.raises(ValueError, match="non-negative exponents"):
+            flow_jet(VectorField([inv]), [1], 2)
+
+
+def reference_flow_jet(d, point, order):
+    """Untruncated reference: build D^i x_k whole, then evaluate at the point."""
+    m = d.num_vars
+    pt = tuple(Fraction(c) for c in point)
+    rows = [pt]
+    powers = [Poly.variable(m, k) for k in range(m)]
+    for _ in range(order):
+        powers = [apply_derivation(d, p) for p in powers]
+        rows.append(tuple(p.eval(pt) for p in powers))
+    return Jet(m, order, rows)
+
+
+@st.composite
+def jet_cases(draw):
+    """A field with one term of total degree above the order, a point, an order.
+
+    Lower-degree parts shrink with the dimension so that the untruncated
+    reference stays small.
+    """
+    m = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=0, max_value=6))
+    d = draw(vector_fields(m, max_degree=3 - m + 1, max_terms=2))
+    exps = [0] * m
+    exps[draw(st.integers(min_value=0, max_value=m - 1))] = order + 1
+    high = Poly.monomial(m, exps, draw(fractions().filter(bool)))
+    k = draw(st.integers(min_value=0, max_value=m - 1))
+    comps = list(d.components)
+    comps[k] = comps[k] + high
+    if draw(st.booleans()):
+        pt = (0,) * m
+    else:
+        pt = draw(points(m, 2, 2))
+    return VectorField(comps), pt, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_cases())
+def test_truncated_engine_matches_untruncated_reference(case):
+    d, pt, order = case
+    assert flow_jet(d, pt, order) == reference_flow_jet(d, pt, order)
+
 
 class TestPicard:
     def test_straight_line(self):
@@ -66,6 +120,29 @@ class TestPicard:
         s = flow_series_picard(d, [0, 0], 3)
         assert s.component(0) == [0, 1, 0, 0]
         assert s.component(1) == [0, 0, Fraction(1, 2), 0]
+
+
+def reference_picard(d, point, order):
+    """Full-order Picard iteration: order + 1 rounds, each at the full order."""
+    pt = tuple(Fraction(c) for c in point)
+    gamma = TruncSeries.constant(pt, order)
+    for _ in range(order + 1):
+        cols = []
+        for k, comp in enumerate(d.components):
+            rhs = comp.compose_series(gamma).component(0)
+            cols.append([pt[k]] + [rhs[j] / (j + 1) for j in range(order)])
+        gamma = TruncSeries(d.num_vars, order, list(zip(*cols)))
+    return gamma
+
+
+def test_progressive_picard_matches_full_order_iteration():
+    rng = random.Random(8061)
+    for order in range(9):
+        for m in (1, 2, 3):
+            d = _random_field(rng, m, max_degree=2)
+            pt = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                       for _ in range(m))
+            assert flow_series_picard(d, pt, order) == reference_picard(d, pt, order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,6 +235,16 @@ def test_randomized_defect_identity():
         report = verify_dj(d1, d2, pt, n)
         assert report.agree
         assert report.from_bracket == iterated_bracket(d1, d2, n + 1).value_at(pt)
+
+
+def test_verify_dj_precondition_message():
+    d1 = field(Poly.one(2), Poly.zero(2))
+    d2 = field(Poly.one(2), X)
+    with pytest.raises(PreconditionError) as err:
+        verify_dj(d1, d2, [0, 0], 2)
+    assert str(err.value) == ("flow jets differ at order 2: "
+                              "(Fraction(0, 1), Fraction(0, 1)) != "
+                              "(Fraction(0, 1), Fraction(1, 1))")
 
 
 def test_verify_dj_commuting_fields_zero():
