@@ -142,19 +142,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.num_vars, Fraction(0))
 
-    def total_degree(self):
-        """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def exponent_range(self, k: int) -> Tuple[int, int]:
-        """(min, max) exponent of variable k; (0, 0) for zero."""
-        if not self.terms:
-            return (0, 0)
-        exps = [e[k] for e in self.terms]
-        return (min(exps), max(exps))
-
     def as_monomial(self):
         """Return (exponents, coefficient) if this is a single term, else None."""
         if len(self.terms) != 1:
@@ -442,11 +429,6 @@ class TruncSeries:
 
     def component(self, k: int) -> List[Fraction]:
         return [row[k] for row in self.coeffs]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.dim, order, self.coeffs[:order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):

@@ -3,7 +3,7 @@
 Every subcommand is a thin adapter over the library: it parses exact literals,
 invokes one operation, and prints deterministic text.  Exit codes: 0 success,
 1 mathematical refutation (a claim checked false, e.g. an obstruction under
---expect-unobstructed), 2 usage or parse errors.
+--expect-unobstructed), 2 usage or parse errors and unreadable input files.
 """
 
 from __future__ import annotations
@@ -143,8 +143,13 @@ def _cmd_invariance(args) -> int:
 def _cmd_cohomology(args) -> int:
     zname, wname = args.param, args.coparam
     transition = parse_poly(args.transition, [zname], allow_laurent=True)
-    lo_text, hi_text = args.window.split()
-    window = (int(lo_text), int(hi_text))
+    try:
+        lo_text, hi_text = args.window.split()
+        window = (int(lo_text), int(hi_text))
+    except ValueError:
+        raise ParseError("window needs two integers") from None
+    if window[0] > window[1]:
+        raise ParseError("window lower bound exceeds upper bound")
     nu = parse_poly(args.nu, [zname], allow_laurent=True)
     sheaf = PresentedSheaf.line_bundle(transition)
     cochain = Cochain1.from_nu01(sheaf, [nu], window)
@@ -263,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except LiftObstructedError:
         raise
-    except JetliftError as exc:
+    except (JetliftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

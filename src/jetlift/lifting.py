@@ -351,11 +351,6 @@ def _extend_to_field(sheaf: PresentedSheaf, chart: int,
     return acc
 
 
-def _zero_cochain1(sheaf: PresentedSheaf, window) -> Cochain1:
-    zeros = [Poly.zero(1)] * sheaf.num_gens
-    return Cochain1.from_nu01(sheaf, zeros, window)
-
-
 def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     """One lifting step: candidates, defect, splitting, correction, re-check."""
     scenario = state.scenario

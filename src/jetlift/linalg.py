@@ -1,53 +1,81 @@
-"""Exact linear algebra over Q (dense, Fraction entries).
+"""Exact linear algebra over Q (Fraction entries, sparse elimination).
 
-Small matrices only; everything the engine solves is desk scale.  The particular
-solution returned by `solve` is canonical: reduced row echelon form with leftmost
-pivots and all free variables set to zero, which makes downstream output
-deterministic.
+Callers pass and receive dense row lists; inside, every routine converts to
+sparse rows (a dict from column to nonzero Fraction, no zero ever stored) and
+runs the one Gauss–Jordan routine `_eliminate`, which does arithmetic only on
+nonzero entries.  The Čech coboundary matrices this engine builds have one or a
+few nonzeros per column, so the work follows the fill, not the shape.
+
+The pivot rule fixes the answers: for each column in turn, the pivot is the
+first row at or below the current one with a nonzero entry there, swapped up.
+It makes the particular solution canonical (reduced row echelon form with
+leftmost pivots, all free variables zero), and it fixes which representative
+of b modulo the column space `solve_with_residual` reports, so downstream
+output is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
+Row = Dict[int, Fraction]
 
-__all__ = ["rref", "rank", "solve", "solve_with_residual", "nullspace"]
+__all__ = ["rref", "rank", "solve", "solve_with_residual"]
+
+_ZERO = Fraction(0)
 
 
-def _copy(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [list(row) for row in matrix]
+def _sparse(row: Sequence[Fraction]) -> Row:
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def _eliminate(rows: List[Row], n_cols: int) -> List[int]:
+    """Gauss–Jordan in place on sparse rows; pivots only in columns < n_cols.
+
+    Each pivot row is scaled to 1 at its pivot and cleared from every other row.
+    Entries at columns >= n_cols (an augmented right-hand side) are carried
+    along.  Returns the pivot columns; pivot i sits in rows[i].
+    """
+    n_rows = len(rows)
+    pivots: List[int] = []
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        for r in range(row, n_rows):
+            if col in rows[r]:
+                break
+        else:
+            continue
+        rows[row], rows[r] = rows[r], rows[row]
+        inv = Fraction(1) / rows[row][col]
+        pivot = {c: v * inv for c, v in rows[row].items()}
+        rows[row] = pivot
+        for r, other in enumerate(rows):
+            f = other.get(col)
+            if f is None or r == row:
+                continue
+            for c, w in pivot.items():
+                v = other.get(c, 0) - f * w
+                if v:
+                    other[c] = v
+                else:
+                    del other[c]
+        pivots.append(col)
+        row += 1
+    return pivots
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and pivot column indices."""
-    a = _copy(matrix)
-    if not a:
-        return a, []
-    n_rows, n_cols = len(a), len(a[0])
-    pivots: List[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n_rows):
-            if a[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return a, pivots
+    if not matrix:
+        return [], []
+    n_cols = len(matrix[0])
+    rows = [_sparse(r) for r in matrix]
+    pivots = _eliminate(rows, n_cols)
+    return [[r.get(c, _ZERO) for c in range(n_cols)] for r in rows], pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -62,10 +90,9 @@ def solve(matrix: Sequence[Sequence[Fraction]],
     n_cols = len(matrix[0])
     augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
     reduced, pivots = rref(augmented)
-    for piv in pivots:
-        if piv == n_cols:
-            return None  # pivot in the constant column: inconsistent
-    x = [Fraction(0)] * n_cols
+    if n_cols in pivots:
+        return None  # pivot in the constant column: inconsistent
+    x = [_ZERO] * n_cols
     for i, piv in enumerate(pivots):
         x[piv] = reduced[i][n_cols]
     return x
@@ -80,51 +107,19 @@ def solve_with_residual(matrix: Sequence[Sequence[Fraction]],
     system is consistent; otherwise it is a deterministic representative of the
     class of b modulo the column space.
     """
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     n_cols = len(matrix[0]) if matrix else 0
-    pivots: List[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        inv = Fraction(1) / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    x = [Fraction(0)] * n_cols
-    for i, piv in enumerate(pivots):
-        x[piv] = rows[i][n_cols]
-    residual = [b - sum((c * xv for c, xv in zip(r, x)), Fraction(0))
-                for r, b in zip(matrix, rhs)]
+    original = [_sparse(r) for r, _ in zip(matrix, rhs)]
+    rows = [dict(r) for r in original]
+    for r, b in zip(rows, rhs):
+        if b:
+            r[n_cols] = b
+    pivots = _eliminate(rows, n_cols)
+    x = [_ZERO] * n_cols
+    nonzero: Row = {}
+    for r, piv in zip(rows, pivots):
+        v = r.get(n_cols)
+        if v:
+            x[piv] = nonzero[piv] = v
+    residual = [b - sum((v * nonzero[c] for c, v in r.items() if c in nonzero), _ZERO)
+                for r, b in zip(original, rhs)]
     return x, residual, len(pivots)
-
-
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right null space (one vector per free column)."""
-    if not matrix:
-        return []
-    n_cols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for i, piv in enumerate(pivots):
-            v[piv] = -reduced[i][free]
-        basis.append(v)
-    return basis

@@ -242,6 +242,13 @@ def _parse_curve(clause_list):
     return z_name, w_name
 
 
+def _integer(text, message, line_no):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(message, line=line_no) from None
+
+
 def _parse_target(clause_list):
     names: Optional[Tuple[str, ...]] = None
     num_charts = 1
@@ -256,7 +263,7 @@ def _parse_target(clause_list):
             if not all(names):
                 raise ParseError("empty variable name", line=line_no)
         elif head == "charts":
-            num_charts = int(rest)
+            num_charts = _integer(rest, "charts must be 1 or 2", line_no)
             if num_charts not in (1, 2):
                 raise ParseError("charts must be 1 or 2", line=line_no)
         elif head == "transition":
@@ -337,7 +344,7 @@ def _parse_window(clause_list):
     words = clause.split()
     if len(words) != 2:
         raise ParseError("window needs two integers", line=line_no)
-    lo, hi = int(words[0]), int(words[1])
+    lo, hi = (_integer(w, "window needs two integers", line_no) for w in words)
     if lo > hi:
         raise ParseError("window lower bound exceeds upper bound", line=line_no)
     return (lo, hi)
@@ -349,7 +356,7 @@ def _parse_order(clause_list):
     if len(clause_list) > 1:
         raise ParseError("multiple [order] clauses")
     clause, line_no = clause_list[0]
-    order = int(clause)
+    order = _integer(clause, "order needs an integer", line_no)
     if order < 1:
         raise ParseError("order must be >= 1", line=line_no)
     return order

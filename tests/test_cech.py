@@ -128,6 +128,15 @@ class TestSolveCoboundary:
             assert isinstance(result, Obstruction)
             assert result.cokernel_dim == 1
 
+    def test_degree_minus_two_class_at_wide_window(self):
+        # an 801 x 800 system: the scale that sparse elimination is for
+        sheaf = PresentedSheaf.line_bundle(uni_x(-2))
+        nu = Cochain1.from_nu01(sheaf, [uni_x(-1)], (-400, 400))
+        result = solve_coboundary(nu)
+        assert isinstance(result, Obstruction)
+        assert result.residual == (uni_x(-1),)
+        assert result.cokernel_dim == 1
+
 
 @settings(max_examples=40, deadline=None)
 @given(laurent_polys(), laurent_polys(-3, 3))

@@ -147,6 +147,39 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("window,message", [
+        ("4", "window needs two integers"),
+        ("a b", "window needs two integers"),
+        ("-4 4 4", "window needs two integers"),
+        ("4 -4", "window lower bound exceeds upper bound"),
+    ])
+    def test_cohomology_bad_window_exit_code(self, capsys, window, message):
+        code = main(["cohomology", "--transition", "1", "--nu", "z",
+                     "--window", window])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("parse error: " + message)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("charts 2 ;", "charts 2x ;", "charts must be 1 or 2 (line 2"),
+        ("[window]   -8 8", "[window]   -8 x", "window needs two integers (line 6"),
+        ("[order]    4", "[order]    four", "order needs an integer (line 7"),
+    ], ids=["charts", "window", "order"])
+    def test_scenario_integer_exit_code(self, capsys, tmp_path, old, new, message):
+        path = tmp_path / "bad.scn"
+        path.write_text(FLAGSHIP.replace(old, new), encoding="utf-8")
+        code = main(["lift", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("parse error: " + message)
+
+    def test_missing_scenario_exit_code(self, capsys, tmp_path):
+        code = main(["lift", "--scenario", str(tmp_path / "missing.scn")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "missing.scn" in captured.err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["bracket", "--vars", "x,y"])

@@ -1,12 +1,15 @@
 """Literal grammars: polynomials, fields, points, grids, and scenario files."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlift.algebra import Poly
 from jetlift.cech import uni, uni_x
-from jetlift.errors import LiftError, ParseError
+from jetlift.errors import JetliftError, LiftError, ParseError
 from jetlift.parsing import (parse_field, parse_grid, parse_point, parse_poly,
                              parse_rational)
 from jetlift.scenario import parse_scenario
@@ -142,3 +145,27 @@ class TestScenarioParsing:
     def test_curve_transition_shape_enforced(self):
         with pytest.raises(ParseError):
             parse_scenario(GOOD.replace("transition w = 1/z", "transition w = z"))
+
+
+PERTURBED = (Path(__file__).resolve().parent.parent / "scenarios"
+             / "flagship_perturbed.scn").read_text(encoding="utf-8")
+
+
+@st.composite
+def one_character_mutations(draw):
+    """flagship_perturbed.scn with one character replaced, inserted or deleted."""
+    op = draw(st.sampled_from(["replace", "insert", "delete"]))
+    i = draw(st.integers(min_value=0, max_value=len(PERTURBED) - 1))
+    ch = draw(st.sampled_from("0123456789 -+*/^;:,=[]()#\nxyzwt_.>"))
+    if op == "delete":
+        return PERTURBED[:i] + PERTURBED[i + 1:]
+    return PERTURBED[:i] + ch + PERTURBED[i + (op == "replace"):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_character_mutations())
+def test_scenario_mutations_raise_only_engine_errors(text):
+    try:
+        parse_scenario(text)
+    except JetliftError:
+        pass
