@@ -1,17 +1,9 @@
-"""Kernel backend selection.
+"""Kernel backend selection: the compiled extension when it is importable, else
+the pure-Python kernels.  Both implement one contract (see `_kernel_py`)."""
 
-The compiled extension is preferred when present; set JETLIFT_PURE=1 to force the
-pure-Python kernels (used by the benchmark and for debugging).
-"""
-
-import os
-
-if os.environ.get("JETLIFT_PURE", "") not in ("", "0"):
-    from . import _kernel_py as kernel
-else:
-    try:
-        from . import _kernel_c as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as kernel  # type: ignore[no-redef]
+try:
+    from . import _kernel_c as kernel
+except ImportError:
+    from . import _kernel_py as kernel  # type: ignore[no-redef]
 
 BACKEND: str = kernel.BACKEND

@@ -6,6 +6,11 @@ into an identity check.  Exponents are non-negative integers unless a value is b
 through a `laurent=True` constructor, in which case negative exponents are allowed
 (used by the two-chart Čech machinery).  Equality is purely structural: same variable
 count, same term dict.
+
+The truncated-series helpers (`series_mul`, `series_inverse`, `series_compose`)
+work over any exact commutative ring: Fraction coefficients for the Picard flow
+and `Poly.compose_series`, Laurent polynomials for the chart transitions of
+`lifting`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "as_fraction",
     "series_mul",
     "series_inverse",
+    "series_compose",
     "default_names",
 ]
 
@@ -256,36 +262,25 @@ class Poly:
         if gamma.dim != self.num_vars:
             raise DimensionError(
                 f"series has dim {gamma.dim}, polynomial has {self.num_vars} variables")
-        order = gamma.order
-        zero = Fraction(0)
-        # per-variable power cache: powers[k][j] = (component k series)**j, j >= 1
-        max_exp = [0] * self.num_vars
-        for e in self.terms:
-            for k, ek in enumerate(e):
-                if ek < 0:
-                    raise ValueError("series composition needs non-negative exponents")
-                max_exp[k] = max(max_exp[k], ek)
-        powers: List[List[List[Fraction]]] = []
-        for k in range(self.num_vars):
-            comp = [gamma.coeffs[j][k] for j in range(order + 1)]
-            pk = [None, comp]
-            for _ in range(1, max_exp[k]):
-                pk.append(series_mul(pk[-1], comp, order, zero))
-            powers.append(pk)
-        acc = [zero] * (order + 1)
+        series = [gamma.component(k) for k in range(self.num_vars)]
+        acc = series_compose(self.terms, series, gamma.order, Fraction(0))
+        return TruncSeries(1, gamma.order, [(v,) for v in acc])
+
+    def reindex(self, num_vars: int, positions: Sequence[int]) -> "Poly":
+        """Re-read self among `num_vars` variables: variable j becomes positions[j]."""
+        positions = tuple(positions)
+        if (len(positions) != self.num_vars or len(set(positions)) != len(positions)
+                or not all(0 <= j < num_vars for j in positions)):
+            raise DimensionError(
+                f"positions {positions} do not place {self.num_vars} variables "
+                f"among {num_vars}")
+        terms = {}
         for e, c in self.terms.items():
-            term = None
-            for k, ek in enumerate(e):
-                if ek:
-                    pk = powers[k][ek]
-                    term = pk if term is None else series_mul(term, pk, order, zero)
-            if term is None:
-                acc[0] += c
-                continue
-            for j, v in enumerate(term):
-                if v:
-                    acc[j] += c * v
-        return TruncSeries(1, order, [(v,) for v in acc])
+            exps = [0] * num_vars
+            for j, ej in zip(positions, e):
+                exps[j] = ej
+            terms[tuple(exps)] = c
+        return Poly._raw(num_vars, terms)
 
     def substitute(self, values: Sequence["Poly"]) -> "Poly":
         """Substitute a polynomial (or Laurent monomial) for each variable.
@@ -392,6 +387,53 @@ def series_inverse(a: Sequence, order: int, zero, invert_leading: Callable) -> l
             s = s + ak * out[n - k]
         out[n] = -(inv0 * s)
     return out
+
+
+def series_compose(terms: Mapping[Tuple[int, ...], Scalar], series: Sequence[Sequence],
+                   order: int, zero, invert_leading: Callable = None) -> list:
+    """Truncation of g(series) to `order`, g given by its term dict.
+
+    series[k] is the coefficient sequence substituted for variable k.  Powers of
+    each series are built once, by repeated `series_mul`; a negative exponent
+    uses the powers of `series_inverse`, which needs `invert_leading`.
+    """
+    n = len(series)
+    hi, lo = [0] * n, [0] * n
+    for e in terms:
+        for k, ek in enumerate(e):
+            if ek > hi[k]:
+                hi[k] = ek
+            elif ek < lo[k]:
+                lo[k] = ek
+    if invert_leading is None and any(lo):
+        raise ValueError("series composition needs non-negative exponents")
+    # powers[k][e] = series[k] ** e for every exponent e != 0 that occurs
+    powers: List[dict] = []
+    for k, base in enumerate(series):
+        table: dict = {}
+        for sign, top in ((1, hi[k]), (-1, -lo[k])):
+            if not top:
+                continue
+            first = (base if sign > 0
+                     else series_inverse(base, order, zero, invert_leading))
+            p = table[sign] = first
+            for e in range(2, top + 1):
+                p = table[sign * e] = series_mul(p, first, order, zero)
+        powers.append(table)
+    acc = [zero] * (order + 1)
+    for e, c in terms.items():
+        term = None
+        for k, ek in enumerate(e):
+            if ek:
+                p = powers[k][ek]
+                term = p if term is None else series_mul(term, p, order, zero)
+        if term is None:
+            acc[0] = acc[0] + c
+            continue
+        for j, v in enumerate(term):
+            if v:
+                acc[j] = acc[j] + c * v
+    return acc
 
 
 class TruncSeries:

@@ -54,18 +54,6 @@ def negate_exponents(p: Poly) -> Poly:
     return Poly._raw(1, {(-e[0],): c for e, c in p.terms.items()})
 
 
-def inject_univariate(p: Poly, num_vars: int, index: int) -> Poly:
-    """Re-read a univariate polynomial as a polynomial in variable `index`."""
-    if p.num_vars != 1:
-        raise DimensionError("injection needs a univariate polynomial")
-    terms = {}
-    for (e,), c in p.terms.items():
-        exp = [0] * num_vars
-        exp[index] = e
-        terms[tuple(exp)] = c
-    return Poly._raw(num_vars, terms)
-
-
 def window_of(polys: Sequence[Poly]) -> Window:
     lo, hi = 0, 0
     for p in polys:
@@ -226,11 +214,16 @@ class MorphismData:
 # -- presented sheaves ---------------------------------------------------------
 
 def evaluate_along_curve(p: Poly, morphism: Sequence[Poly]) -> Poly:
-    """Restrict a function of (space coords, t) to the curve: space -> f(param), t -> 0."""
-    values = list(morphism) + [Poly.zero(1)]
-    if len(values) != p.num_vars:
+    """Restrict a function of (space coords, t) to the curve: space -> f(param), t -> 0.
+
+    Only the t^0 terms survive t -> 0, so the others are dropped before the
+    morphism is substituted into the space coordinates.
+    """
+    q = len(morphism)
+    if q + 1 != p.num_vars:
         raise DimensionError("function does not live on space coordinates plus time")
-    return p.substitute(values)
+    space = Poly._raw(q, {e[:q]: c for e, c in p.terms.items() if not e[q]})
+    return space.substitute(morphism)
 
 
 class PresentedSheaf:
@@ -322,8 +315,7 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
         vec_w = [evaluate_along_curve(g.components[k], f1) for k in range(q)]
         if atlas.transition is not None:
             jac = atlas.jacobian()
-            jac_on_curve = [[evaluate_along_curve(
-                inject_time(jac[k][j], q + 1), f1) for j in range(q)]
+            jac_on_curve = [[jac[k][j].substitute(f1) for j in range(q)]
                 for k in range(q)]
             vec_w = [sum((jac_on_curve[k][j] * vec_w[j] for j in range(q)),
                          Poly.zero(1)) for k in range(q)]
@@ -346,13 +338,6 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
         for k in range(s):
             transition[k][j] = coeffs[k]
     return transition
-
-
-def inject_time(p: Poly, num_vars: int) -> Poly:
-    """Pad a space-only polynomial with a time variable (exponent 0)."""
-    if p.num_vars != num_vars - 1:
-        raise DimensionError("padding expects exactly one missing variable")
-    return Poly._raw(num_vars, {e + (0,): c for e, c in p.terms.items()})
 
 
 def _solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],

@@ -1,11 +1,13 @@
 """Jets of integral curves, the Picard oracle, and defect/invariance checks.
 
-`flow_jet` is the truncated jet engine.  The i-th derivative of coordinate k
-along the integral curve of D is (D^i x_k) at the basepoint.  The engine moves
-the field to the basepoint once (x -> x + point), so every row is a constant
-term.  A polynomial field lowers total degree by at most 1 per application, so
-after the i-th of n derivations a term of total degree above n - i can never
-reach the constant term; such terms are never formed.
+`flow_jet` reads the jet off the truncated derivation powers of
+`vectorfields.derivation_powers`, the one jet engine that `lifting` shares.  The
+i-th derivative of coordinate k along the integral curve of D is (D^i x_k) at
+the basepoint.  `flow_jet` moves the field to the basepoint once
+(x -> x + point) and grades every variable with weight 1, so every row is a
+constant term: a polynomial field lowers total degree by at most 1 per
+application, and after the i-th of n derivations a term of total degree above
+n - i can never reach the constant term; such terms are never formed.
 
 `flow_series_picard` integrates the same curve by Picard iteration on truncated
 series.  It shares no code with `flow_jet`, so the two certify each other.
@@ -22,13 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ._backend import kernel as _k
 from .algebra import Poly, Scalar, TruncSeries, as_fraction, poly_det
 from .errors import DimensionError, OrderError, PreconditionError
 from .jets import Jet, TangentVector, jet_difference, jet_from_series
-from .vectorfields import VectorField, iterated_bracket
+from .vectorfields import VectorField, derivation_powers, iterated_bracket
 
 __all__ = [
     "flow_jet",
@@ -70,56 +71,20 @@ def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
     return {t: v for t, v in out.items() if v}
 
 
-def _degree_levels(field: VectorField, pt: Tuple[Fraction, ...],
-                   max_degree: int) -> List[List[Terms]]:
-    """levels[E][k]: recentred component k cut to total degree <= E, E = 0..max_degree."""
-    m = field.num_vars
-    levels: List[List[Terms]] = [[{} for _ in range(m)] for _ in range(max_degree + 1)]
-    if max_degree < 0:
-        return levels
-    for k, comp in enumerate(field.components):
-        if not comp.is_polynomial():
-            raise ValueError("flow jets need non-negative exponents")
-        terms = _recentre(comp.terms, pt, max_degree) if any(pt) else comp.terms
-        for e, c in terms.items():
-            for level in levels[sum(e):]:
-                level[k][e] = c
-    return levels
-
-
-def _truncated_derivation(levels: List[List[Terms]], power: Terms, cap: int) -> Terms:
-    """D(power) without any term of total degree above `cap`.
-
-    A field term of degree e times a derivative of a degree-d term has degree
-    e + d - 1, so the degree-d part of `power` only meets field terms of degree
-    <= cap + 1 - d.  `power` itself has no term of degree above cap + 1.
-    """
-    by_degree: Dict[int, Terms] = {}
-    for t, c in power.items():
-        by_degree.setdefault(sum(t), {})[t] = c
-    out: Terms = {}
-    for d, part in by_degree.items():
-        if not d:
-            continue
-        part = _k.derive_terms(levels[cap + 1 - d], part)
-        if part:
-            out = _k.add_terms(out, part) if out else part
-    return out
-
-
 def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
     """Order-n jet of the integral curve through `point`: x_i[k] = (D^i x_k)(point)."""
     pt = _check_point(field, point)
     if order < 0:
         raise OrderError("order must be >= 0")
     m = field.num_vars
-    rows: List[Tuple[Fraction, ...]] = [pt]
-    levels = _degree_levels(field, pt, order - 1)
-    powers = [Poly.variable(m, k) for k in range(m)]
-    for i in range(1, order + 1):
-        powers = [Poly._raw(m, _truncated_derivation(levels, p.terms, order - i))
-                  for p in powers]
-        rows.append(tuple(p.constant_term() for p in powers))
+    components = field.components
+    if order and not all(c.is_polynomial() for c in components):
+        raise ValueError("flow jets need non-negative exponents")
+    if any(pt):
+        components = [Poly._raw(m, _recentre(c.terms, pt, order - 1))
+                      for c in components]
+    powers = derivation_powers(components, order, (1,) * m)
+    rows = [pt] + [tuple(p.constant_term() for p in row) for row in powers[1:]]
     return Jet(m, order, rows)
 
 

@@ -7,6 +7,13 @@ Lie bracket of the witness fields), splits the defect cochain, extends each char
 correction to a vector field, and replaces D with D - (t^n/n!) E.  After the
 replacement the corrected candidates must glue exactly and project onto the previous
 section; both facts are recomputed, not assumed.
+
+A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
+comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
+by t alone: after the i-th of n derivations a term of t-degree above n - i can
+never reach t^0, so it is dropped, and each row is restricted to the curve by
+keeping its t^0 terms.  Crossing the overlap composes the coordinate series with
+the target transition through `algebra.series_compose`.
 """
 
 from __future__ import annotations
@@ -16,15 +23,14 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Poly, monomial_inverse, series_inverse, series_mul
+from .algebra import Poly, monomial_inverse, series_compose
 from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                    PresentedSheaf, TargetAtlas, _solve_section_coordinates,
-                   check_window, evaluate_along_curve, inject_time,
-                   inject_univariate, negate_exponents, solve_coboundary,
-                   window_of)
+                   check_window, evaluate_along_curve, negate_exponents,
+                   solve_coboundary, window_of)
 from .errors import (ClassificationError, DimensionError, LiftError,
-                     LiftObstructedError, PreconditionError)
-from .vectorfields import (TimeClass, VectorField, apply_derivation,
+                     LiftObstructedError, OrderError, PreconditionError)
+from .vectorfields import (TimeClass, VectorField, derivation_powers,
                            iterated_bracket, time_component_class)
 
 __all__ = [
@@ -104,10 +110,9 @@ class LiftResult:
                 for chart, corr in enumerate(step.corrections):
                     if corr is None:
                         continue
-                    names = _chart_names(sc, chart)
                     lines.append(
                         f"correction chart{chart}: D -= t^{n}/{n}! * E, "
-                        f"E = ({corr.render(names)})")
+                        f"E = ({corr.render(sc.atlas.names + ('t',))})")
             lines.append(f"bracket cross-check: {step.orientation}")
             lines.append("defect after correction: 0")
             lines.append("tower projection: ok")
@@ -120,10 +125,6 @@ class LiftResult:
                 jets = ",".join(p.render([param], compact=True) for p in section[k])
                 lines.append(f"chart{chart} {coord_name}: ({jets})")
         return "\n".join(lines)
-
-
-def _chart_names(scenario: LiftScenario, chart: int) -> Tuple[str, ...]:
-    return scenario.atlas.names + ("t",)
 
 
 def _render_coefficients(coeffs: Sequence[Poly], param: str) -> str:
@@ -142,6 +143,8 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
 
     The field must have constant flow in time (time component identically 1); the
     morphism gives the space coordinates as Laurent polynomials in the parameter.
+    Row i is read off `derivation_powers` graded by t alone: only its t^0 terms
+    survive the restriction to the curve.
     """
     if time_component_class(field) is not TimeClass.CONSTANT_FLOW:
         raise ClassificationError(
@@ -149,15 +152,10 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
     n_coords = field.num_vars
     if len(morphism) != n_coords - 1:
         raise DimensionError("morphism must cover every space coordinate")
-    section: List[List[Poly]] = []
-    for k in range(n_coords):
-        p = Poly.variable(n_coords, k)
-        row = [evaluate_along_curve(p, morphism)]
-        for _ in range(order):
-            p = apply_derivation(field, p)
-            row.append(evaluate_along_curve(p, morphism))
-        section.append(row)
-    return tuple(tuple(row) for row in section)
+    weights = (0,) * (n_coords - 1) + (1,)
+    powers = derivation_powers(field.components, order, weights)
+    return tuple(tuple(evaluate_along_curve(row[k], morphism) for row in powers)
+                 for k in range(n_coords))
 
 
 def transition_jet_section(atlas: TargetAtlas, section: JetSection,
@@ -177,43 +175,12 @@ def transition_jet_section(atlas: TargetAtlas, section: JetSection,
     taylor = [[p * Fraction(1, factorial(i)) for i, p in enumerate(coord)]
               for coord in resub]
     space = taylor[:q]
-    composed: List[List[Poly]] = []
-    for k in range(q):
-        composed.append(_poly_on_series(atlas.transition[k], space, order, zero))
+    composed = [series_compose(g.terms, space, order, zero, monomial_inverse)
+                for g in atlas.transition]
     composed.append(taylor[q])  # time is untouched by the target transition
     return tuple(
         tuple(c * Fraction(factorial(i)) for i, c in enumerate(coord))
         for coord in composed)
-
-
-def _poly_on_series(g: Poly, series: Sequence[Sequence[Poly]], order: int,
-                    zero: Poly) -> List[Poly]:
-    """Evaluate a Laurent polynomial on a tuple of truncated series over Laurent rings."""
-    inverses: dict = {}
-
-    def var_power(j: int, e: int) -> List[Poly]:
-        if e >= 0:
-            out = [Poly.one(1)] + [zero] * order
-            for _ in range(e):
-                out = series_mul(out, series[j], order, zero)
-            return out
-        if j not in inverses:
-            inverses[j] = series_inverse(list(series[j]), order, zero,
-                                         monomial_inverse)
-        base = inverses[j]
-        out = [Poly.one(1)] + [zero] * order
-        for _ in range(-e):
-            out = series_mul(out, base, order, zero)
-        return out
-
-    acc = [zero] * (order + 1)
-    for exps, c in g.terms.items():
-        term = [Poly.constant(1, c)] + [zero] * order
-        for j, e in enumerate(exps):
-            if e:
-                term = series_mul(term, var_power(j, e), order, zero)
-        acc = [a + b for a, b in zip(acc, term)]
-    return acc
 
 
 def project_section(section: JetSection, order: int) -> JetSection:
@@ -291,10 +258,10 @@ def field_to_chart0(atlas: TargetAtlas, field: VectorField) -> VectorField:
     for k in range(q):
         acc = Poly.zero(q + 1)
         for j in range(q):
-            acc = acc + inject_time(jac[k][j], q + 1) * field.components[j]
+            acc = acc + jac[k][j].reindex(q + 1, range(q)) * field.components[j]
         comps0.append(acc)
     comps0.append(field.components[q])
-    values = [inject_time(p, q + 1) for p in atlas.inverse]
+    values = [p.reindex(q + 1, range(q)) for p in atlas.inverse]
     values.append(Poly.variable(q + 1, q))
     return VectorField([c.substitute(values) for c in comps0])
 
@@ -304,7 +271,7 @@ def field_to_chart1(atlas: TargetAtlas, field: VectorField) -> VectorField:
     if atlas.transition is None:
         return field
     q = atlas.num_coords
-    values = [inject_time(p, q + 1) for p in atlas.transition]
+    values = [p.reindex(q + 1, range(q)) for p in atlas.transition]
     values.append(Poly.variable(q + 1, q))
     pulled = [c.substitute(values) for c in field.components]
     jac_inv = atlas.jacobian_inverse()
@@ -312,7 +279,7 @@ def field_to_chart1(atlas: TargetAtlas, field: VectorField) -> VectorField:
     for j in range(q):
         acc = Poly.zero(q + 1)
         for k in range(q):
-            acc = acc + inject_time(jac_inv[j][k], q + 1) * pulled[k]
+            acc = acc + jac_inv[j][k].reindex(q + 1, range(q)) * pulled[k]
         comps1.append(acc)
     comps1.append(pulled[q])
     return VectorField(comps1)
@@ -347,7 +314,7 @@ def _extend_to_field(sheaf: PresentedSheaf, chart: int,
     q = sheaf.atlas.num_coords
     acc = VectorField.zero(q + 1)
     for c, gen in zip(coefficients, sheaf.gens(chart)):
-        acc = acc + gen.scale(inject_univariate(c, q + 1, idx))
+        acc = acc + gen.scale(c.reindex(q + 1, (idx,)))
     return acc
 
 
@@ -487,7 +454,7 @@ def lift_to_order(scenario: LiftScenario, order: Optional[int] = None) -> LiftRe
     """Iterate lift_step from the first-order data up to the requested order."""
     target = scenario.order if order is None else order
     if target < 1:
-        raise ValueError("lift order must be >= 1")
+        raise OrderError("lift order must be >= 1")
     state = initial_state(scenario)
     result = LiftResult(scenario, state)
     while state.order < target:

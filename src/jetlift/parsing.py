@@ -52,7 +52,7 @@ class _Scanner:
         if allow_sign and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer", start)
@@ -77,13 +77,13 @@ def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
     coeff = Fraction(1)
     have_coeff = False
     pending_div = False
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         num = sc.read_int()
         coeff = Fraction(num)
         have_coeff = True
         if sc.peek() == "/":
             sc.take()
-            if sc.peek().isdigit():
+            if sc.peek().isdecimal():
                 den_pos = sc.pos
                 den = sc.read_int()
                 if den == 0:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Poly
-from .cech import CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas, inject_time
+from .algebra import Poly, monomial_inverse
+from .cech import CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas
 from .errors import LiftError, ParseError
 from .lifting import LiftScenario
 from .parsing import parse_poly
@@ -115,7 +115,7 @@ def parse_scenario(text: str) -> LiftScenario:
             comps = [parse_poly(p, x_names, allow_laurent=True, line=line_no)
                      for p in pieces]
             gens_charts[chart].append(
-                VectorField([inject_time(c, m + 1) for c in comps]
+                VectorField([c.reindex(m + 1, range(m)) for c in comps]
                             + [Poly.zero(m + 1)]))
     if len(gens_charts[0]) != len(gens_charts[1]):
         raise LiftError("both charts need the same number of generators")
@@ -170,10 +170,10 @@ def _embed_graph(curve, x_names, num_charts, transition, morphism_charts,
     names = ("y",) + tuple(x_names)
     y_var = Poly.variable(m + 1, 0)
     if num_charts == 2:
-        shifted = [_shift_space(p, m + 1, 1) for p in transition]
+        shifted = [p.reindex(m + 1, range(1, m + 1)) for p in transition]
     else:
         shifted = [Poly.variable(m + 1, k + 1) for k in range(m)]
-    new_transition = [_monomial_inverse_var(y_var)] + shifted
+    new_transition = [monomial_inverse(y_var)] + shifted
     atlas = TargetAtlas(names, 2, new_transition)
     new_morphism = []
     for chart in (0, 1):
@@ -184,38 +184,17 @@ def _embed_graph(curve, x_names, num_charts, transition, morphism_charts,
     for chart in (0, 1):
         for g in gens_charts[chart]:
             comps = [Poly.zero(m + 2)]
-            comps += [_shift_space_time(c, m + 2, 1) for c in g.components[:-1]]
+            comps += [c.reindex(m + 2, range(1, m + 2)) for c in g.components[:-1]]
             comps += [Poly.zero(m + 2)]
             new_gens[chart].append(VectorField(comps))
     new_perturb: List[Optional[Tuple[Poly, ...]]] = [None, None]
     for chart in (0, 1):
         if perturb_charts[chart] is not None:
             new_perturb[chart] = (Poly.zero(m + 2),) + tuple(
-                _shift_space_time(c, m + 2, 1) for c in perturb_charts[chart])
+                c.reindex(m + 2, range(1, m + 2)) for c in perturb_charts[chart])
     sheaf = PresentedSheaf.from_charts(atlas, morphism, new_gens[0], new_gens[1])
     return LiftScenario(curve, sheaf, (sigma_charts[0], sigma_charts[1]),
                         tuple(new_perturb), window, order)
-
-
-def _shift_space(p: Poly, new_num_vars: int, offset: int) -> Poly:
-    pad = (0,) * offset
-    tail = (0,) * (new_num_vars - p.num_vars - offset)
-    return Poly._raw(new_num_vars, {pad + e + tail: c for e, c in p.terms.items()})
-
-
-def _shift_space_time(p: Poly, new_num_vars: int, offset: int) -> Poly:
-    """Shift space variables, keeping the time variable last."""
-    out = {}
-    for e, c in p.terms.items():
-        space, time = e[:-1], e[-1]
-        new_e = (0,) * offset + space + (0,) * (new_num_vars - len(space) - offset - 1)
-        out[new_e + (time,)] = c
-    return Poly._raw(new_num_vars, out)
-
-
-def _monomial_inverse_var(v: Poly) -> Poly:
-    ((e, c),) = v.terms.items()
-    return Poly._raw(v.num_vars, {tuple(-x for x in e): 1 / c})
 
 
 def _parse_curve(clause_list):

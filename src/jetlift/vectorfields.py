@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Sequence, Tuple
+from operator import itemgetter
+from typing import List, Sequence, Tuple
 
+from ._backend import kernel as _k
 from .algebra import Poly, Scalar, as_fraction
 from .errors import ClassificationError, DimensionError, OrderError
 
@@ -22,6 +24,7 @@ __all__ = [
     "TimeField",
     "TimeClass",
     "apply_derivation",
+    "derivation_powers",
     "lie_bracket",
     "iterated_bracket",
     "extend_constant_flow",
@@ -125,9 +128,61 @@ def apply_derivation(field: VectorField, f: Poly) -> Poly:
         raise DimensionError(
             f"field on {field.num_vars} variables applied to a "
             f"{f.num_vars}-variable polynomial")
-    from ._backend import kernel as _k
     terms = _k.derive_terms([c.terms for c in field.components], f.terms)
     return Poly._raw(f.num_vars, terms)
+
+
+def derivation_powers(components: Sequence[Poly], order: int,
+                      weights: Sequence[int]) -> List[List[Poly]]:
+    """Truncated powers of D = sum_k components[k] d/dx_k.
+
+    powers[i][k] is D^i x_k with every term of weighted degree above order - i
+    dropped (and no other term lost), where x^e has weighted degree sum_k weights[k] * e_k, each weight is
+    0 or 1, and weighted exponents are non-negative.  d/dx_k lowers weighted
+    degree by weights[k] <= 1 and a component never lowers it, so a dropped term
+    can never reach weighted degree 0 in the remaining applications: the
+    weighted-degree-0 part of every power is exact.
+    """
+    m = len(components)
+    graded = [k for k, w in enumerate(weights) if w]
+    all_graded = len(graded) == m
+    if all_graded:
+        grade = sum
+    elif len(graded) == 1:
+        grade = itemgetter(graded[0])
+    else:
+        grade = lambda e: sum([e[k] for k in graded])  # noqa: E731
+    # levels[j][k]: components[k] cut to weighted degree <= j - 1 + weights[k].
+    # A term of degree g of components[k] times d/dx_k of a degree-d term has
+    # degree g + d - weights[k], so under the cap the degree-d part of a power
+    # meets exactly levels[cap + 1 - d].
+    levels: List[List[dict]] = [[{} for _ in range(m)] for _ in range(order + 1)]
+    for k, comp in enumerate(components):
+        for e, c in comp.terms.items():
+            g = grade(e)
+            if g < order:
+                for level in levels[g + 1 - weights[k]:]:
+                    level[k][e] = c
+    powers = [[Poly.variable(m, k) if weights[k] <= order else Poly.zero(m)
+               for k in range(m)]]
+    for i in range(1, order + 1):
+        cap = order - i
+        row = []
+        for p in powers[-1]:
+            by_grade: dict = {}
+            for e, c in p.terms.items():
+                by_grade.setdefault(grade(e), {})[e] = c
+            out: dict = {}
+            for d, part in by_grade.items():
+                # with every variable graded a degree-0 part is a constant
+                if not d and all_graded:
+                    continue
+                part = _k.derive_terms(levels[cap + 1 - d], part)
+                if part:
+                    out = _k.add_terms(out, part) if out else part
+            row.append(Poly._raw(m, out))
+        powers.append(row)
+    return powers
 
 
 def lie_bracket(d1: VectorField, d2: VectorField) -> VectorField:
@@ -171,16 +226,6 @@ def extend_constant_flow(field: VectorField) -> VectorField:
     return VectorField(comps)
 
 
-def shift_variables(p: Poly, new_num_vars: int, offset: int) -> Poly:
-    """Re-read p in a larger variable set, variable k becoming k + offset."""
-    if offset < 0 or p.num_vars + offset > new_num_vars:
-        raise DimensionError("offset does not fit the target variable count")
-    pad_left = (0,) * offset
-    pad_right = (0,) * (new_num_vars - p.num_vars - offset)
-    return Poly._raw(new_num_vars,
-                     {pad_left + e + pad_right: c for e, c in p.terms.items()})
-
-
 def graph_embed(f_components: Sequence[Poly],
                 gens: Sequence[VectorField]):
     """Embed a morphism y -> f(y) as a graph and push generators along.
@@ -205,6 +250,6 @@ def graph_embed(f_components: Sequence[Poly],
                 f"generator on {d.num_vars} variables does not match morphism "
                 f"target dimension {m}")
         comps = [Poly.zero(p + m)] * p
-        comps += [shift_variables(c, p + m, p) for c in d.components]
+        comps += [c.reindex(p + m, range(p, p + m)) for c in d.components]
         embedded.append(VectorField(comps))
     return graph_map, embedded

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlift.algebra import Poly, TruncSeries, monomial_inverse, series_inverse, series_mul
+from jetlift.algebra import (Poly, TruncSeries, monomial_inverse, series_compose,
+                             series_inverse, series_mul)
 from jetlift.errors import DimensionError
 
 from strategies import fractions, points, polys
@@ -115,6 +116,68 @@ class TestComposeSeries:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             X.compose_series(TruncSeries.constant([1, 2], 2))
+
+    def test_negative_exponent_needs_inverse(self):
+        inv = Poly(1, {(-1,): 1}, laurent=True)
+        with pytest.raises(ValueError, match="non-negative exponents"):
+            inv.compose_series(TruncSeries.constant([1], 2))
+        with pytest.raises(ValueError, match="non-negative exponents"):
+            series_compose(inv.terms, [[Fraction(1), Fraction(1)]], 1, Fraction(0))
+
+
+def reference_poly_on_series(g, series, order, zero, one, invert_leading):
+    """Per-term reference composer: every power rebuilt from `one` for each term."""
+    inverses = {}
+
+    def var_power(j, e):
+        if e < 0 and j not in inverses:
+            inverses[j] = series_inverse(list(series[j]), order, zero, invert_leading)
+        base = series[j] if e >= 0 else inverses[j]
+        out = [one] + [zero] * order
+        for _ in range(abs(e)):
+            out = series_mul(out, base, order, zero)
+        return out
+
+    acc = [zero] * (order + 1)
+    for exps, c in g.terms.items():
+        term = [one * c] + [zero] * order
+        for j, e in enumerate(exps):
+            if e:
+                term = series_mul(term, var_power(j, e), order, zero)
+        acc = [a + b for a, b in zip(acc, term)]
+    return acc
+
+
+def laurent_monomials():
+    return st.builds(lambda e, c: Poly(1, {(e,): c}, laurent=True),
+                     st.integers(-2, 2), fractions().filter(bool))
+
+
+@st.composite
+def composition_cases(draw):
+    """A Laurent g in 1-2 variables, one series per variable over Q or over Laurent
+    polynomials in one variable, each with an invertible leading coefficient."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    order = draw(st.integers(min_value=0, max_value=5))
+    g = draw(polys(n, max_degree=3, max_terms=4, laurent=True))
+    if draw(st.booleans()):
+        ring = (Fraction(0), Fraction(1), lambda c: 1 / c)
+        lead, rest = fractions().filter(bool), fractions()
+    else:
+        ring = (Poly.zero(1), Poly.one(1), monomial_inverse)
+        lead = laurent_monomials()
+        rest = st.lists(laurent_monomials(), max_size=2).map(
+            lambda ms: sum(ms, Poly.zero(1)))
+    series = [[draw(lead)] + [draw(rest) for _ in range(order)] for _ in range(n)]
+    return g, series, order, ring
+
+
+@settings(max_examples=80, deadline=None)
+@given(composition_cases())
+def test_series_compose_matches_reference(case):
+    g, series, order, (zero, one, invert_leading) = case
+    assert (series_compose(g.terms, series, order, zero, invert_leading)
+            == reference_poly_on_series(g, series, order, zero, one, invert_leading))
 
 
 @settings(max_examples=60)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from jetlift.algebra import Poly
 from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
-                          inject_time, negate_exponents, restrict_section,
+                          negate_exponents, restrict_section,
                           solve_coboundary, uni, uni_x)
 from jetlift.errors import LiftError, WindowOverflowError
 from jetlift.vectorfields import VectorField
@@ -154,8 +154,8 @@ class TestPresentedSheafFromCharts:
         x = Poly.variable(1, 0)
         atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
         morphism = MorphismData((x,), (x,))
-        gen0 = VectorField([inject_time(x, 2), Poly.zero(2)])
-        gen1 = VectorField([inject_time(-x, 2), Poly.zero(2)])
+        gen0 = VectorField([x.reindex(2, (0,)), Poly.zero(2)])
+        gen1 = VectorField([(-x).reindex(2, (0,)), Poly.zero(2)])
         return PresentedSheaf.from_charts(atlas, morphism, [gen0], [gen1])
 
     def test_log_field_transition_is_trivial(self):
@@ -166,8 +166,8 @@ class TestPresentedSheafFromCharts:
         x = Poly.variable(1, 0)
         atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
         morphism = MorphismData((x,), (x,))
-        gen0 = VectorField([inject_time(x ** 4, 2), Poly.zero(2)])
-        gen1 = VectorField([inject_time(-Poly.one(1), 2), Poly.zero(2)])
+        gen0 = VectorField([(x ** 4).reindex(2, (0,)), Poly.zero(2)])
+        gen1 = VectorField([(-Poly.one(1)).reindex(2, (0,)), Poly.zero(2)])
         sheaf = PresentedSheaf.from_charts(atlas, morphism, [gen0], [gen1])
         assert sheaf.transition[0][0] == uni_x(-2)
 
@@ -175,7 +175,7 @@ class TestPresentedSheafFromCharts:
         x = Poly.variable(1, 0)
         atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
         morphism = MorphismData((x,), (x + 1,))
-        gen = VectorField([inject_time(x, 2), Poly.zero(2)])
+        gen = VectorField([x.reindex(2, (0,)), Poly.zero(2)])
         with pytest.raises(LiftError):
             PresentedSheaf.from_charts(atlas, morphism, [gen], [gen])
 
@@ -183,7 +183,7 @@ class TestPresentedSheafFromCharts:
         x = Poly.variable(1, 0)
         atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
         morphism = MorphismData((x,), (x,))
-        bad = VectorField([inject_time(x, 2), Poly.one(2)])
+        bad = VectorField([x.reindex(2, (0,)), Poly.one(2)])
         with pytest.raises(LiftError):
             PresentedSheaf.from_charts(atlas, morphism, [bad], [bad])
 

@@ -173,6 +173,15 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("parse error: " + message)
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_lift_order_out_of_range_exit_code(self, capsys, tmp_path, order):
+        path = tmp_path / "flagship.scn"
+        path.write_text(FLAGSHIP, encoding="utf-8")
+        code = main(["lift", "--scenario", str(path), "--order", order])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: lift order must be >= 1\n"
+
     def test_missing_scenario_exit_code(self, capsys, tmp_path):
         code = main(["lift", "--scenario", str(tmp_path / "missing.scn")])
         captured = capsys.readouterr()

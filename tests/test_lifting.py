@@ -9,16 +9,21 @@ at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by or
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlift.algebra import Poly
-from jetlift.cech import inject_time, uni, uni_x
+from jetlift.cech import uni, uni_x
 from jetlift.errors import (ClassificationError, LiftError, LiftObstructedError,
                             PreconditionError)
 from jetlift.lifting import (defect_cochain, field_to_chart0, field_to_chart1,
                              initial_state, lift_step, lift_to_order,
                              local_jet_section, project_section)
 from jetlift.scenario import parse_scenario
-from jetlift.vectorfields import TimeClass, VectorField, time_component_class
+from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
+                                  time_component_class)
+
+from strategies import fractions
 
 FLAGSHIP = """
 [y]        charts z w ; transition w = 1/z
@@ -90,6 +95,65 @@ class TestLocalJetSection:
             local_jet_section(VectorField([x, Poly.zero(2)]), [uni_x(1)], 2)
 
 
+def reference_evaluate_along_curve(p, morphism):
+    """Restriction by substituting t -> 0 into every term."""
+    return p.substitute(list(morphism) + [Poly.zero(1)])
+
+
+def reference_local_jet_section(field, morphism, order):
+    """Untruncated reference: build D^i x_k whole, then restrict it to the curve."""
+    section = []
+    for k in range(field.num_vars):
+        p = Poly.variable(field.num_vars, k)
+        row = [reference_evaluate_along_curve(p, morphism)]
+        for _ in range(order):
+            p = apply_derivation(field, p)
+            row.append(reference_evaluate_along_curve(p, morphism))
+        section.append(tuple(row))
+    return tuple(section)
+
+
+def laurent_polys(num_vars, exponents, max_terms):
+    return st.dictionaries(st.tuples(*exponents), fractions(), max_size=max_terms).map(
+        lambda terms: Poly(num_vars, terms, laurent=True))
+
+
+@st.composite
+def jet_section_cases(draw):
+    """A constant-flow field with t-dependent terms and Laurent space exponents.
+
+    One term has t-degree order + 1, which no row can see.  A space coordinate
+    that carries a negative exponent is mapped to a Laurent monomial, so the
+    reference can invert it; the others get any small Laurent polynomial.
+    """
+    q = draw(st.integers(min_value=1, max_value=2))
+    order = draw(st.integers(min_value=0, max_value=6))
+    space = [st.integers(min_value=-2, max_value=2)] * q
+    comps = [draw(laurent_polys(q + 1, space + [st.integers(0, 2)], 2))
+             for _ in range(q)]
+    high = [draw(st.integers(min_value=-1, max_value=1)) for _ in range(q)]
+    k = draw(st.integers(min_value=0, max_value=q - 1))
+    comps[k] = comps[k] + Poly.monomial(q + 1, high + [order + 1],
+                                        draw(fractions().filter(bool)), laurent=True)
+    field = VectorField(comps + [Poly.one(q + 1)])
+    morphism = []
+    for j in range(q):
+        if any(e[j] < 0 for c in comps for e in c.terms):
+            morphism.append(Poly.monomial(1, [draw(st.integers(-2, 2))],
+                                          draw(fractions().filter(bool)), laurent=True))
+        else:
+            morphism.append(draw(laurent_polys(1, [st.integers(-2, 2)], 2)))
+    return field, tuple(morphism), order
+
+
+@settings(max_examples=80, deadline=None)
+@given(jet_section_cases())
+def test_jet_section_matches_untruncated_reference(case):
+    field, morphism, order = case
+    assert (local_jet_section(field, morphism, order)
+            == reference_local_jet_section(field, morphism, order))
+
+
 class TestUnperturbedFlagship:
     def test_final_jets(self):
         result = lift_to_order(parse_scenario(FLAGSHIP), 4)
@@ -142,7 +206,7 @@ class TestPerturbedFlagship:
     def test_correction_field(self):
         result = lift_to_order(parse_scenario(PERTURBED), 2)
         e0, e1 = result.steps[0].corrections
-        assert e0 == VectorField([inject_time(-uni({2: 1}), 2), Poly.zero(2)])
+        assert e0 == VectorField([(-uni({2: 1})).reindex(2, (0,)), Poly.zero(2)])
         assert e1 is None
 
     def test_fields_remain_constant_flow(self):

@@ -169,3 +169,35 @@ def test_scenario_mutations_raise_only_engine_errors(text):
         parse_scenario(text)
     except JetliftError:
         pass
+
+
+# literal-shaped text (the grammars' own characters) and arbitrary text
+LITERALS = (st.text(alphabet="0123456789 -+*/^,:=()xyz_.\t", max_size=30)
+            | st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LITERALS, st.booleans())
+def test_parse_poly_raises_only_parse_error(text, laurent):
+    try:
+        parse_poly(text, ["x", "y"], allow_laurent=laurent)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(LITERALS, st.integers(min_value=1, max_value=3))
+def test_parse_point_raises_only_parse_error(text, dim):
+    try:
+        parse_point(text, dim)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(LITERALS)
+def test_parse_grid_raises_only_parse_error(text):
+    try:
+        parse_grid(text, ["x", "y"])
+    except ParseError:
+        pass

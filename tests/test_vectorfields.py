@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from jetlift.algebra import Poly
 from jetlift.errors import ClassificationError, DimensionError
 from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
-                                  extend_constant_flow, graph_embed,
+                                  derivation_powers, extend_constant_flow, graph_embed,
                                   iterated_bracket, lie_bracket,
                                   time_component_class)
 
@@ -103,6 +103,31 @@ def test_derivation_identity(d1, d2, f):
     rhs = (apply_derivation(d1, apply_derivation(d2, f))
            - apply_derivation(d2, apply_derivation(d1, f)))
     assert lhs == rhs
+
+
+@st.composite
+def weighted_power_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=1),
+                            min_size=m, max_size=m))
+    return draw(vector_fields(m, max_degree=4 - m, max_terms=2)), weights, draw(
+        st.integers(min_value=0, max_value=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_power_cases())
+def test_derivation_powers_are_weighted_truncations(case):
+    d, weights, order = case
+    m = d.num_vars
+    powers = derivation_powers(d.components, order, weights)
+    assert len(powers) == order + 1
+    full = [Poly.variable(m, k) for k in range(m)]
+    for i, row in enumerate(powers):
+        cap = order - i
+        assert row == [Poly(m, {e: c for e, c in p.terms.items()
+                                if sum(w * x for w, x in zip(weights, e)) <= cap})
+                       for p in full]
+        full = [apply_derivation(d, p) for p in full]
 
 
 class TestTimeClassification:
