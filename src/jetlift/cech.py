@@ -345,43 +345,20 @@ def _solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
                                window: Window) -> Optional[Tuple[Poly, ...]]:
     """Solve sum_k c_k(z) * gen_values[k] = target for Laurent c_k within `window`."""
     lo, hi = window
-    s = len(gen_values)
-    q = len(target)
-    unknowns = [(k, e) for k in range(s) for e in range(lo, hi + 1)]
-    row_exps = set()
-    for vec in list(gen_values) + [list(target)]:
-        for p in vec:
-            for (e,) in p.terms:
-                row_exps.add(e)
-    for k, e in unknowns:
-        for p in gen_values[k]:
-            for (ge,) in p.terms:
-                row_exps.add(ge + e)
-    rows = sorted(row_exps)
-    row_index = {(comp, e): i for i, (comp, e) in enumerate(
-        [(c, e) for c in range(q) for e in rows])}
-    matrix = [[Fraction(0)] * len(unknowns) for _ in range(len(row_index))]
-    for col, (k, e) in enumerate(unknowns):
-        shift = uni_x(e) if e else Poly.one(1)
-        for comp in range(q):
-            prod = shift * gen_values[k][comp] if e else gen_values[k][comp]
-            for (pe,), c in prod.terms.items():
-                matrix[row_index[(comp, pe)]][col] = c
-    rhs = [Fraction(0)] * len(row_index)
-    for comp in range(q):
-        for (pe,), c in target[comp].terms.items():
-            rhs[row_index[(comp, pe)]] = c
-    solution = linalg.solve(matrix, rhs)
-    if solution is None:
+    unknowns = [(k, e) for k in range(len(gen_values)) for e in range(lo, hi + 1)]
+    # unknown (k, e) contributes z^e * gen_values[k]: row (comp, exponent)
+    columns = [{(comp, ge + e): c for comp, p in enumerate(gen_values[k])
+                for (ge,), c in p.terms.items()} for k, e in unknowns]
+    rhs = {(comp, e): c for comp, p in enumerate(target) for (e,), c in p.terms.items()}
+    x, residual, _ = linalg.solve_with_residual(
+        columns, rhs, sorted(set(rhs).union(*columns)))
+    if residual:
         return None
-    out = []
-    for k in range(s):
-        terms = {}
-        for col, (kk, e) in enumerate(unknowns):
-            if kk == k and solution[col]:
-                terms[(e,)] = solution[col]
-        out.append(Poly._raw(1, terms))
-    return tuple(out)
+    terms: List[dict] = [{} for _ in gen_values]
+    for value, (k, e) in zip(x, unknowns):
+        if value:
+            terms[k][(e,)] = value
+    return tuple(Poly._raw(1, t) for t in terms)
 
 
 # -- cochains ------------------------------------------------------------------
@@ -520,48 +497,29 @@ def solve_coboundary(cochain: Cochain1, chart_degree: Optional[int] = None):
     if chart_degree is None:
         chart_degree = hi
     basis: List[Tuple[int, int, int]] = []   # (chart, gen, exponent)
-    columns: List[List[Fraction]] = []
-    row_index = {(k, e): i for i, (k, e) in enumerate(
-        [(k, e) for k in range(s) for e in range(lo, hi + 1)])}
-
-    def column_for(chart: int, gen: int, exp: int) -> Optional[List[Fraction]]:
-        coeffs = [Poly.zero(1)] * s
-        coeffs[gen] = uni_x(exp) if exp else Poly.one(1)
-        try:
-            restricted = restrict_section(sheaf, chart, coeffs, cochain.window)
-        except WindowOverflowError:
-            return None
-        sign = 1 if chart == 0 else -1
-        col = [Fraction(0)] * len(row_index)
-        for k in range(s):
-            for (pe,), c in restricted[k].terms.items():
-                col[row_index[(k, pe)]] = sign * c
-        return col
-
+    columns: List[dict] = []
     for chart in (0, 1):
         for gen in range(s):
             for exp in range(0, chart_degree + 1):
-                col = column_for(chart, gen, exp)
-                if col is not None:
+                if chart == 0:
+                    column = {(gen, exp): Fraction(1)}
+                else:   # w^exp g_gen restricts to -sum_k T[k][gen] z^-exp g_k
+                    column = {(k, e - exp): -c for k in range(s)
+                              for (e,), c in sheaf.transition[k][gen].terms.items()}
+                if all(lo <= e <= hi for _, e in column):
                     basis.append((chart, gen, exp))
-                    columns.append(col)
+                    columns.append(column)
+    rhs = {(k, e): c for k in range(s) for (e,), c in cochain.nu01[k].terms.items()}
+    # component-major, exponent ascending: this order fixes the residual
+    rows = [(k, e) for k in range(s) for e in range(lo, hi + 1)]
 
-    matrix = [[columns[c][r] for c in range(len(columns))]
-              for r in range(len(row_index))]
-    rhs = [Fraction(0)] * len(row_index)
-    for k in range(s):
-        for (pe,), c in cochain.nu01[k].terms.items():
-            rhs[row_index[(k, pe)]] = c
-
-    x, residual, rank = linalg.solve_with_residual(matrix, rhs)
-    if any(residual):
-        res_polys = [Poly.zero(1)] * s
+    x, residual, rank = linalg.solve_with_residual(columns, rhs, rows)
+    if residual:
         terms: List[dict] = [{} for _ in range(s)]
-        for (k, e), i in row_index.items():
-            if residual[i]:
-                terms[k][(e,)] = residual[i]
+        for (k, e), v in residual.items():
+            terms[k][(e,)] = v
         res_polys = [Poly._raw(1, t) for t in terms]
-        return Obstruction(tuple(res_polys), len(row_index) - rank, cochain.window)
+        return Obstruction(tuple(res_polys), len(rows) - rank, cochain.window)
 
     lam0_terms: List[dict] = [{} for _ in range(s)]
     lam1_terms: List[dict] = [{} for _ in range(s)]

@@ -9,6 +9,7 @@ invokes one operation, and prints deterministic text.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Sequence
 
@@ -31,6 +32,9 @@ def _vars(text: str) -> List[str]:
     names = [n.strip() for n in text.split(",")]
     if not all(names):
         raise ParseError("empty variable name in --vars")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"duplicate variable name {name!r} in --vars")
     return names
 
 
@@ -176,6 +180,7 @@ def _cmd_lift(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetlift",

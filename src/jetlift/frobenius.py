@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Poly, Scalar, as_fraction
-from .errors import DimensionError
+from .errors import DimensionError, OrderError
 from .vectorfields import VectorField, lie_bracket
 
 __all__ = [
@@ -114,49 +114,20 @@ def _combination_solve(distribution: Distribution, target: VectorField,
     monos = list(_monomials_up_to(m, degree_bound))
     unknowns = [(k, e) for k in range(len(gens)) for e in monos]
     # each unknown contributes x^e * gens[k]; match coefficients of every monomial
-    columns = []
-    row_index: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-
-    def key_index(comp: int, exp: Tuple[int, ...]) -> int:
-        key = (comp, exp)
-        if key not in row_index:
-            row_index[key] = len(row_index)
-        return row_index[key]
-
-    col_entries = []
-    for k, e in unknowns:
-        entries = {}
-        mono = Poly.monomial(m, e)
-        for comp in range(m):
-            prod = mono * gens[k].components[comp]
-            for exp, c in prod.terms.items():
-                entries[key_index(comp, exp)] = c
-        col_entries.append(entries)
-    rhs_entries = {}
-    for comp in range(m):
-        for exp, c in target.components[comp].terms.items():
-            rhs_entries[key_index(comp, exp)] = c
-
-    n_rows = len(row_index)
-    matrix = [[Fraction(0)] * len(unknowns) for _ in range(n_rows)]
-    for col, entries in enumerate(col_entries):
-        for row, c in entries.items():
-            matrix[row][col] = c
-    rhs = [Fraction(0)] * n_rows
-    for row, c in rhs_entries.items():
-        rhs[row] = c
-
-    solution = linalg.solve(matrix, rhs)
-    if solution is None:
+    columns = [{(comp, tuple(a + b for a, b in zip(exp, e))): c
+                for comp, p in enumerate(gens[k].components)
+                for exp, c in p.terms.items()} for k, e in unknowns]
+    rhs = {(comp, exp): c for comp, p in enumerate(target.components)
+           for exp, c in p.terms.items()}
+    solution, residual, _ = linalg.solve_with_residual(
+        columns, rhs, sorted(set(rhs).union(*columns)))
+    if residual:
         return None
-    coeffs = []
-    for k in range(len(gens)):
-        terms = {}
-        for idx, (kk, e) in enumerate(unknowns):
-            if kk == k and solution[idx]:
-                terms[e] = solution[idx]
-        coeffs.append(Poly(m, terms))
-    return tuple(coeffs)
+    terms: List[dict] = [{} for _ in gens]
+    for value, (k, e) in zip(solution, unknowns):
+        if value:
+            terms[k][e] = value
+    return tuple(Poly(m, t) for t in terms)
 
 
 def default_search_grid(num_vars: int) -> List[Tuple[Fraction, ...]]:
@@ -171,7 +142,7 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int,
                              grid: Sequence[Sequence[Scalar]] = None):
     """Certificate, definitive counterexample point, or an explicit inconclusive."""
     if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
+        raise OrderError("degree bound must be >= 0")
     gens = distribution.gens
     pairs: Dict[Tuple[int, int], Tuple[Poly, ...]] = {}
     failed_pairs = []

@@ -1,28 +1,34 @@
 """Exact linear algebra over Q (Fraction entries, sparse elimination).
 
-Callers pass and receive dense row lists; inside, every routine converts to
-sparse rows (a dict from column to nonzero Fraction, no zero ever stored) and
-runs the one Gauss–Jordan routine `_eliminate`, which does arithmetic only on
-nonzero entries.  The Čech coboundary matrices this engine builds have one or a
-few nonzeros per column, so the work follows the fill, not the shape.
+Every routine runs on sparse rows (a dict from column to nonzero Fraction, no
+zero ever stored) through the one Gauss–Jordan routine `_eliminate`, which does
+arithmetic only on nonzero entries.  `rref` and `rank` take and return dense
+row lists for the small pointwise matrices.  `solve_with_residual` takes a
+linear system as its callers hold it: keyed columns (a dict from row key to
+nonzero entry per unknown), a keyed right-hand side, and the list of row keys
+in elimination order.  The sparse rows are assembled from the nonzeros alone,
+so no dense cell is formed; the Čech coboundary systems this engine builds have
+one or a few nonzeros per column, and the work follows the fill, not the shape.
 
 The pivot rule fixes the answers: for each column in turn, the pivot is the
 first row at or below the current one with a nonzero entry there, swapped up.
 It makes the particular solution canonical (reduced row echelon form with
-leftmost pivots, all free variables zero), and it fixes which representative
-of b modulo the column space `solve_with_residual` reports, so downstream
-output is deterministic.
+leftmost pivots, all free variables zero).  For a consistent system the pivot
+columns and that solution do not depend on the row order.  For an inconsistent
+one the row order decides which representative of b modulo the column space
+`solve_with_residual` reports, so a caller that prints the residual must fix
+its row order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Row = Dict[int, Fraction]
 
-__all__ = ["rref", "rank", "solve", "solve_with_residual"]
+__all__ = ["rref", "rank", "solve_with_residual"]
 
 _ZERO = Fraction(0)
 
@@ -82,44 +88,38 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(matrix)[1])
 
 
-def solve(matrix: Sequence[Sequence[Fraction]],
-          rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b (free variables zero), or None if inconsistent."""
-    if not matrix:
-        return [] if not any(rhs) else None
-    n_cols = len(matrix[0])
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(augmented)
-    if n_cols in pivots:
-        return None  # pivot in the constant column: inconsistent
-    x = [_ZERO] * n_cols
-    for i, piv in enumerate(pivots):
-        x[piv] = reduced[i][n_cols]
-    return x
+def solve_with_residual(columns: Sequence[Mapping[Hashable, Fraction]],
+                        rhs: Mapping[Hashable, Fraction],
+                        rows: Sequence[Hashable]):
+    """Canonical attempt at A x = b on keyed columns: returns (x, residual, rank).
 
-
-def solve_with_residual(matrix: Sequence[Sequence[Fraction]],
-                        rhs: Sequence[Fraction]):
-    """Canonical attempt at A x = b: returns (x, residual, rank).
-
-    Pivots are restricted to the coefficient columns, free variables are zero, and
-    the residual b - A x (in the original coordinates) is zero exactly when the
-    system is consistent; otherwise it is a deterministic representative of the
-    class of b modulo the column space.
+    `columns[j]` and `rhs` map row keys to nonzero entries, and `rows` lists
+    every row key in elimination order.  Pivots are restricted to the coefficient
+    columns and free variables are zero.  The residual maps each row key to its
+    nonzero entry of b - A x, so it is empty exactly when the system is
+    consistent; otherwise it is a deterministic representative of the class of b
+    modulo the column space.
     """
-    n_cols = len(matrix[0]) if matrix else 0
-    original = [_sparse(r) for r, _ in zip(matrix, rhs)]
-    rows = [dict(r) for r in original]
-    for r, b in zip(rows, rhs):
-        if b:
-            r[n_cols] = b
-    pivots = _eliminate(rows, n_cols)
+    n_cols = len(columns)
+    index = {key: i for i, key in enumerate(rows)}
+    sparse: List[Row] = [{} for _ in rows]
+    for j, column in enumerate(columns):
+        for key, v in column.items():
+            sparse[index[key]][j] = v
+    for key, b in rhs.items():
+        sparse[index[key]][n_cols] = b
+    pivots = _eliminate(sparse, n_cols)
     x = [_ZERO] * n_cols
-    nonzero: Row = {}
-    for r, piv in zip(rows, pivots):
+    residual = dict(rhs)
+    for r, piv in zip(sparse, pivots):
         v = r.get(n_cols)
-        if v:
-            x[piv] = nonzero[piv] = v
-    residual = [b - sum((v * nonzero[c] for c, v in r.items() if c in nonzero), _ZERO)
-                for r, b in zip(original, rhs)]
+        if not v:
+            continue
+        x[piv] = v
+        for key, a in columns[piv].items():
+            d = residual.get(key, _ZERO) - a * v
+            if d:
+                residual[key] = d
+            else:
+                del residual[key]
     return x, residual, len(pivots)

@@ -241,6 +241,9 @@ def _parse_target(clause_list):
             names = tuple(n.strip() for n in rest.split(","))
             if not all(names):
                 raise ParseError("empty variable name", line=line_no)
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ParseError(f"duplicate variable name {name!r}", line=line_no)
         elif head == "charts":
             num_charts = _integer(rest, "charts must be 1 or 2", line_no)
             if num_charts not in (1, 2):

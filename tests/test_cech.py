@@ -137,6 +137,22 @@ class TestSolveCoboundary:
         assert result.residual == (uni_x(-1),)
         assert result.cokernel_dim == 1
 
+    def test_rank_two_residual_representative(self):
+        # transition [[z, 2/3 z^-1], [0, z^-3]]: the second row has the gap
+        # z^-1, z^-2, and the first-row part of nu is absorbed by coboundaries.
+        # The row order (component-major, exponent ascending) fixes this
+        # representative of the class.
+        gen = VectorField([Poly.one(2), Poly.zero(2)])
+        sheaf = PresentedSheaf(None, None, [gen, gen], [gen, gen],
+                               [[uni_x(1), uni_x(-1) * Fraction(2, 3)],
+                                [Poly.zero(1), uni_x(-3)]])
+        nu = [uni({-2: 1, -1: Fraction(1, 2), 3: 1}), uni({-2: 2, -1: -1, 1: 1})]
+        for window in ((-6, 6), (-16, 16)):
+            result = solve_coboundary(Cochain1.from_nu01(sheaf, nu, window))
+            assert isinstance(result, Obstruction)
+            assert result.residual == (Poly.zero(1), uni({-1: -1, -2: 2}))
+            assert result.cokernel_dim == 3
+
 
 @settings(max_examples=40, deadline=None)
 @given(laurent_polys(), laurent_polys(-3, 3))

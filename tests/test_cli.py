@@ -189,6 +189,17 @@ class TestCommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "missing.scn" in captured.err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["involutive", "--vars", "x,y", "--gens", "1,0;0,x", "--degree", "-1"],
+         "error: degree bound must be >= 0\n"),
+        (["bracket", "--vars", "x,x", "--f1", "x,x", "--f2", "1,0"],
+         "parse error: duplicate variable name 'x' in --vars (line 1, column 1)\n"),
+    ], ids=["negative-degree", "duplicate-vars"])
+    def test_rejected_input_exit_code(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err == message
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["bracket", "--vars", "x,y"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from jetlift.algebra import Poly
-from jetlift.errors import DimensionError
+from jetlift.errors import DimensionError, OrderError
 from jetlift.frobenius import (CounterexamplePoint, Distribution,
                                InvolutivityCertificate, NotFoundUpTo,
                                grid_points, involutivity_certificate, rank_at,
@@ -52,6 +52,10 @@ def test_rank_bounded(d1, d2, pt):
 
 
 class TestInvolutivity:
+    def test_negative_degree_bound_rejected(self):
+        with pytest.raises(OrderError):
+            involutivity_certificate(Distribution(2, [D_X, X_DY]), -1)
+
     def test_certificate_xdx_xdy(self):
         dist = Distribution(2, [X_DX, X_DY])
         verdict = involutivity_certificate(dist, 0)

@@ -1,4 +1,8 @@
-"""Sparse elimination equals dense Gauss–Jordan exactly, pivot for pivot."""
+"""Sparse elimination equals dense Gauss–Jordan exactly, pivot for pivot.
+
+The dense reference takes row lists; `solve_with_residual` takes the same
+systems as keyed columns, a keyed right-hand side and the row keys in order.
+"""
 
 from fractions import Fraction
 
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlift import linalg
-from jetlift.linalg import rank, rref, solve, solve_with_residual
+from jetlift.linalg import rank, rref, solve_with_residual
 
 from strategies import fractions
 
@@ -89,6 +93,17 @@ def dense_solve_with_residual(matrix, rhs):
     return x, residual, len(pivots)
 
 
+def keyed(matrix, rhs, order=None):
+    """The dense system as keyed columns, keyed rhs and row keys (in `order`)."""
+    n_cols = len(matrix[0]) if matrix else 0
+    keys = [f"row{i}" for i in range(len(matrix))]
+    columns = [{keys[i]: row[j] for i, row in enumerate(matrix) if row[j]}
+               for j in range(n_cols)]
+    b = {keys[i]: v for i, v in enumerate(rhs) if v}
+    rows = keys if order is None else [keys[i] for i in order]
+    return columns, b, rows
+
+
 # -- systems: shapes 0..8 x 0..8, sparse or dense, rank-deficient, inconsistent --
 
 @st.composite
@@ -115,6 +130,11 @@ def systems(draw):
         rhs = draw(st.lists(entry, min_size=m, max_size=m))
     else:
         rhs = [F(0)] * m
+    # rows no column touches; a nonzero b there is a key only the rhs holds
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(matrix)))
+        matrix.insert(i, [F(0)] * n)
+        rhs.insert(i, draw(st.one_of(zero, fractions())) if kind == "random" else F(0))
     return matrix, rhs
 
 
@@ -124,8 +144,25 @@ def test_matches_dense_reference(system):
     matrix, rhs = system
     assert rref(matrix) == dense_rref(matrix)
     assert rank(matrix) == len(dense_rref(matrix)[1])
-    assert solve(matrix, rhs) == dense_solve(matrix, rhs)
-    assert solve_with_residual(matrix, rhs) == dense_solve_with_residual(matrix, rhs)
+    x, residual, r = solve_with_residual(*keyed(matrix, rhs))
+    dense_x, dense_residual, dense_r = dense_solve_with_residual(matrix, rhs)
+    assert (x, r) == (dense_x, dense_r)
+    assert residual == {f"row{i}": v for i, v in enumerate(dense_residual) if v}
+    assert (None if residual else x) == dense_solve(matrix, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.data())
+def test_consistent_answer_ignores_row_order(system, data):
+    # the solvers that only ask "is there a solution" pass their rows sorted
+    matrix, rhs = system
+    order = data.draw(st.permutations(range(len(matrix))))
+    x, residual, r = solve_with_residual(*keyed(matrix, rhs))
+    shuffled = solve_with_residual(*keyed(matrix, rhs, order))
+    assert shuffled[2] == r
+    assert bool(shuffled[1]) == bool(residual)
+    if not residual:
+        assert shuffled == (x, {}, r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,20 +178,20 @@ def test_elimination_stores_no_zero(system):
 def test_empty_shapes():
     assert rref([]) == ([], [])
     assert rref([[], []]) == ([[], []], [])
-    assert solve([], []) == [] and solve([], [F(1)]) is None
-    assert solve([[], []], [F(0), F(1)]) is None
-    assert solve_with_residual([], []) == ([], [], 0)
-    assert solve_with_residual([[], []], [F(0), F(2)]) == ([], [F(0), F(2)], 0)
+    assert solve_with_residual([], {}, []) == ([], {}, 0)
+    assert solve_with_residual([], {"b": F(2)}, ["a", "b"]) == ([], {"b": F(2)}, 0)
+    assert solve_with_residual([{}, {}], {}, ["a"]) == ([F(0), F(0)], {}, 0)
 
 
 def test_residual_representative_follows_pivot_rule():
-    # rows 0 and 1 are parallel and the third column is free.  Column 0 swaps
-    # row 2 up and row 0 down, so row 1 is the pivot of column 1 and the
-    # residual sits on row 0.
-    matrix = [[F(0), F(2), F(1)], [F(0), F(4), F(2)], [F(3), F(0), F(0)]]
-    x, residual, r = solve_with_residual(matrix, [F(1), F(5), F(6)])
+    # rows a and b are parallel and the third column is free.  Column 0 swaps
+    # row c up and row a down, so row b is the pivot of column 1 and the
+    # residual sits on row a.
+    columns = [{"c": F(3)}, {"a": F(2), "b": F(4)}, {"a": F(1), "b": F(2)}]
+    rows = ["a", "b", "c"]
+    x, residual, r = solve_with_residual(columns, {"a": F(1), "b": F(5), "c": F(6)}, rows)
     assert r == 2
     assert x == [F(2), F(5, 4), F(0)]
-    assert residual == [F(-3, 2), F(0), F(0)]
-    assert solve(matrix, [F(1), F(5), F(6)]) is None
-    assert solve(matrix, [F(1), F(2), F(6)]) == [F(2), F(1, 2), F(0)]
+    assert residual == {"a": F(-3, 2)}
+    x, residual, r = solve_with_residual(columns, {"a": F(1), "b": F(2), "c": F(6)}, rows)
+    assert (x, residual, r) == ([F(2), F(1, 2), F(0)], {}, 2)

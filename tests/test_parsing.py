@@ -142,6 +142,12 @@ class TestScenarioParsing:
             parse_scenario(GOOD.replace("gen chart0: x ; gen chart1: -x",
                                         "gen chart0: x"))
 
+    def test_duplicate_vars_rejected(self):
+        # a second "x" could never be reached: names map to their first index
+        with pytest.raises(ParseError) as err:
+            parse_scenario(GOOD.replace("vars x ;", "vars x, x ;"))
+        assert err.value.line == 4 and "duplicate variable name 'x'" in str(err.value)
+
     def test_curve_transition_shape_enforced(self):
         with pytest.raises(ParseError):
             parse_scenario(GOOD.replace("transition w = 1/z", "transition w = z"))
