@@ -11,9 +11,10 @@ from .algebra import Poly, TruncSeries
 from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                    PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
                    restrict_section, solve_coboundary)
-from .errors import (ClassificationError, DimensionError, JetliftError, LiftError,
-                     LiftObstructedError, OrderError, ParseError,
-                     PreconditionError, WindowOverflowError)
+from .errors import (ClassificationError, DimensionError, InternalCheckError,
+                     JetliftError, LiftError, LiftObstructedError, OrderError,
+                     ParseError, PreconditionError, TransitionError,
+                     WindowOverflowError)
 from .flows import (DefectReport, InvarianceReport, flow_jet, flow_series_picard,
                     jet_defect, stratum_invariance_check, verify_dj)
 from .frobenius import (CounterexamplePoint, Distribution, InvolutivityCertificate,
@@ -51,5 +52,5 @@ __all__ = [
     "parse_scenario", "parse_scenario_file",
     "JetliftError", "DimensionError", "ClassificationError", "OrderError",
     "PreconditionError", "WindowOverflowError", "ParseError", "LiftError",
-    "LiftObstructedError",
+    "LiftObstructedError", "InternalCheckError", "TransitionError",
 ]

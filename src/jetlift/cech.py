@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Poly, monomial_inverse, poly_det
-from .errors import DimensionError, LiftError, WindowOverflowError
+from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
 from .vectorfields import VectorField
 
 __all__ = [
@@ -233,6 +233,8 @@ class PresentedSheaf:
     parameter (coefficients of the generators).  On the overlap, chart-1 coefficient
     vectors are read in the chart-0 frame as T(z) . c(1/z); T is computed from the
     target-atlas Jacobian along the curve and re-verified against the generators.
+    T must be a unit over Q[z, 1/z], det T = c*z^k with c != 0; any other T raises
+    TransitionError.
     """
 
     __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition")
@@ -247,6 +249,11 @@ class PresentedSheaf:
         s = len(gens0)
         if len(transition) != s or any(len(row) != s for row in transition):
             raise DimensionError("transition matrix must be s x s")
+        det = poly_det(transition) if s else Poly.one(1)
+        if det.as_monomial() is None:
+            raise TransitionError(
+                f"transition determinant {det.render(['z'] * det.num_vars)} is not "
+                "c*z^k with c != 0: not a unit over Q[z, 1/z]")
         object.__setattr__(self, "atlas", atlas)
         object.__setattr__(self, "morphism", morphism)
         object.__setattr__(self, "gens0", gens0)

@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: it parses exact literals,
 invokes one operation, and prints deterministic text.  Exit codes: 0 success,
 1 mathematical refutation (a claim checked false, e.g. an obstruction under
---expect-unobstructed), 2 usage or parse errors and unreadable input files.
+--expect-unobstructed), 2 usage or parse errors and unreadable input files,
+3 a failed internal cross-check (a defect in the engine, not in the input).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from .cech import Cochain1, Obstruction, PresentedSheaf, solve_coboundary
-from .errors import (JetliftError, LiftObstructedError, ParseError,
-                     PreconditionError)
+from .errors import (InternalCheckError, JetliftError, LiftObstructedError,
+                     ParseError, PreconditionError)
 from .flows import (flow_jet, jet_defect, stratum_invariance_check, verify_dj)
 from .frobenius import (CounterexamplePoint, Distribution, InvolutivityCertificate,
                         NotFoundUpTo, grid_points, involutivity_certificate,
@@ -273,6 +274,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except LiftObstructedError:
         raise
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     except (JetliftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

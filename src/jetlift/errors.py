@@ -17,6 +17,11 @@ class OrderError(JetliftError, ValueError):
     """A jet order, defect order or bracket length is below its minimum."""
 
 
+class InternalCheckError(JetliftError, AssertionError):
+    """An internal cross-check of an exact result failed: a defect in the engine,
+    not in the input."""
+
+
 class PreconditionError(JetliftError):
     """An exact mathematical precondition failed (e.g. lower-order jets differ)."""
 
@@ -36,6 +41,10 @@ class ParseError(JetliftError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class TransitionError(JetliftError):
+    """A transition matrix is not a unit over Q[z, 1/z]: det T is not c*z^k."""
 
 
 class LiftError(JetliftError):

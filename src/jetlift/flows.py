@@ -10,7 +10,15 @@ application, and after the i-th of n derivations a term of total degree above
 n - i can never reach the constant term; such terms are never formed.
 
 `flow_series_picard` integrates the same curve by Picard iteration on truncated
-series.  It shares no code with `flow_jet`, so the two certify each other.
+series, and every round runs on Python ints.  It rescales the curve to
+y = q * x and the time to s = t / R, with q the lcm of the point's denominators
+and R = L * q^(d-1) for L the lcm of the field's coefficient denominators and d
+its top degree, so the rescaled field has integer coefficients.  It carries y
+as a divided-power (Hurwitz) series h_j = j! * [s^j] y: products are binomial
+convolutions and integration is an index shift, so no round divides.  It never
+calls `derivation_powers` or the term kernels; its only inputs are the field's
+term dicts, so the two evaluations of a flow jet share no code and certify each
+other.
 
 The defect machinery compares flows of two fields whose n-jets agree.  The first
 disagreement is a tangent vector equal to an iterated Lie bracket.  `verify_dj`
@@ -23,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import Poly, Scalar, TruncSeries, as_fraction, poly_det
-from .errors import DimensionError, OrderError, PreconditionError
+from .errors import (DimensionError, InternalCheckError, OrderError,
+                     PreconditionError)
 from .jets import Jet, TangentVector, jet_difference, jet_from_series
 from .vectorfields import VectorField, derivation_powers, iterated_bracket
 
@@ -90,36 +99,95 @@ def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
 
 def flow_series_picard(field: VectorField, point: Sequence[Scalar],
                        order: int) -> TruncSeries:
-    """Truncated integral-curve series by Picard iteration.
+    """Truncated integral-curve series by Picard iteration on integers.
 
-    gamma_{j+1}(t) = point + integral_0^t D(gamma_j(s)) ds.  Coefficient j of the
-    Picard map depends only on coefficients below j, so round j runs to order j
-    and fixes coefficient j.  One more round at full order must reproduce the
-    series; that fixed point is asserted, and it certifies the result.
+    gamma_{j+1}(t) = point + integral_0^t D(gamma_j(s)) ds, run on a scaled copy
+    of the curve so that no round divides.  With q the lcm of the point's
+    denominators, L that of the field's coefficients, d = max(1, top total
+    degree) and R = L * q^(d-1), y = q * x solves dy/ds = H(y) for s = t / R,
+    where H_k = sum L * c_e * q^(d-|e|) * y^e has integer coefficients and
+    y(0) = q * point is an integer vector.  y is carried as a divided-power
+    series h_j = j! * [s^j] y, whose product is binomial convolution and whose
+    integral is an index shift.  Coefficient j of gamma is h_j / (j! * q * R^j),
+    formed once at the end.
+
+    Coefficient j of the Picard map depends only on coefficients below j, so
+    round j runs to order j and fixes coefficient j.  One more round at full
+    order must reproduce the series; that fixed point is asserted, and it
+    certifies the result.
+
+    The oracle reads only the field's term dicts.  It neither recentres the
+    field nor calls `derivation_powers` or the term kernels, so a fault in the
+    jet engine cannot hide in both `flow_jet` and this series.
     """
     pt = _check_point(field, point)
     if order < 0:
         raise OrderError("order must be >= 0")
-    m = field.num_vars
-    zero_row = (Fraction(0),) * m
-    gamma = TruncSeries.constant(pt, 0)
-    for j in range(1, order + 1):
-        gamma = _picard_round(field, pt, TruncSeries(m, j, gamma.coeffs + (zero_row,)))
-    settled = _picard_round(field, pt, gamma)
-    if settled != gamma:
-        raise AssertionError("Picard iteration failed to stabilize")
-    return gamma
+    components = field.components
+    if not all(c.is_polynomial() for c in components):
+        raise ValueError("Picard series need non-negative exponents")
+    q = lcm(*(c.denominator for c in pt))
+    big_l = lcm(*(c.denominator for comp in components for c in comp.terms.values()))
+    d = max([1] + [sum(e) for comp in components for e in comp.terms])
+    r = big_l * q ** (d - 1)
+    rhs = [{e: c.numerator * (big_l // c.denominator) * q ** (d - sum(e))
+            for e, c in comp.terms.items()} for comp in components]
+    y0 = [c.numerator * (q // c.denominator) for c in pt]
+    top = [max((e[k] for h in rhs for e in h), default=0) for k in range(len(pt))]
+    binom = [[comb(n, i) for i in range(n + 1)] for n in range(order + 1)]
+
+    y = [[v] for v in y0]       # y[k][j] = h_j of y_k
+    for _ in range(order):
+        y = _hurwitz_round(rhs, top, y0, [col + [0] for col in y], binom)
+    if _hurwitz_round(rhs, top, y0, y, binom) != y:
+        raise InternalCheckError("Picard iteration failed to stabilize")
+    rows = []
+    scale = q
+    for j in range(order + 1):
+        if j:
+            scale *= j * r
+        rows.append(tuple(Fraction(col[j], scale) for col in y))
+    return TruncSeries(len(pt), order, rows)
 
 
-def _picard_round(field: VectorField, pt, gamma: TruncSeries) -> TruncSeries:
-    order = gamma.order
-    new_cols = []
-    for k in range(field.num_vars):
-        rhs = field.components[k].compose_series(gamma).component(0)
-        col = [pt[k]] + [rhs[j] / (j + 1) for j in range(order)]
-        new_cols.append(col)
-    rows = [tuple(col[j] for col in new_cols) for j in range(order + 1)]
-    return TruncSeries(field.num_vars, order, rows)
+def _hurwitz_mul(a, b, binom):
+    """Divided-power product (a*b)_n = sum_i C(n, i) a_i b_(n-i), to len(a) terms."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n - i):
+                if b[j]:
+                    out[i + j] += binom[i + j][i] * ai * b[j]
+    return out
+
+
+def _hurwitz_round(rhs, top, y0, y, binom):
+    """One Picard round on divided-power series: y0 + the integral of H(y)."""
+    powers = []
+    for col, e_max in zip(y, top):
+        table = [None, col]
+        for _ in range(1, e_max):
+            table.append(_hurwitz_mul(table[-1], col, binom))
+        powers.append(table)
+    n = len(y[0])
+    out = []
+    for h, start in zip(rhs, y0):
+        acc = [0] * n
+        for e, c in h.items():
+            term = None
+            for table, ek in zip(powers, e):
+                if ek:
+                    p = table[ek]
+                    term = p if term is None else _hurwitz_mul(term, p, binom)
+            if term is None:
+                acc[0] += c
+                continue
+            for j, v in enumerate(term):
+                if v:
+                    acc[j] += c * v
+        out.append([start] + acc[:-1])
+    return out
 
 
 def _first_jet_disagreement(j1: Jet, j2: Jet, order: int) -> Optional[int]:
@@ -136,12 +204,12 @@ def jet_defect(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     Orientation: flow of d2 minus flow of d1.  This is `verify_dj` with its
     verdict enforced: a defect that differs from the iterated bracket
     [d1, d2]^(n+1) at the point would falsify the defect identity and raises
-    AssertionError.
+    InternalCheckError.
     """
     report = verify_dj(d1, d2, point, order)
     for vec in (report.from_jets, report.from_derivation_powers):
         if vec != report.from_bracket:
-            raise AssertionError(
+            raise InternalCheckError(
                 f"defect {vec} does not equal iterated bracket {report.from_bracket}")
     return TangentVector(report.point, report.from_jets)
 

@@ -9,6 +9,7 @@ neither happens the verdict is an explicit "not found up to degree d".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Poly, Scalar, as_fraction
-from .errors import DimensionError, OrderError
+from .errors import DimensionError, InternalCheckError, OrderError
 from .vectorfields import VectorField, lie_bracket
 
 __all__ = [
@@ -131,11 +132,19 @@ def _combination_solve(distribution: Distribution, target: VectorField,
 
 
 def default_search_grid(num_vars: int) -> List[Tuple[Fraction, ...]]:
-    """Deterministic counterexample grid: origin first, then growing coordinates."""
+    """Deterministic counterexample grid: origin first, then growing coordinates.
+
+    The grid is built once per `num_vars`; each call returns a fresh list.
+    """
+    return list(_search_grid(num_vars))
+
+
+@functools.lru_cache(maxsize=None)
+def _search_grid(num_vars: int) -> Tuple[Tuple[Fraction, ...], ...]:
     values = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
     points = list(itertools.product(values, repeat=num_vars))
     points.sort(key=lambda p: (sum(abs(c) for c in p), p))
-    return points
+    return tuple(points)
 
 
 def involutivity_certificate(distribution: Distribution, degree_bound: int,
@@ -157,7 +166,7 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int,
     if not failed_pairs:
         cert = InvolutivityCertificate(degree_bound, pairs)
         if not cert.verify(distribution):
-            raise AssertionError("certificate re-expansion failed")  # unreachable
+            raise InternalCheckError("certificate re-expansion failed")  # unreachable
         return cert
 
     points = grid if grid is not None else default_search_grid(distribution.num_vars)

@@ -28,8 +28,9 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                    PresentedSheaf, TargetAtlas, _solve_section_coordinates,
                    check_window, evaluate_along_curve, negate_exponents,
                    solve_coboundary, window_of)
-from .errors import (ClassificationError, DimensionError, LiftError,
-                     LiftObstructedError, OrderError, PreconditionError)
+from .errors import (ClassificationError, DimensionError, InternalCheckError,
+                     LiftError, LiftObstructedError, OrderError,
+                     PreconditionError)
 from .vectorfields import (TimeClass, VectorField, derivation_powers,
                            iterated_bracket, time_component_class)
 
@@ -245,7 +246,7 @@ def _bracket_orientation(sheaf: PresentedSheaf, fields: Sequence[VectorField],
         return "matched nu = +[D0,D1]^(%d) along the curve" % order
     if all((a + b).is_zero() for a, b in zip(values, tangent)):
         return "matched nu = -[D0,D1]^(%d) along the curve" % order
-    raise AssertionError("defect does not match the iterated bracket either way")
+    raise InternalCheckError("defect does not match the iterated bracket either way")
 
 
 def field_to_chart0(atlas: TargetAtlas, field: VectorField) -> VectorField:
@@ -361,17 +362,18 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
         corrections = tuple(corrections_list)
         for f in new_fields:
             if time_component_class(f) is not TimeClass.CONSTANT_FLOW:
-                raise AssertionError("correction broke the constant-flow class")
+                raise InternalCheckError("correction broke the constant-flow class")
         corrected = [local_jet_section(new_fields[chart],
                                        sheaf.morphism.components(chart), n + 1)
                      for chart in (0, 1)]
         check, _ = defect_cochain(sheaf, corrected, n + 1, window)
         if not check.is_zero():
-            raise AssertionError("corrected candidates still have a nonzero defect")
+            raise InternalCheckError("corrected candidates still have a nonzero defect")
 
     for chart in (0, 1):
         if project_section(corrected[chart], n) != state.sections[chart]:
-            raise AssertionError("lifted section does not project onto its predecessor")
+            raise InternalCheckError(
+                "lifted section does not project onto its predecessor")
 
     grown = _window_growth(scenario)
     new_window = (window[0] - grown, window[1] + grown)

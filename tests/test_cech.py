@@ -11,7 +11,7 @@ from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
                           negate_exponents, restrict_section,
                           solve_coboundary, uni, uni_x)
-from jetlift.errors import LiftError, WindowOverflowError
+from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
 from jetlift.vectorfields import VectorField
 
 W = (-8, 8)
@@ -152,6 +152,41 @@ class TestSolveCoboundary:
             assert isinstance(result, Obstruction)
             assert result.residual == (Poly.zero(1), uni({-1: -1, -2: 2}))
             assert result.cokernel_dim == 3
+
+
+class TestTransitionUnits:
+    """A transition must be a unit over Q[z, 1/z]: det T = c*z^k with c != 0."""
+
+    GEN = VectorField([Poly.one(2), Poly.zero(2)])
+
+    def sheaf(self, matrix):
+        s = len(matrix)
+        return PresentedSheaf(None, None, [self.GEN] * s, [self.GEN] * s, matrix)
+
+    @pytest.mark.parametrize("transition", [
+        Poly.zero(1), uni({-1: 1, 1: 1}), uni({0: 1, 1: 1})])
+    def test_line_bundle_non_unit_rejected(self, transition):
+        with pytest.raises(TransitionError, match="not a unit"):
+            PresentedSheaf.line_bundle(transition)
+        assert issubclass(TransitionError, JetliftError)
+
+    def test_rank_two_non_unit_rejected(self):
+        # det = z^2 - 1, although every entry is a monomial
+        with pytest.raises(TransitionError, match="determinant z\\^2 - 1 "):
+            self.sheaf([[uni_x(1), Poly.one(1)], [Poly.one(1), uni_x(1)]])
+        with pytest.raises(TransitionError, match="determinant 0 "):
+            self.sheaf([[uni_x(1), uni_x(2)], [uni_x(-1), Poly.one(1)]])
+
+    def test_units_accepted(self):
+        assert PresentedSheaf.line_bundle(uni({3: 2})).transition == ((uni({3: 2}),),)
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                for d in range(-3, 4):
+                    for c in (Fraction(0), Fraction(2, 3), Fraction(-5)):
+                        self.sheaf([[uni_x(a), uni_x(b) * c],
+                                    [Poly.zero(1), uni_x(d)]])
+        # a unit whose entries are not monomials: det = 1
+        self.sheaf([[uni({0: 1, 1: 1}), uni_x(1)], [Poly.one(1), Poly.one(1)]])
 
 
 @settings(max_examples=40, deadline=None)

@@ -200,6 +200,33 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err == message
 
+    @pytest.mark.parametrize("transition,det", [
+        ("0", "0"),
+        ("z^-1 + z", "z + z^-1"),
+    ], ids=["zero", "non-monomial"])
+    def test_non_unit_transition_exit_code(self, capsys, transition, det):
+        code = main(["cohomology", "--transition", transition, "--nu", "z^-1",
+                     "--window", "-4 4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: transition determinant {det} is not "
+                                "c*z^k with c != 0: not a unit over Q[z, 1/z]\n")
+
+    def test_internal_check_exit_code(self, capsys, monkeypatch):
+        # a bracket that disagrees with both jet evaluations fails the defect
+        # cross-check in jet_defect
+        import jetlift.flows as flows
+        from jetlift.vectorfields import VectorField
+        monkeypatch.setattr(flows, "iterated_bracket",
+                            lambda d1, d2, n: VectorField.coordinate(2, 0))
+        code = main(["defect", "--vars", "x,y", "--f1", "1,0", "--f2", "1,x",
+                     "--point", "0,0", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("internal check failed: defect (Fraction(0, 1), "
+                                "Fraction(1, 1)) does not equal iterated bracket "
+                                "(Fraction(1, 1), Fraction(0, 1))\n")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["bracket", "--vars", "x,y"])

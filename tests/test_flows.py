@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -133,6 +134,45 @@ def reference_picard(d, point, order):
             cols.append([pt[k]] + [rhs[j] / (j + 1) for j in range(order)])
         gamma = TruncSeries(d.num_vars, order, list(zip(*cols)))
     return gamma
+
+
+@st.composite
+def picard_cases(draw):
+    """A field, point and order for the integer oracle.
+
+    Dimensions 1-3, total degree 0-3, orders 0-8.  The zero field and constant
+    fields (top degree 0, where the scaling uses d = 1) are drawn on purpose;
+    point denominators run 1-9, and the origin is drawn on purpose.
+    """
+    m = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["zero", "constant"] + ["general"] * 4))
+    degree = draw(st.integers(min_value=1, max_value=3)) if kind == "general" else 0
+    monos = [e for e in product(range(degree + 1), repeat=m) if sum(e) <= degree]
+    comps = []
+    for _ in range(m):
+        terms = {} if kind == "zero" else draw(
+            st.dictionaries(st.sampled_from(monos), fractions(), max_size=3))
+        comps.append(Poly(m, terms))
+    if draw(st.booleans()):
+        pt = (0,) * m
+    else:
+        pt = draw(st.tuples(*[st.builds(Fraction, st.integers(-9, 9),
+                                        st.integers(1, 9))] * m))
+    return VectorField(comps), pt, draw(st.integers(min_value=0, max_value=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(picard_cases())
+def test_integer_oracle_matches_fraction_reference(case):
+    d, pt, order = case
+    assert flow_series_picard(d, pt, order) == reference_picard(d, pt, order)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_picard_laurent_field_rejected(order):
+    inv = Poly(2, {(-1, 0): 1, (1, 1): 2}, laurent=True)
+    with pytest.raises(ValueError, match="non-negative exponents"):
+        flow_series_picard(field(Poly.one(2), inv), [1, 1], order)
 
 
 def test_progressive_picard_matches_full_order_iteration():

@@ -9,8 +9,8 @@ from jetlift.algebra import Poly
 from jetlift.errors import DimensionError, OrderError
 from jetlift.frobenius import (CounterexamplePoint, Distribution,
                                InvolutivityCertificate, NotFoundUpTo,
-                               grid_points, involutivity_certificate, rank_at,
-                               strata_sample)
+                               default_search_grid, grid_points,
+                               involutivity_certificate, rank_at, strata_sample)
 from jetlift.linalg import rank as matrix_rank
 from jetlift.vectorfields import VectorField, lie_bracket
 
@@ -157,3 +157,16 @@ def test_grid_points_row_major():
     pts = grid_points([(Fraction(0), Fraction(1), Fraction(1)),
                        (Fraction(0), Fraction(1), Fraction(1))])
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_default_search_grid_is_cached_and_unshared():
+    values = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
+    expected = sorted(((a, b) for a in values for b in values),
+                      key=lambda p: (sum(abs(c) for c in p), p))
+    first = default_search_grid(2)
+    assert first == expected and first[0] == (0, 0)
+    first.reverse()
+    first.append((Fraction(9), Fraction(9)))
+    assert default_search_grid(2) == expected
+    assert default_search_grid(2) is not default_search_grid(2)
+    assert len(default_search_grid(3)) == 7 ** 3
