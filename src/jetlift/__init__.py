@@ -1,9 +1,10 @@
 """jetlift: exact jets of vector-field flows, Lie brackets, rank strata, and
 order-by-order Čech lifting of infinitesimal deformations on a two-chart curve.
 
-All arithmetic is exact over Q.  The hot polynomial kernels have a compiled
-extension with a pure-Python fallback; `jetlift.KERNEL_BACKEND` reports which one
-is active.
+All arithmetic is exact over Q.  The polynomial kernels for Fraction arithmetic
+have a compiled extension with a pure-Python fallback; `jetlift.KERNEL_BACKEND`
+reports which one is active.  The jet engine runs fraction-free on Python ints
+and always uses the pure kernel, which is generic over int and Fraction.
 """
 
 from ._backend import BACKEND as KERNEL_BACKEND
@@ -12,8 +13,8 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                    PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
                    restrict_section, solve_coboundary)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
-                     JetliftError, LiftError, LiftObstructedError, OrderError,
-                     ParseError, PreconditionError, TransitionError,
+                     JetliftError, LiftError, LiftObstructedError, LimitError,
+                     OrderError, ParseError, PreconditionError, TransitionError,
                      WindowOverflowError)
 from .flows import (DefectReport, InvarianceReport, flow_jet, flow_series_picard,
                     jet_defect, stratum_invariance_check, verify_dj)
@@ -52,5 +53,5 @@ __all__ = [
     "parse_scenario", "parse_scenario_file",
     "JetliftError", "DimensionError", "ClassificationError", "OrderError",
     "PreconditionError", "WindowOverflowError", "ParseError", "LiftError",
-    "LiftObstructedError", "InternalCheckError", "TransitionError",
+    "LiftObstructedError", "InternalCheckError", "TransitionError", "LimitError",
 ]

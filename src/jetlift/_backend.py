@@ -1,5 +1,7 @@
-"""Kernel backend selection: the compiled extension when it is importable, else
-the pure-Python kernels.  Both implement one contract (see `_kernel_py`)."""
+"""Kernel backend for Fraction arithmetic: the compiled extension when it is
+importable, else the pure-Python kernels.  Both implement the Fraction case of
+one contract (see `_kernel_py`).  The jet engine, `derivation_powers`, runs on
+ints and always calls the pure kernel, whichever backend this selects."""
 
 try:
     from . import _kernel_c as kernel

@@ -1,26 +1,30 @@
-"""Pure-Python term-dict kernels.
+"""Pure-Python term-dict kernels, generic over the coefficient ring.
 
 A "terms" value is a dict mapping exponent tuples (one int per variable, negative
-allowed for Laurent data) to nonzero Fraction coefficients.  Every function returns a
-new canonical dict: no zero coefficients, Fraction values only.  The compiled twin in
-``_kernel_c`` implements the same contract; ``_backend`` picks one at import time.
+allowed for Laurent data) to nonzero coefficients of one ring: all `int` or all
+`Fraction`.  Every function returns a new canonical dict: no zero coefficients,
+values of the ring they came in (ints in, ints out; Fractions in, the same
+Fractions as Fraction arithmetic gives).  The compiled twin in ``_kernel_c``
+implements the Fraction case only; ``_backend`` picks the kernel for Fraction
+arithmetic at import time, and `vectorfields.derivation_powers` calls this module
+directly on ints whichever kernel is active.
 """
 
-from fractions import Fraction
-
 BACKEND = "python"
-
-_ZERO = Fraction(0)
 
 
 def add_terms(a, b):
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, _ZERO) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = prev + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
 
 
@@ -41,11 +45,15 @@ def mul_terms(a, b):
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, _ZERO) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            prev = out.get(e)
+            if prev is None:
+                out[e] = ca * cb
+            else:
+                s = prev + ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
     return out
 
 
@@ -56,11 +64,15 @@ def partial_terms(a, k):
         if ek == 0:
             continue
         e2 = e[:k] + (ek - 1,) + e[k + 1:]
-        s = out.get(e2, _ZERO) + c * ek
-        if s:
-            out[e2] = s
-        elif e2 in out:
-            del out[e2]
+        prev = out.get(e2)
+        if prev is None:
+            out[e2] = c * ek
+        else:
+            s = prev + c * ek
+            if s:
+                out[e2] = s
+            else:
+                del out[e2]
     return out
 
 
@@ -76,9 +88,13 @@ def derive_terms(components, a):
         for ea, ca in comp.items():
             for eb, cb in p.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, _ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                prev = out.get(e)
+                if prev is None:
+                    out[e] = ca * cb
+                else:
+                    s = prev + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
     return out

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Poly, monomial_inverse, poly_det
 from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
+from .limits import MAX_WINDOW_SPAN, check_limit
 from .vectorfields import VectorField
 
 __all__ = [
@@ -63,7 +64,14 @@ def window_of(polys: Sequence[Poly]) -> Window:
     return lo, hi
 
 
+def _check_window_span(window: Window, what: str):
+    lo, hi = window
+    check_limit(f"span of the {what} window [{lo}, {hi}]", hi - lo,
+                "MAX_WINDOW_SPAN", MAX_WINDOW_SPAN)
+
+
 def check_window(polys: Sequence[Poly], window: Window, what: str):
+    _check_window_span(window, what)
     lo, hi = window
     need_lo, need_hi = window_of(polys)
     if need_lo < lo or need_hi > hi:
@@ -351,6 +359,7 @@ def _solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
                                target: Sequence[Poly],
                                window: Window) -> Optional[Tuple[Poly, ...]]:
     """Solve sum_k c_k(z) * gen_values[k] = target for Laurent c_k within `window`."""
+    _check_window_span(window, "section coordinate")
     lo, hi = window
     unknowns = [(k, e) for k in range(len(gen_values)) for e in range(lo, hi + 1)]
     # unknown (k, e) contributes z^e * gen_values[k]: row (comp, exponent)

@@ -17,6 +17,10 @@ class OrderError(JetliftError, ValueError):
     """A jet order, defect order or bracket length is below its minimum."""
 
 
+class LimitError(JetliftError, ValueError):
+    """An input exceeds one of the size limits in `limits`; the message names it."""
+
+
 class InternalCheckError(JetliftError, AssertionError):
     """An internal cross-check of an exact result failed: a defect in the engine,
     not in the input."""

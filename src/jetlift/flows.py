@@ -7,7 +7,9 @@ the basepoint.  `flow_jet` moves the field to the basepoint once
 (x -> x + point) and grades every variable with weight 1, so every row is a
 constant term: a polynomial field lowers total degree by at most 1 per
 application, and after the i-th of n derivations a term of total degree above
-n - i can never reach the constant term; such terms are never formed.
+n - i can never reach the constant term; such terms are never formed.  The
+engine clears the denominators of the recentred field: with L their lcm it
+builds (L*D)^i x_k on Python ints and divides row i by L^i once.
 
 `flow_series_picard` integrates the same curve by Picard iteration on truncated
 series, and every round runs on Python ints.  It rescales the curve to
@@ -38,6 +40,7 @@ from .algebra import Poly, Scalar, TruncSeries, as_fraction, poly_det
 from .errors import (DimensionError, InternalCheckError, OrderError,
                      PreconditionError)
 from .jets import Jet, TangentVector, jet_difference, jet_from_series
+from .limits import MAX_ORDER, check_limit
 from .vectorfields import VectorField, derivation_powers, iterated_bracket
 
 __all__ = [
@@ -85,6 +88,7 @@ def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
     pt = _check_point(field, point)
     if order < 0:
         raise OrderError("order must be >= 0")
+    check_limit("flow jet order", order, "MAX_ORDER", MAX_ORDER)
     m = field.num_vars
     components = field.components
     if order and not all(c.is_polynomial() for c in components):
@@ -314,6 +318,7 @@ def stratum_invariance_check(distribution, combo: Sequence[Poly],
     """
     from .frobenius import rank_at  # local import to avoid a module cycle
 
+    check_limit("invariance order", order, "MAX_ORDER", MAX_ORDER)
     m = distribution.num_vars
     gens = distribution.gens
     if len(combo) != len(gens):

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Poly, Scalar, as_fraction
 from .errors import DimensionError, InternalCheckError, OrderError
+from .limits import MAX_GRID_POINTS, MAX_SEARCH_VARS, check_limit
 from .vectorfields import VectorField, lie_bracket
 
 __all__ = [
@@ -136,6 +137,8 @@ def default_search_grid(num_vars: int) -> List[Tuple[Fraction, ...]]:
 
     The grid is built once per `num_vars`; each call returns a fresh list.
     """
+    check_limit("search grid variable count", num_vars, "MAX_SEARCH_VARS",
+                MAX_SEARCH_VARS)
     return list(_search_grid(num_vars))
 
 
@@ -213,10 +216,14 @@ def strata_sample(distribution: Distribution,
 
 def grid_points(ranges: Sequence[Tuple[Fraction, Fraction, Fraction]]):
     """Row-major rational grid from per-variable (start, stop, step) triples."""
-    axes = []
+    count = 1
     for start, stop, step in ranges:
         if step <= 0:
             raise ValueError("grid step must be positive")
+        count *= max(0, (stop - start) // step + 1)
+    check_limit("grid point count", count, "MAX_GRID_POINTS", MAX_GRID_POINTS)
+    axes = []
+    for start, stop, step in ranges:
         axis = []
         v = start
         while v <= stop:

@@ -12,8 +12,11 @@ A candidate section is the flow jet of the witness field along f(Y) at t = 0.  I
 comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
 by t alone: after the i-th of n derivations a term of t-degree above n - i can
 never reach t^0, so it is dropped, and each row is restricted to the curve by
-keeping its t^0 terms.  Crossing the overlap composes the coordinate series with
-the target transition through `algebra.series_compose`.
+keeping its t^0 terms.  The engine runs on Python ints: with L the lcm of the
+witness field's coefficient denominators, it builds (L*D)^i and divides row i
+by L^i once, so the rows it returns are the exact rational D^i.  Crossing the
+overlap composes the coordinate series with the target transition through
+`algebra.series_compose`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
                      PreconditionError)
+from .limits import MAX_ORDER, check_limit
 from .vectorfields import (TimeClass, VectorField, derivation_powers,
                            iterated_bracket, time_component_class)
 
@@ -457,6 +461,7 @@ def lift_to_order(scenario: LiftScenario, order: Optional[int] = None) -> LiftRe
     target = scenario.order if order is None else order
     if target < 1:
         raise OrderError("lift order must be >= 1")
+    check_limit("lift order", target, "MAX_ORDER", MAX_ORDER)
     state = initial_state(scenario)
     result = LiftResult(scenario, state)
     while state.order < target:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import List, Sequence, Tuple
 
+from . import _kernel_py
 from ._backend import kernel as _k
 from .algebra import Poly, Scalar, as_fraction
 from .errors import ClassificationError, DimensionError, OrderError
@@ -142,8 +144,17 @@ def derivation_powers(components: Sequence[Poly], order: int,
     degree by weights[k] <= 1 and a component never lowers it, so a dropped term
     can never reach weighted degree 0 in the remaining applications: the
     weighted-degree-0 part of every power is exact.
+
+    The powers are computed fraction-free, on Python ints.  With L the lcm of
+    the components' coefficient denominators (1 for integer or zero
+    components), L * D has integer coefficients and D^i x_k = (L*D)^i x_k / L^i:
+    the loop builds (L*D)^i x_k as int term dicts, and row i becomes a Poly
+    once, with coefficients Fraction(c, L^i).  The compiled kernel takes
+    Fractions only, so the loop calls the pure kernel `_kernel_py` whichever
+    kernel `_backend` selected; ints never reach the compiled kernel.
     """
     m = len(components)
+    scale = lcm(*(c.denominator for comp in components for c in comp.terms.values()))
     graded = [k for k, w in enumerate(weights) if w]
     all_graded = len(graded) == m
     if all_graded:
@@ -152,7 +163,7 @@ def derivation_powers(components: Sequence[Poly], order: int,
         grade = itemgetter(graded[0])
     else:
         grade = lambda e: sum([e[k] for k in graded])  # noqa: E731
-    # levels[j][k]: components[k] cut to weighted degree <= j - 1 + weights[k].
+    # levels[j][k]: scale * components[k] cut to weighted degree <= j - 1 + weights[k].
     # A term of degree g of components[k] times d/dx_k of a degree-d term has
     # degree g + d - weights[k], so under the cap the degree-d part of a power
     # meets exactly levels[cap + 1 - d].
@@ -161,27 +172,35 @@ def derivation_powers(components: Sequence[Poly], order: int,
         for e, c in comp.terms.items():
             g = grade(e)
             if g < order:
+                c = c.numerator * (scale // c.denominator)
                 for level in levels[g + 1 - weights[k]:]:
                     level[k][e] = c
-    powers = [[Poly.variable(m, k) if weights[k] <= order else Poly.zero(m)
-               for k in range(m)]]
+    row = [{tuple(int(j == k) for j in range(m)): 1} if weights[k] <= order else {}
+           for k in range(m)]
+    rows = [row]
     for i in range(1, order + 1):
         cap = order - i
-        row = []
-        for p in powers[-1]:
+        next_row = []
+        for p in row:
             by_grade: dict = {}
-            for e, c in p.terms.items():
+            for e, c in p.items():
                 by_grade.setdefault(grade(e), {})[e] = c
             out: dict = {}
             for d, part in by_grade.items():
                 # with every variable graded a degree-0 part is a constant
                 if not d and all_graded:
                     continue
-                part = _k.derive_terms(levels[cap + 1 - d], part)
+                part = _kernel_py.derive_terms(levels[cap + 1 - d], part)
                 if part:
-                    out = _k.add_terms(out, part) if out else part
-            row.append(Poly._raw(m, out))
-        powers.append(row)
+                    out = _kernel_py.add_terms(out, part) if out else part
+            next_row.append(out)
+        row = next_row
+        rows.append(row)
+    powers = []
+    for i, row in enumerate(rows):
+        denominator = scale ** i
+        powers.append([Poly._raw(m, {e: Fraction(c, denominator) for e, c in p.items()})
+                       for p in row])
     return powers
 
 

@@ -1,5 +1,7 @@
 """The command line is a thin adapter: outputs equal library results, bytes stable."""
 
+import time
+
 import pytest
 
 from jetlift.cli import main
@@ -226,6 +228,54 @@ class TestCommands:
         assert captured.err == ("internal check failed: defect (Fraction(0, 1), "
                                 "Fraction(1, 1)) does not equal iterated bracket "
                                 "(Fraction(1, 1), Fraction(0, 1))\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cohomology", "--transition", "z^-2", "--nu", "z^-1", "--window",
+          "-100000 100000"],
+         "span of the 1-cochain window [-100000, 100000] is 200000, above the "
+         "limit MAX_WINDOW_SPAN = 10000"),
+        (["flowjet", "--vars", "x", "--field", "x^2", "--point", "1",
+          "--order", "65"],
+         "flow jet order is 65, above the limit MAX_ORDER = 64"),
+        (["verify-dj", "--vars", "x", "--f1", "x", "--f2", "x + x^3",
+          "--point", "0", "--n", "64"],
+         "flow jet order is 65, above the limit MAX_ORDER = 64"),
+        (["invariance", "--vars", "x,y", "--gens", "x,y", "--combo", "1",
+          "--point", "1,1", "--order", "1000"],
+         "invariance order is 1000, above the limit MAX_ORDER = 64"),
+        (["strata", "--vars", "x,y", "--gens", "x,y", "--grid",
+          "x=0:1000:1, y=0:1/1000:1/1000000"],
+         "grid point count is 1002001, above the limit MAX_GRID_POINTS = 100000"),
+        (["involutive", "--vars", "a,b,c,d,e,f,g",
+          "--gens", "1,0,0,0,0,0,0; 0,1,a,0,0,0,0"],
+         "search grid variable count is 7, above the limit MAX_SEARCH_VARS = 6"),
+    ], ids=["window", "flowjet", "verify-dj", "invariance", "strata", "search-grid"])
+    def test_limit_exit_code(self, capsys, argv, message):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("old,new,argv,message", [
+        ("[order]    4", "[order]    4", ["--order", "65"],
+         "lift order is 65, above the limit MAX_ORDER = 64"),
+        ("[order]    4", "[order]    65", [],
+         "lift order is 65, above the limit MAX_ORDER = 64"),
+        ("[window]   -8 8", "[window]   -8 99999", [],
+         "span of the section coordinate window [-8, 99999] is 100007, above the "
+         "limit "
+         "MAX_WINDOW_SPAN = 10000"),
+    ], ids=["option", "clause", "window"])
+    def test_lift_limit_exit_code(self, capsys, tmp_path, old, new, argv, message):
+        path = tmp_path / "flagship.scn"
+        path.write_text(FLAGSHIP.replace(old, new), encoding="utf-8")
+        code = main(["lift", "--scenario", str(path)] + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -2,7 +2,9 @@
 
 The compiled kernel is built from the committed `_kernel_c.c` with gcc into a
 temporary directory and loaded by path, so the parity tests run wherever gcc and
-the Python headers are present, without a `.so` next to the package.
+the Python headers are present, without a `.so` next to the package.  The pure
+kernel is also ring-generic: int term dicts go in and int term dicts come out,
+which is what the fraction-free jet engine runs on.
 """
 
 import importlib.machinery
@@ -20,12 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetlift._kernel_py as pure
+from jetlift import algebra, vectorfields
 from jetlift._backend import BACKEND
+from jetlift.algebra import Poly
+from jetlift.flows import flow_jet
+from jetlift.lifting import lift_to_order
+from jetlift.scenario import parse_scenario_file
+from jetlift.vectorfields import VectorField
 
 from strategies import exponent_tuples, fractions
 
 NAME = "jetlift._kernel_c"
 SOURCE = pathlib.Path(pure.__file__).with_name("_kernel_c.c")
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="session")
@@ -114,3 +123,62 @@ def test_compiled_output_is_canonical(compiled):
 
 def test_backend_reports_compiled_when_available():
     assert BACKEND in ("c", "python")
+
+
+def int_terms_dicts(num_vars, max_terms=6):
+    # small exponents and coefficients, so that products collide and sums cancel
+    return st.dictionaries(
+        exponent_tuples(num_vars, 2, laurent=True),
+        st.integers(min_value=-3, max_value=3).filter(bool), max_size=max_terms)
+
+
+def fraction_image(terms):
+    return {e: Fraction(c) for e, c in terms.items()}
+
+
+@settings(max_examples=200)
+@given(int_terms_dicts(3), int_terms_dicts(3), st.integers(min_value=0, max_value=2),
+       st.lists(int_terms_dicts(3, max_terms=4), min_size=3, max_size=3))
+def test_pure_kernel_is_ring_generic(a, b, k, comps):
+    fa, fb = fraction_image(a), fraction_image(b)
+    cases = [
+        (pure.add_terms(a, b), pure.add_terms(fa, fb)),
+        (pure.mul_terms(a, b), pure.mul_terms(fa, fb)),
+        (pure.partial_terms(a, k), pure.partial_terms(fa, k)),
+        (pure.derive_terms(comps, a),
+         pure.derive_terms([fraction_image(c) for c in comps], fa)),
+    ]
+    for out, reference in cases:
+        assert all(type(c) is int and c for c in out.values())
+        assert all(type(c) is Fraction for c in reference.values())
+        assert fraction_image(out) == reference
+
+
+def random_field(rng, m):
+    return VectorField([
+        Poly(m, {tuple(rng.randint(0, 2) for _ in range(m)):
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 9))
+                 for _ in range(rng.randint(0, 3))})
+        for _ in range(m)])
+
+
+def test_jet_engine_with_compiled_kernel_active(compiled, monkeypatch):
+    # the compiled kernel reads Fraction internals, so an int reaching it fails
+    rng = random.Random(5)
+    cases = []
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m))
+        cases.append((random_field(rng, m), point, rng.randint(0, 7)))
+    scenario = parse_scenario_file(str(SCENARIOS / "flagship_perturbed.scn"))
+
+    def run():
+        lift = lift_to_order(scenario)
+        return [flow_jet(*case) for case in cases], lift.render(), lift.state.sections
+
+    monkeypatch.setattr(algebra, "_k", pure)
+    monkeypatch.setattr(vectorfields, "_k", pure)
+    expected = run()
+    monkeypatch.setattr(algebra, "_k", compiled)
+    monkeypatch.setattr(vectorfields, "_k", compiled)
+    assert run() == expected

@@ -13,7 +13,7 @@ from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
                                   iterated_bracket, lie_bracket,
                                   time_component_class)
 
-from strategies import polys, vector_fields
+from strategies import exponent_tuples, polys, vector_fields
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -110,17 +110,28 @@ def weighted_power_cases(draw):
     m = draw(st.integers(min_value=1, max_value=3))
     weights = draw(st.lists(st.integers(min_value=0, max_value=1),
                             min_size=m, max_size=m))
-    return draw(vector_fields(m, max_degree=4 - m, max_terms=2)), weights, draw(
-        st.integers(min_value=0, max_value=5))
+    # denominators 1-9 mixed within one field, integer fields (scale 1) and the
+    # zero field: every scale of the fraction-free engine, including none
+    max_den = draw(st.sampled_from([1, 9]))
+    coefficients = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                             st.integers(min_value=1, max_value=max_den))
+    components = st.lists(
+        st.dictionaries(exponent_tuples(m, 4 - m), coefficients, max_size=3),
+        min_size=m, max_size=m)
+    terms = draw(st.one_of(st.just([{}] * m), components))
+    return (VectorField([Poly(m, t) for t in terms]), weights,
+            draw(st.integers(min_value=0, max_value=5)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(weighted_power_cases())
 def test_derivation_powers_are_weighted_truncations(case):
     d, weights, order = case
     m = d.num_vars
     powers = derivation_powers(d.components, order, weights)
     assert len(powers) == order + 1
+    assert all(type(c) is Fraction
+               for row in powers for p in row for c in p.terms.values())
     full = [Poly.variable(m, k) for k in range(m)]
     for i, row in enumerate(powers):
         cap = order - i
