@@ -8,9 +8,9 @@ through a `laurent=True` constructor, in which case negative exponents are allow
 count, same term dict.
 
 The truncated-series helpers (`series_mul`, `series_inverse`, `series_compose`)
-work over any exact commutative ring: Fraction coefficients for the Picard flow
-and `Poly.compose_series`, Laurent polynomials for the chart transitions of
-`lifting`.
+work over any exact commutative ring: Fractions for `Poly.compose_series`, whose
+`series_compose` takes non-negative exponents only, and Laurent polynomials for
+the chart crossing of `lifting`, one `series_inverse` per inverted coordinate.
 """
 
 from __future__ import annotations
@@ -390,35 +390,26 @@ def series_inverse(a: Sequence, order: int, zero, invert_leading: Callable) -> l
 
 
 def series_compose(terms: Mapping[Tuple[int, ...], Scalar], series: Sequence[Sequence],
-                   order: int, zero, invert_leading: Callable = None) -> list:
+                   order: int, zero) -> list:
     """Truncation of g(series) to `order`, g given by its term dict.
 
     series[k] is the coefficient sequence substituted for variable k.  Powers of
-    each series are built once, by repeated `series_mul`; a negative exponent
-    uses the powers of `series_inverse`, which needs `invert_leading`.
+    each series are built once, by repeated `series_mul`.  Every exponent must be
+    non-negative.
     """
-    n = len(series)
-    hi, lo = [0] * n, [0] * n
+    hi = [0] * len(series)
     for e in terms:
         for k, ek in enumerate(e):
+            if ek < 0:
+                raise ValueError("series composition needs non-negative exponents")
             if ek > hi[k]:
                 hi[k] = ek
-            elif ek < lo[k]:
-                lo[k] = ek
-    if invert_leading is None and any(lo):
-        raise ValueError("series composition needs non-negative exponents")
-    # powers[k][e] = series[k] ** e for every exponent e != 0 that occurs
+    # powers[k][e] = series[k] ** e for every exponent e > 0 that occurs
     powers: List[dict] = []
     for k, base in enumerate(series):
-        table: dict = {}
-        for sign, top in ((1, hi[k]), (-1, -lo[k])):
-            if not top:
-                continue
-            first = (base if sign > 0
-                     else series_inverse(base, order, zero, invert_leading))
-            p = table[sign] = first
-            for e in range(2, top + 1):
-                p = table[sign * e] = series_mul(p, first, order, zero)
+        table = {1: base}
+        for e in range(2, hi[k] + 1):
+            table[e] = series_mul(table[e - 1], base, order, zero)
         powers.append(table)
     acc = [zero] * (order + 1)
     for e, c in terms.items():

@@ -5,17 +5,19 @@ w = 1/z; with only two charts there are no triple overlaps, so antisymmetry is t
 whole cocycle condition, and first cohomology is the cokernel of an exact linear map
 between finite Laurent windows.  Sections of the presented sheaf are recorded as
 generator-coefficient vectors; crossing the overlap substitutes the parameter and
-multiplies by a transition matrix computed from the target atlas Jacobian.
+multiplies by a transition matrix T.  T solves for the chart-1 generators, pushed
+along the curve by the one Jacobian entry per row of the monomial target
+transition (`TargetAtlas.reading`), as chart-0 generator combinations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Poly, monomial_inverse, poly_det
+from .algebra import Poly, poly_det
 from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
 from .limits import MAX_WINDOW_SPAN, check_limit
 from .vectorfields import VectorField
@@ -29,6 +31,7 @@ __all__ = [
     "Cochain1",
     "Obstruction",
     "restrict_section",
+    "solve_section_coordinates",
     "coboundary",
     "cocycle_check",
     "solve_coboundary",
@@ -93,16 +96,23 @@ class CurveAtlas:
         return (self.z_name, self.w_name)[chart]
 
 
+class Monomial(NamedTuple):
+    """A coordinate of one chart as coefficient * x_source^exponent (exponent +-1)."""
+    source: int
+    coefficient: Fraction
+    exponent: int
+
+
 class TargetAtlas:
     """One or two coordinate charts for the target, with a monomial transition.
 
-    For two charts, `transition[k]` expresses chart-0 coordinate k as a Laurent
-    monomial in the chart-1 coordinates (e.g. x -> 1/x); monomials keep every
-    substitution and Jacobian inverse inside the exact Laurent world, and the
-    inverse transition is computed symbolically.
+    For two charts, `transition[k]` gives chart-0 coordinate k as c * x_j^(+-1) in
+    the chart-1 coordinates (e.g. x -> 1/x), each j used once; `inverse` gives the
+    chart-1 coordinates in the chart-0 ones.  `reading[chart][k]` is coordinate k
+    of `chart` read once as a `Monomial` of the other chart's coordinates.
     """
 
-    __slots__ = ("names", "num_charts", "transition", "inverse")
+    __slots__ = ("names", "num_charts", "transition", "inverse", "reading")
 
     def __init__(self, names: Sequence[str], num_charts: int,
                  transition: Optional[Sequence[Poly]] = None):
@@ -114,16 +124,17 @@ class TargetAtlas:
             raise ValueError("only one- or two-chart targets are supported")
         if (transition is None) != (num_charts == 1):
             raise ValueError("two charts need a transition, one chart forbids it")
-        inverse = None
+        inverse = reading = None
         if transition is not None:
             transition = tuple(transition)
             if len(transition) != q:
                 raise DimensionError("one transition formula per coordinate required")
-            inverse = _invert_monomial_map(transition)
+            inverse, reading = _read_monomial_map(transition)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "num_charts", num_charts)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "reading", reading)
 
     def __setattr__(self, name, value):
         raise AttributeError("TargetAtlas is immutable")
@@ -140,30 +151,13 @@ class TargetAtlas:
         return [[self.transition[k].partial(j) for j in range(q)]
                 for k in range(q)]
 
-    def jacobian_inverse(self) -> List[List[Poly]]:
-        """Exact inverse of the transition Jacobian (determinant must be a monomial)."""
-        jac = self.jacobian()
-        q = self.num_coords
-        det = poly_det(jac)
-        det_inv = monomial_inverse(det)
-        inv = []
-        for i in range(q):
-            row = []
-            for j in range(q):
-                minor = [[jac[r][c] for c in range(q) if c != i]
-                         for r in range(q) if r != j]
-                cof = poly_det(minor) if minor else Poly.one(q)
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof * det_inv)
-            inv.append(row)
-        return inv
 
-
-def _invert_monomial_map(transition: Sequence[Poly]) -> Tuple[Poly, ...]:
-    """Invert x0 = G(x1) when each G_k is c * x_j^(+-1) with distinct j."""
+def _read_monomial_map(transition: Sequence[Poly]):
+    """Read x0 = G(x1), each G_k = c * x1_j^(+-1) with distinct j: G^-1, readings."""
     q = len(transition)
     inverse: List[Optional[Poly]] = [None] * q
+    forward: List[Monomial] = []
+    backward: List[Optional[Monomial]] = [None] * q
     for k, g in enumerate(transition):
         mono = g.as_monomial()
         if mono is None:
@@ -174,17 +168,18 @@ def _invert_monomial_map(transition: Sequence[Poly]) -> Tuple[Poly, ...]:
             raise LiftError(
                 f"transition component {g} must be c*x_j or c*x_j^-1")
         j = support[0]
-        e = exps[support[0]]
+        e = exps[j]
         if inverse[j] is not None:
             raise LiftError("transition reuses a coordinate; not invertible")
         # x0_k = c * x1_j^e  =>  x1_j = (x0_k / c)^e  (e = +-1)
+        c_inv = Fraction(1) / c if e == 1 else c
         exp_vec = [0] * q
         exp_vec[k] = e
-        inverse[j] = Poly(q, {tuple(exp_vec): Fraction(1) / c if e == 1 else c},
-                          laurent=True)
-    if any(p is None for p in inverse):
-        raise LiftError("transition does not determine every coordinate")
-    return tuple(p for p in inverse)  # type: ignore[misc]
+        inverse[j] = Poly(q, {tuple(exp_vec): c_inv}, laurent=True)
+        forward.append(Monomial(j, c, e))
+        backward[j] = Monomial(k, c_inv, e)
+    # q components on q distinct coordinates: every inverse entry is set
+    return tuple(inverse), (tuple(forward), tuple(backward))
 
 
 @dataclass(frozen=True)
@@ -324,16 +319,18 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
     """Solve gen1_j (pushed to the chart-0 frame along the curve) = sum_k T[k][j] gen0_k."""
     q = atlas.num_coords
     f1 = morphism.components(1)
+    # one Jacobian entry per row, read along the curve once: component k of a
+    # pushed vector is d(transition_k)/dx_j (f1) times component j = source
+    push = None
+    if atlas.transition is not None:
+        push = [(m.source, g.partial(m.source).substitute(f1))
+                for g, m in zip(atlas.transition, atlas.reading[0])]
     # chart-1 generator values along the curve, pushed to chart-0 frame, in z
     pushed: List[List[Poly]] = []
     for g in gens1:
         vec_w = [evaluate_along_curve(g.components[k], f1) for k in range(q)]
-        if atlas.transition is not None:
-            jac = atlas.jacobian()
-            jac_on_curve = [[jac[k][j].substitute(f1) for j in range(q)]
-                for k in range(q)]
-            vec_w = [sum((jac_on_curve[k][j] * vec_w[j] for j in range(q)),
-                         Poly.zero(1)) for k in range(q)]
+        if push is not None:
+            vec_w = [d * vec_w[j] for j, d in push]
         pushed.append([negate_exponents(p) for p in vec_w])
     base: List[List[Poly]] = []
     f0 = morphism.components(0)
@@ -346,7 +343,7 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
     s = len(gens0)
     transition: List[List[Poly]] = [[Poly.zero(1) for _ in range(s)] for _ in range(s)]
     for j in range(s):
-        coeffs = _solve_section_coordinates(base, pushed[j], solve_window)
+        coeffs = solve_section_coordinates(base, pushed[j], solve_window)
         if coeffs is None:
             raise LiftError(
                 "generator transition rule inconsistent with the target Jacobian")
@@ -355,26 +352,18 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
     return transition
 
 
-def _solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
-                               target: Sequence[Poly],
-                               window: Window) -> Optional[Tuple[Poly, ...]]:
+def solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
+                              target: Sequence[Poly],
+                              window: Window) -> Optional[Tuple[Poly, ...]]:
     """Solve sum_k c_k(z) * gen_values[k] = target for Laurent c_k within `window`."""
     _check_window_span(window, "section coordinate")
     lo, hi = window
-    unknowns = [(k, e) for k in range(len(gen_values)) for e in range(lo, hi + 1)]
-    # unknown (k, e) contributes z^e * gen_values[k]: row (comp, exponent)
-    columns = [{(comp, ge + e): c for comp, p in enumerate(gen_values[k])
-                for (ge,), c in p.terms.items()} for k, e in unknowns]
-    rhs = {(comp, e): c for comp, p in enumerate(target) for (e,), c in p.terms.items()}
-    x, residual, _ = linalg.solve_with_residual(
-        columns, rhs, sorted(set(rhs).union(*columns)))
-    if residual:
+    coeffs = linalg.solve_combination(
+        [[p.terms for p in vec] for vec in gen_values], [p.terms for p in target],
+        [(e,) for e in range(lo, hi + 1)])
+    if coeffs is None:
         return None
-    terms: List[dict] = [{} for _ in gen_values]
-    for value, (k, e) in zip(x, unknowns):
-        if value:
-            terms[k][(e,)] = value
-    return tuple(Poly._raw(1, t) for t in terms)
+    return tuple(Poly._raw(1, t) for t in coeffs)
 
 
 # -- cochains ------------------------------------------------------------------
@@ -497,11 +486,11 @@ class Obstruction:
         return f"OBSTRUCTED class {body} cokernel_dim {self.cokernel_dim}"
 
 
-def solve_coboundary(cochain: Cochain1, chart_degree: Optional[int] = None):
+def solve_coboundary(cochain: Cochain1):
     """Split nu = delta(lambda) with chart-polynomial lambda, or report the obstruction.
 
-    Unknowns are chart-0 and chart-1 coefficients with exponents in
-    [0, chart_degree]; one-sided coefficients whose restriction would leave the
+    Unknowns are chart-0 and chart-1 coefficients with exponents in [0, hi], the
+    top of the window; one-sided coefficients whose restriction would leave the
     overlap window cannot contribute and are excluded.  Free variables are pinned to
     zero, so nu = 0 yields lambda = 0 and the splitting is canonical.
     """
@@ -510,13 +499,11 @@ def solve_coboundary(cochain: Cochain1, chart_degree: Optional[int] = None):
     sheaf = cochain.sheaf
     s = sheaf.num_gens
     lo, hi = cochain.window
-    if chart_degree is None:
-        chart_degree = hi
     basis: List[Tuple[int, int, int]] = []   # (chart, gen, exponent)
     columns: List[dict] = []
     for chart in (0, 1):
         for gen in range(s):
-            for exp in range(0, chart_degree + 1):
+            for exp in range(0, hi + 1):
                 if chart == 0:
                     column = {(gen, exp): Fraction(1)}
                 else:   # w^exp g_gen restricts to -sum_k T[k][gen] z^-exp g_k

@@ -112,24 +112,13 @@ def _combination_solve(distribution: Distribution, target: VectorField,
                        degree_bound: int) -> Optional[Tuple[Poly, ...]]:
     """Solve target = sum_k c_k * gens[k] with deg(c_k) <= degree_bound, over Q."""
     m = distribution.num_vars
-    gens = distribution.gens
-    monos = list(_monomials_up_to(m, degree_bound))
-    unknowns = [(k, e) for k in range(len(gens)) for e in monos]
-    # each unknown contributes x^e * gens[k]; match coefficients of every monomial
-    columns = [{(comp, tuple(a + b for a, b in zip(exp, e))): c
-                for comp, p in enumerate(gens[k].components)
-                for exp, c in p.terms.items()} for k, e in unknowns]
-    rhs = {(comp, exp): c for comp, p in enumerate(target.components)
-           for exp, c in p.terms.items()}
-    solution, residual, _ = linalg.solve_with_residual(
-        columns, rhs, sorted(set(rhs).union(*columns)))
-    if residual:
+    coeffs = linalg.solve_combination(
+        [[p.terms for p in g.components] for g in distribution.gens],
+        [p.terms for p in target.components],
+        list(_monomials_up_to(m, degree_bound)))
+    if coeffs is None:
         return None
-    terms: List[dict] = [{} for _ in gens]
-    for value, (k, e) in zip(solution, unknowns):
-        if value:
-            terms[k][e] = value
-    return tuple(Poly(m, t) for t in terms)
+    return tuple(Poly(m, t) for t in coeffs)
 
 
 def default_search_grid(num_vars: int) -> List[Tuple[Fraction, ...]]:
@@ -150,8 +139,7 @@ def _search_grid(num_vars: int) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(points)
 
 
-def involutivity_certificate(distribution: Distribution, degree_bound: int,
-                             grid: Sequence[Sequence[Scalar]] = None):
+def involutivity_certificate(distribution: Distribution, degree_bound: int):
     """Certificate, definitive counterexample point, or an explicit inconclusive."""
     if degree_bound < 0:
         raise OrderError("degree bound must be >= 0")
@@ -172,11 +160,10 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int,
             raise InternalCheckError("certificate re-expansion failed")  # unreachable
         return cert
 
-    points = grid if grid is not None else default_search_grid(distribution.num_vars)
+    points = default_search_grid(distribution.num_vars)
     for i, j in failed_pairs:
         bracket = lie_bracket(gens[i], gens[j])
         for pt in points:
-            pt = tuple(as_fraction(c) for c in pt)
             base = distribution.matrix_at(pt)
             r0 = linalg.rank(base)
             augmented = [row + [v] for row, v in zip(base, bracket.value_at(pt))]

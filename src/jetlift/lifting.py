@@ -15,8 +15,9 @@ never reach t^0, so it is dropped, and each row is restricted to the curve by
 keeping its t^0 terms.  The engine runs on Python ints: with L the lcm of the
 witness field's coefficient denominators, it builds (L*D)^i and divides row i
 by L^i once, so the rows it returns are the exact rational D^i.  Crossing the
-overlap composes the coordinate series with the target transition through
-`algebra.series_compose`.
+overlap reads chart-0 coordinate k as c * x_j^(+-1) (`TargetAtlas.reading`): a
+section's series of coordinate j is scaled by c, after one `series_inverse` when
+the exponent is -1, and a field is pushed by one Jacobian entry per row.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Poly, monomial_inverse, series_compose
+from .algebra import Poly, monomial_inverse, series_inverse
 from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
-                   PresentedSheaf, TargetAtlas, _solve_section_coordinates,
-                   check_window, evaluate_along_curve, negate_exponents,
-                   solve_coboundary, window_of)
+                   PresentedSheaf, TargetAtlas, check_window, evaluate_along_curve,
+                   negate_exponents, solve_coboundary, solve_section_coordinates,
+                   window_of)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
                      PreconditionError)
@@ -167,9 +168,9 @@ def transition_jet_section(atlas: TargetAtlas, section: JetSection,
                            order: int) -> JetSection:
     """Re-express a chart-1 jet section in chart-0 data on the overlap.
 
-    Substitutes w = 1/z in all coefficients, then composes the coordinate series
-    with the transition formulas (series inverses are taken where the transition
-    has negative exponents, which needs monomial leading coefficients).
+    Substitutes w = 1/z in all coefficients; chart-0 coordinate k is then the
+    series of chart-1 coordinate j scaled by c, inverted first when the exponent
+    is -1 (which needs a monomial leading coefficient).
     """
     q = atlas.num_coords
     resub = [[negate_exponents(p) for p in coord] for coord in section]
@@ -179,9 +180,12 @@ def transition_jet_section(atlas: TargetAtlas, section: JetSection,
     # derivative coordinates -> Taylor coefficients
     taylor = [[p * Fraction(1, factorial(i)) for i, p in enumerate(coord)]
               for coord in resub]
-    space = taylor[:q]
-    composed = [series_compose(g.terms, space, order, zero, monomial_inverse)
-                for g in atlas.transition]
+    composed = []
+    for m in atlas.reading[0]:
+        base = taylor[m.source]
+        if m.exponent < 0:
+            base = series_inverse(base, order, zero, monomial_inverse)
+        composed.append([m.coefficient * v for v in base])
     composed.append(taylor[q])  # time is untouched by the target transition
     return tuple(
         tuple(c * Fraction(factorial(i)) for i, c in enumerate(coord))
@@ -221,7 +225,7 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
 
     gens0_curve = sheaf.gens_along_curve(0)
     lo, hi = window
-    coeffs = _solve_section_coordinates(gens0_curve, tangent, (lo, hi))
+    coeffs = solve_section_coordinates(gens0_curve, tangent, (lo, hi))
     if coeffs is None:
         raise LiftError(
             "defect is not a generator combination within the window; "
@@ -255,39 +259,33 @@ def _bracket_orientation(sheaf: PresentedSheaf, fields: Sequence[VectorField],
 
 def field_to_chart0(atlas: TargetAtlas, field: VectorField) -> VectorField:
     """Push a chart-1 field (space coords + time) into chart-0 coordinates."""
-    if atlas.transition is None:
-        return field
-    q = atlas.num_coords
-    jac = atlas.jacobian()
-    comps0 = []
-    for k in range(q):
-        acc = Poly.zero(q + 1)
-        for j in range(q):
-            acc = acc + jac[k][j].reindex(q + 1, range(q)) * field.components[j]
-        comps0.append(acc)
-    comps0.append(field.components[q])
-    values = [p.reindex(q + 1, range(q)) for p in atlas.inverse]
-    values.append(Poly.variable(q + 1, q))
-    return VectorField([c.substitute(values) for c in comps0])
+    return _push_field(atlas, field, 0)
 
 
 def field_to_chart1(atlas: TargetAtlas, field: VectorField) -> VectorField:
     """Push a chart-0 field (space coords + time) into chart-1 coordinates."""
+    return _push_field(atlas, field, 1)
+
+
+def _push_field(atlas: TargetAtlas, field: VectorField, chart: int) -> VectorField:
+    """Push a field into `chart` along x' = forward(x), whose inverse is back.
+
+    forward_k = c * x_j^(+-1), so component k is d(forward_k)/dx_j * F_j, read
+    at x = back(x'); time is untouched.
+    """
     if atlas.transition is None:
         return field
     q = atlas.num_coords
-    values = [p.reindex(q + 1, range(q)) for p in atlas.transition]
+    forward, back = atlas.transition, atlas.inverse
+    if chart == 1:
+        forward, back = back, forward
+    comps = [g.partial(m.source).reindex(q + 1, range(q))
+             * field.components[m.source]
+             for g, m in zip(forward, atlas.reading[chart])]
+    comps.append(field.components[q])
+    values = [p.reindex(q + 1, range(q)) for p in back]
     values.append(Poly.variable(q + 1, q))
-    pulled = [c.substitute(values) for c in field.components]
-    jac_inv = atlas.jacobian_inverse()
-    comps1 = []
-    for j in range(q):
-        acc = Poly.zero(q + 1)
-        for k in range(q):
-            acc = acc + jac_inv[j][k].reindex(q + 1, range(q)) * pulled[k]
-        comps1.append(acc)
-    comps1.append(pulled[q])
-    return VectorField(comps1)
+    return VectorField([c.substitute(values) for c in comps])
 
 
 # -- the lifting loop -------------------------------------------------------------

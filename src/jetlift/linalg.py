@@ -9,6 +9,8 @@ nonzero entry per unknown), a keyed right-hand side, and the list of row keys
 in elimination order.  The sparse rows are assembled from the nonzeros alone,
 so no dense cell is formed; the Čech coboundary systems this engine builds have
 one or a few nonzeros per column, and the work follows the fill, not the shape.
+`solve_combination` assembles the generator-combination systems of `cech` and
+`frobenius`.
 
 The pivot rule fixes the answers: for each column in turn, the pivot is the
 first row at or below the current one with a nonzero entry there, swapped up.
@@ -23,12 +25,14 @@ its row order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from operator import add
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Row = Dict[int, Fraction]
+Terms = Mapping[Tuple[int, ...], Fraction]
 
-__all__ = ["rref", "rank", "solve_with_residual"]
+__all__ = ["rref", "rank", "solve_with_residual", "solve_combination"]
 
 _ZERO = Fraction(0)
 
@@ -123,3 +127,29 @@ def solve_with_residual(columns: Sequence[Mapping[Hashable, Fraction]],
             else:
                 del residual[key]
     return x, residual, len(pivots)
+
+
+def solve_combination(gens: Sequence[Sequence[Terms]], target: Sequence[Terms],
+                      shifts: Sequence[Tuple[int, ...]]) -> Optional[List[dict]]:
+    """Solve target = sum_k c_k * gens[k] with each c_k supported on `shifts`.
+
+    A vector is a list of term dicts, one per component.  Unknown (k, e), k
+    major and e in the order of `shifts`, contributes X^e * gens[k]; the rows are
+    the sorted (component, exponent) keys.  Returns one term dict per generator,
+    or None when target is not such a combination.
+    """
+    unknowns = [(k, e) for k in range(len(gens)) for e in shifts]
+    columns = [{(comp, tuple(map(add, exp, e))): c
+                for comp, terms in enumerate(gens[k]) for exp, c in terms.items()}
+               for k, e in unknowns]
+    rhs = {(comp, exp): c for comp, terms in enumerate(target)
+           for exp, c in terms.items()}
+    x, residual, _ = solve_with_residual(columns, rhs,
+                                         sorted(set(rhs).union(*columns)))
+    if residual:
+        return None
+    coeffs: List[dict] = [{} for _ in gens]
+    for value, (k, e) in zip(x, unknowns):
+        if value:
+            coeffs[k][e] = value
+    return coeffs

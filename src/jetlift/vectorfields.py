@@ -20,6 +20,7 @@ from . import _kernel_py
 from ._backend import kernel as _k
 from .algebra import Poly, Scalar, as_fraction
 from .errors import ClassificationError, DimensionError, OrderError
+from .limits import MAX_ORDER, check_limit
 
 __all__ = [
     "VectorField",
@@ -218,6 +219,7 @@ def iterated_bracket(d1: VectorField, d2: VectorField, n: int) -> VectorField:
     """[D1, D2]^(n): the base case n=2 is the plain bracket, then [D1, . ] repeatedly."""
     if n < 2:
         raise OrderError(f"iterated bracket needs n >= 2, got {n}")
+    check_limit("iterated bracket n", n, "MAX_ORDER", MAX_ORDER)
     result = lie_bracket(d1, d2)
     for _ in range(n - 2):
         result = lie_bracket(d1, result)

@@ -249,7 +249,11 @@ class TestCommands:
         (["involutive", "--vars", "a,b,c,d,e,f,g",
           "--gens", "1,0,0,0,0,0,0; 0,1,a,0,0,0,0"],
          "search grid variable count is 7, above the limit MAX_SEARCH_VARS = 6"),
-    ], ids=["window", "flowjet", "verify-dj", "invariance", "strata", "search-grid"])
+        (["iterbracket", "--vars", "x,y", "--f1", "y,x^2", "--f2", "x,y^2",
+          "--n", "100000"],
+         "iterated bracket n is 100000, above the limit MAX_ORDER = 64"),
+    ], ids=["window", "flowjet", "verify-dj", "invariance", "strata", "search-grid",
+            "iterbracket"])
     def test_limit_exit_code(self, capsys, argv, message):
         start = time.perf_counter()
         code = main(argv)

@@ -7,23 +7,26 @@ at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by or
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlift.algebra import Poly
-from jetlift.cech import uni, uni_x
+from jetlift.algebra import Poly, monomial_inverse
+from jetlift.cech import TargetAtlas, negate_exponents, uni, uni_x
 from jetlift.errors import (ClassificationError, LiftError, LiftObstructedError,
                             PreconditionError)
 from jetlift.lifting import (defect_cochain, field_to_chart0, field_to_chart1,
                              initial_state, lift_step, lift_to_order,
-                             local_jet_section, project_section)
+                             local_jet_section, project_section,
+                             transition_jet_section)
 from jetlift.scenario import parse_scenario
 from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
                                   time_component_class)
 
 from strategies import fractions
+from test_algebra import reference_poly_on_series
 
 FLAGSHIP = """
 [y]        charts z w ; transition w = 1/z
@@ -308,6 +311,76 @@ class TestFieldTransport:
         chart0 = VectorField([x, Poly.one(2)])
         chart1 = VectorField([-x, Poly.one(2)])
         assert field_to_chart1(scenario.atlas, chart0) == chart1
+
+
+def laurent_monomials(num_vars):
+    return st.builds(
+        lambda e, c: Poly.monomial(num_vars, e, c, laurent=True),
+        st.tuples(*[st.integers(-2, 2)] * num_vars), fractions().filter(bool))
+
+
+@st.composite
+def overlap_cases(draw):
+    """A monomial atlas, a field on both charts' variables and a chart-1 section.
+
+    Chart-0 coordinate k is c_k * x_(j_k)^(+-1) for a random permutation j of
+    q = 1-2 coordinates and nonzero c_k.  Every space coordinate of the section
+    leads with a Laurent monomial, so any of them can be inverted.
+    """
+    q = draw(st.integers(min_value=1, max_value=2))
+    perm = draw(st.permutations(range(q)))
+    transition = []
+    for j in perm:
+        exps = [0] * q
+        exps[j] = draw(st.sampled_from((1, -1)))
+        transition.append(Poly.monomial(q, exps, draw(fractions().filter(bool)),
+                                        laurent=True))
+    atlas = TargetAtlas(("x", "y")[:q], 2, transition)
+    exponents = [st.integers(-2, 2)] * q + [st.integers(0, 2)]
+    field = VectorField([draw(laurent_polys(q + 1, exponents, 3))
+                         for _ in range(q + 1)])
+    order = draw(st.integers(min_value=0, max_value=4))
+    coefficients = laurent_polys(1, [st.integers(-3, 3)], 2)
+    section = [[draw(laurent_monomials(1))] + [draw(coefficients) for _ in range(order)]
+               for _ in range(q)]
+    section.append([draw(coefficients) for _ in range(order + 1)])
+    return atlas, field, tuple(tuple(coord) for coord in section), order
+
+
+def reference_field_to_chart0(atlas, field):
+    """Chain rule with the whole Jacobian: sum_j dG_k/dx_j F_j at x = G^-1(x')."""
+    q = atlas.num_coords
+    jac = atlas.jacobian()
+    comps = [sum((jac[k][j].reindex(q + 1, range(q)) * field.components[j]
+                  for j in range(q)), Poly.zero(q + 1)) for k in range(q)]
+    values = [p.reindex(q + 1, range(q)) for p in atlas.inverse]
+    values.append(Poly.variable(q + 1, q))
+    return VectorField([c.substitute(values)
+                        for c in comps + [field.components[q]]])
+
+
+def reference_transition_jet_section(atlas, section, order):
+    """General composition: Taylor form, each transition formula on the series, back."""
+    q = atlas.num_coords
+    taylor = [[negate_exponents(p) * Fraction(1, factorial(i))
+               for i, p in enumerate(coord)] for coord in section]
+    composed = [reference_poly_on_series(g, taylor[:q], order, Poly.zero(1),
+                                         Poly.one(1), monomial_inverse)
+                for g in atlas.transition]
+    composed.append(taylor[q])
+    return tuple(tuple(c * factorial(i) for i, c in enumerate(coord))
+                 for coord in composed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlap_cases())
+def test_overlap_crossing_matches_general_transition(case):
+    atlas, field, section, order = case
+    assert field_to_chart0(atlas, field_to_chart1(atlas, field)) == field
+    assert field_to_chart1(atlas, field_to_chart0(atlas, field)) == field
+    assert field_to_chart0(atlas, field) == reference_field_to_chart0(atlas, field)
+    assert (transition_jet_section(atlas, section, order)
+            == reference_transition_jet_section(atlas, section, order))
 
 
 class TestScenarioValidation:
