@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .cech import Cochain1, Obstruction, PresentedSheaf, solve_coboundary
 from .errors import (InternalCheckError, JetliftError, LiftObstructedError,
@@ -22,25 +22,21 @@ from .frobenius import (CounterexamplePoint, Distribution, InvolutivityCertifica
                         NotFoundUpTo, grid_points, involutivity_certificate,
                         rank_at, strata_sample)
 from .lifting import lift_to_order
-from .parsing import parse_field, parse_grid, parse_point, parse_poly
+from .parsing import (parse_field, parse_grid, parse_names, parse_point,
+                      parse_poly, parse_window, split_list)
 from .scenario import parse_scenario_file
 from .vectorfields import iterated_bracket, lie_bracket
 
 __all__ = ["main"]
 
 
-def _vars(text: str) -> List[str]:
-    names = [n.strip() for n in text.split(",")]
-    if not all(names):
-        raise ParseError("empty variable name in --vars")
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ParseError(f"duplicate variable name {name!r} in --vars")
-    return names
+def _vars(text: str) -> Tuple[str, ...]:
+    return parse_names(text, where=" in --vars")
 
 
 def _parse_gens(text: str, names: Sequence[str]):
-    return [parse_field(part, names) for part in text.split(";")]
+    return [parse_field(part, names, col_offset=offset)
+            for part, offset in split_list(text, ";")]
 
 
 def _cmd_bracket(args) -> int:
@@ -138,7 +134,8 @@ def _cmd_strata(args) -> int:
 def _cmd_invariance(args) -> int:
     names = _vars(args.vars)
     dist = Distribution(len(names), _parse_gens(args.gens, names))
-    combo = [parse_poly(part, names) for part in args.combo.split(";")]
+    combo = [parse_poly(part, names, col_offset=offset)
+             for part, offset in split_list(args.combo, ";")]
     point = parse_point(args.point, len(names))
     report = stratum_invariance_check(dist, combo, point, args.order)
     print(report.render())
@@ -148,13 +145,7 @@ def _cmd_invariance(args) -> int:
 def _cmd_cohomology(args) -> int:
     zname, wname = args.param, args.coparam
     transition = parse_poly(args.transition, [zname], allow_laurent=True)
-    try:
-        lo_text, hi_text = args.window.split()
-        window = (int(lo_text), int(hi_text))
-    except ValueError:
-        raise ParseError("window needs two integers") from None
-    if window[0] > window[1]:
-        raise ParseError("window lower bound exceeds upper bound")
+    window = parse_window(args.window)
     nu = parse_poly(args.nu, [zname], allow_laurent=True)
     sheaf = PresentedSheaf.line_bundle(transition)
     cochain = Cochain1.from_nu01(sheaf, [nu], window)
@@ -272,8 +263,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except LiftObstructedError:
-        raise
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3

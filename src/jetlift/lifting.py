@@ -365,11 +365,13 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
         for f in new_fields:
             if time_component_class(f) is not TimeClass.CONSTANT_FLOW:
                 raise InternalCheckError("correction broke the constant-flow class")
-        corrected = [local_jet_section(new_fields[chart],
-                                       sheaf.morphism.components(chart), n + 1)
+        # an uncorrected chart keeps its field, hence its candidate section
+        corrected = [candidates[chart] if corrections[chart] is None
+                     else local_jet_section(new_fields[chart],
+                                            sheaf.morphism.components(chart), n + 1)
                      for chart in (0, 1)]
-        check, _ = defect_cochain(sheaf, corrected, n + 1, window)
-        if not check.is_zero():
+        # glued: equal at every order <= n + 1 on the overlap
+        if transition_jet_section(sheaf.atlas, corrected[1], n + 1) != corrected[0]:
             raise InternalCheckError("corrected candidates still have a nonzero defect")
 
     for chart in (0, 1):

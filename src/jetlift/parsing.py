@@ -1,9 +1,11 @@
-"""Parsers for polynomial, field, point, and grid literals.
+"""Parsers for polynomial, field, point, window, and grid literals.
 
 Grammar for polynomials: terms separated by + or -, each term an optional rational
 coefficient (p or p/q), an optional '*', and variable powers (name, or name^k);
 whitespace is insignificant.  Negative exponents are accepted only when the caller
-allows Laurent input.  All errors carry a 1-based line/column.
+allows Laurent input.  `split_list` splits lists and keeps each piece's offset, so
+errors carry the 1-based line/column of the offending token in the whole text
+(shifted by `col_offset` when that text is part of a longer line).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from .algebra import Poly
 from .errors import ParseError
 from .vectorfields import VectorField
 
-__all__ = ["parse_poly", "parse_field", "parse_point", "parse_rational",
-           "parse_grid"]
+__all__ = ["split_list", "parse_names", "parse_poly", "parse_field", "parse_point",
+           "parse_rational", "parse_window", "parse_grid"]
 
 
 class _Scanner:
@@ -73,13 +75,13 @@ class _Scanner:
 
 
 def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
-                num_vars: int) -> Poly:
-    coeff = Fraction(1)
+                num_vars: int, sign: int) -> Tuple[Tuple[int, ...], Fraction]:
+    coeff = Fraction(sign)
     have_coeff = False
     pending_div = False
     if sc.peek().isdecimal():
         num = sc.read_int()
-        coeff = Fraction(num)
+        coeff = Fraction(sign * num)
         have_coeff = True
         if sc.peek() == "/":
             sc.take()
@@ -88,7 +90,7 @@ def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
                 den = sc.read_int()
                 if den == 0:
                     raise sc.error("zero denominator", den_pos)
-                coeff = Fraction(num, den)
+                coeff = Fraction(sign * num, den)
             else:
                 pending_div = True  # '1/x' style: divide by the next factor
     exponents = [0] * num_vars
@@ -130,7 +132,7 @@ def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
         saw_factor = True
     if not have_coeff and not saw_factor:
         raise sc.error("expected a term")
-    return Poly(num_vars, {tuple(exponents): coeff}, laurent=allow_laurent)
+    return tuple(exponents), coeff
 
 
 def parse_poly(text: str, names: Sequence[str], allow_laurent: bool = False,
@@ -141,15 +143,20 @@ def parse_poly(text: str, names: Sequence[str], allow_laurent: bool = False,
     sc = _Scanner(text, line, col_offset)
     if sc.at_end():
         raise sc.error("empty polynomial")
-    total = Poly.zero(num_vars)
+    terms = {}    # kept canonical, in first-occurrence order: zero sums drop out
     sign = 1
     if sc.peek() in "+-":
         sign = -1 if sc.take() == "-" else 1
     while True:
-        term = _parse_term(sc, names, allow_laurent, num_vars)
-        total = total + (term if sign > 0 else -term)
+        exponents, coeff = _parse_term(sc, names, allow_laurent, num_vars, sign)
+        if exponents in terms:
+            coeff += terms[exponents]
+        if coeff:
+            terms[exponents] = coeff
+        else:
+            terms.pop(exponents, None)
         if sc.at_end():
-            return total
+            return Poly._raw(num_vars, terms)
         c = sc.take()
         if c == "+":
             sign = 1
@@ -161,26 +168,37 @@ def parse_poly(text: str, names: Sequence[str], allow_laurent: bool = False,
             raise sc.error("dangling sign")
 
 
-def _split_top(text: str) -> List[Tuple[str, int]]:
-    """Split on commas, keeping each piece's start offset."""
+def split_list(text: str, sep: str = ",") -> List[Tuple[str, int]]:
+    """Split on the character `sep`, keeping each piece's start offset in `text`."""
     pieces = []
     start = 0
-    for i, c in enumerate(text):
-        if c == ",":
-            pieces.append((text[start:i], start))
-            start = i + 1
-    pieces.append((text[start:], start))
+    for piece in text.split(sep):
+        pieces.append((piece, start))
+        start += len(piece) + 1
     return pieces
 
 
+def parse_names(text: str, line: int = 1, col_offset: int = 0,
+                where: str = "") -> Tuple[str, ...]:
+    """Comma-separated distinct variable names; `where` ends each message."""
+    names = tuple(piece.strip() for piece, _ in split_list(text))
+    if not all(names):
+        raise ParseError(f"empty variable name{where}", line, col_offset + 1)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"duplicate variable name {name!r}{where}", line,
+                             col_offset + 1)
+    return names
+
+
 def parse_field(text: str, names: Sequence[str], allow_laurent: bool = False,
-                line: int = 1) -> VectorField:
+                line: int = 1, col_offset: int = 0) -> VectorField:
     """Comma-separated component polynomials, one per variable."""
-    pieces = _split_top(text)
+    pieces = split_list(text)
     if len(pieces) != len(names):
-        raise ParseError(
-            f"{len(pieces)} components for {len(names)} variables", line=line)
-    comps = [parse_poly(part, names, allow_laurent, line, offset)
+        raise ParseError(f"{len(pieces)} components for {len(names)} variables",
+                         line=line, column=col_offset + 1)
+    comps = [parse_poly(part, names, allow_laurent, line, col_offset + offset)
              for part, offset in pieces]
     return VectorField(comps)
 
@@ -203,8 +221,19 @@ def parse_rational(text: str, line: int = 1, col_offset: int = 0) -> Fraction:
     return Fraction(sign * num, den)
 
 
+def parse_window(text: str, line: int = 1, col_offset: int = 0) -> Tuple[int, int]:
+    """Degree window literal 'lo hi': two integers with lo <= hi."""
+    try:
+        lo, hi = (int(word) for word in text.split())
+    except ValueError:
+        raise ParseError("window needs two integers", line, col_offset + 1) from None
+    if lo > hi:
+        raise ParseError("window lower bound exceeds upper bound", line, col_offset + 1)
+    return lo, hi
+
+
 def parse_point(text: str, dim: int, line: int = 1) -> Tuple[Fraction, ...]:
-    pieces = _split_top(text)
+    pieces = split_list(text)
     if len(pieces) != dim:
         raise ParseError(f"{len(pieces)} coordinates for dimension {dim}", line=line)
     return tuple(parse_rational(part, line, offset) for part, offset in pieces)
@@ -218,7 +247,7 @@ def parse_grid(text: str, names: Sequence[str],
     positive step.
     """
     ranges = {}
-    for part, offset in _split_top(text):
+    for part, offset in split_list(text):
         sc = _Scanner(part, line, offset)
         name_pos = sc.pos
         name = sc.read_name()

@@ -4,7 +4,10 @@ Sections are tagged lines; '#' starts a comment; clauses on a line are separated
 ';'.  Two-chart curve, one- or two-chart target, generators and first-order data as
 generator coefficients, optional per-chart perturbations written in chart-0 target
 coordinates plus time.  A `non-immersive` clause on the [f] line requests the graph
-embedding, which prepends the curve parameter as an extra target coordinate.
+embedding (`vectorfields.graph_embed`), which prepends the curve parameter as an
+extra target coordinate.  A repeated transition, jacobian or assignment, and a
+transition for an undeclared coordinate, are errors; positions count from the
+start of the line.
 
     [y]        charts z w ; transition w = 1/z
     [x]        vars x ; charts 2 ; transition x -> 1/x ; jacobian -x^-2
@@ -19,19 +22,40 @@ embedding, which prepends the curve parameter as an extra target coordinate.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Poly, monomial_inverse
 from .cech import CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas
 from .errors import LiftError, ParseError
 from .lifting import LiftScenario
-from .parsing import parse_poly
-from .vectorfields import VectorField
+from .parsing import parse_names, parse_poly, parse_window, split_list
+from .vectorfields import VectorField, graph_embed
 
 __all__ = ["parse_scenario", "parse_scenario_file"]
 
 _TAG_RE = re.compile(r"^\[(\w+)\]\s*(.*)$")
 _KNOWN_TAGS = ("y", "x", "f", "sheaf", "sigma", "perturb", "window", "order")
+
+
+class _Clause:
+    """Clause text with its line and the 0-based column where the text starts."""
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text, self.line, self.col = text, line, col
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, line=self.line, column=self.col + 1)
+
+    def poly(self, names: Sequence[str]) -> Poly:
+        return parse_poly(self.text, names, True, self.line, self.col)
+
+    def after(self, start: int, end: Optional[int] = None) -> "_Clause":
+        """text[start:end] without surrounding whitespace, at its own column."""
+        text = self.text[start:end]
+        stripped = text.lstrip()
+        return _Clause(stripped.rstrip(), self.line,
+                       self.col + start + len(text) - len(stripped))
 
 
 def parse_scenario_file(path: str) -> LiftScenario:
@@ -40,48 +64,29 @@ def parse_scenario_file(path: str) -> LiftScenario:
 
 
 def parse_scenario(text: str) -> LiftScenario:
-    clauses: Dict[str, List[Tuple[str, int]]] = {tag: [] for tag in _KNOWN_TAGS}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        match = _TAG_RE.match(line)
-        if not match:
-            raise ParseError("expected a [tag] line", line=line_no)
-        tag, rest = match.group(1), match.group(2)
-        if tag not in _KNOWN_TAGS:
-            raise ParseError(f"unknown tag [{tag}]", line=line_no)
-        for clause in rest.split(";"):
-            clause = clause.strip()
-            if clause:
-                clauses[tag].append((clause, line_no))
-
-    z_name, w_name = _parse_curve(clauses["y"])
-    curve = CurveAtlas(z_name, w_name)
-    x_names, num_charts, transition_texts, jacobian_text = _parse_target(clauses["x"])
+    clauses = _split_clauses(text)
+    curve = CurveAtlas(*_parse_curve(clauses["y"]))
+    x_names, num_charts, transition_texts, jacobian = _parse_target(clauses["x"])
     morphism_texts, non_immersive = _parse_morphism(clauses["f"], x_names)
-    gen_texts = _parse_gens(clauses["sheaf"], x_names)
-    sigma_texts = _parse_per_chart(clauses["sigma"], "sigma")
-    perturb_texts = _parse_per_chart(clauses["perturb"], "perturb", optional=True)
-    window = _parse_window(clauses["window"])
-    order = _parse_order(clauses["order"])
+    gen_texts = _per_chart(clauses["sheaf"], "sheaf")
+    sigma_texts = _per_chart(clauses["sigma"], "sigma")
+    if not any(sigma_texts):
+        raise ParseError("the [sigma] section is required")
+    perturb_texts = _per_chart(clauses["perturb"], "perturb")
+    window_clause = _only(clauses["window"], "window")
+    window = (parse_window(window_clause.text, window_clause.line, window_clause.col)
+              if window_clause else (-8, 8))
+    order = _parse_order(_only(clauses["order"], "order"))
 
     m = len(x_names)
-    params = (z_name, w_name)
 
     # target transition formulas (chart-1 coords -> chart-0 coords)
     transition: Optional[List[Poly]] = None
     if num_charts == 2:
-        transition = []
-        for name in x_names:
-            if name not in transition_texts:
-                raise LiftError(f"no transition formula for target coordinate {name}")
-            expr, line_no = transition_texts[name]
-            transition.append(parse_poly(expr, x_names, allow_laurent=True,
-                                         line=line_no))
-        if jacobian_text is not None:
-            expr, line_no = jacobian_text
-            declared = parse_poly(expr, x_names, allow_laurent=True, line=line_no)
+        transition = _formulas(transition_texts, x_names, x_names,
+                               "no transition formula for")
+        if jacobian is not None:
+            declared = jacobian.poly(x_names)
             if m != 1:
                 raise LiftError("a jacobian clause is only supported for one "
                                 "target coordinate")
@@ -89,256 +94,228 @@ def parse_scenario(text: str) -> LiftScenario:
                 raise LiftError(
                     f"declared jacobian {declared} does not match the transition "
                     f"derivative {transition[0].partial(0)}")
-    elif transition_texts or jacobian_text:
+    elif transition_texts or jacobian is not None:
         raise LiftError("a one-chart target cannot declare a transition")
 
-    morphism_charts = []
-    for chart in (0, 1):
-        comps = []
-        for name in x_names:
-            if name not in morphism_texts[chart]:
-                raise LiftError(
-                    f"chart{chart} morphism misses target coordinate {name}")
-            expr, line_no = morphism_texts[chart][name]
-            comps.append(parse_poly(expr, [params[chart]], allow_laurent=True,
-                                    line=line_no))
-        morphism_charts.append(tuple(comps))
+    morphism = [tuple(_formulas(morphism_texts[chart], x_names,
+                                [curve.param_name(chart)],
+                                f"chart{chart} morphism misses"))
+                for chart in (0, 1)]
 
-    gens_charts: List[List[VectorField]] = [[], []]
-    for chart in (0, 1):
-        for expr, line_no in gen_texts[chart]:
-            pieces = expr.split(",")
-            if len(pieces) != m:
-                raise ParseError(
-                    f"generator needs {m} component(s), got {len(pieces)}",
-                    line=line_no)
-            comps = [parse_poly(p, x_names, allow_laurent=True, line=line_no)
-                     for p in pieces]
-            gens_charts[chart].append(
-                VectorField([c.reindex(m + 1, range(m)) for c in comps]
-                            + [Poly.zero(m + 1)]))
-    if len(gens_charts[0]) != len(gens_charts[1]):
+    gens = [[VectorField(_components(clause, x_names, m, "generator", "component"))
+             for clause in gen_texts[chart]] for chart in (0, 1)]
+    if len(gens[0]) != len(gens[1]):
         raise LiftError("both charts need the same number of generators")
-    if not gens_charts[0]:
+    if not gens[0]:
         raise LiftError("at least one generator is required")
-    s = len(gens_charts[0])
 
-    sigma_charts = []
+    sigma = []
     for chart in (0, 1):
-        if chart not in sigma_texts:
+        if not sigma_texts[chart]:
             raise LiftError(f"sigma is missing for chart{chart}")
-        expr, line_no = sigma_texts[chart]
-        pieces = expr.split(",")
-        if len(pieces) != s:
-            raise ParseError(
-                f"sigma needs {s} coefficient(s), got {len(pieces)}", line=line_no)
-        sigma_charts.append(tuple(
-            parse_poly(p, [params[chart]], line=line_no) for p in pieces))
+        sigma.append(_components(sigma_texts[chart][0], [curve.param_name(chart)],
+                                 len(gens[0]), "sigma", "coefficient",
+                                 allow_laurent=False))
 
-    perturb_charts: List[Optional[Tuple[Poly, ...]]] = [None, None]
-    for chart, payload in perturb_texts.items():
-        expr, line_no = payload
-        pieces = expr.split(",")
-        if len(pieces) != m:
-            raise ParseError(
-                f"perturbation needs {m} component(s), got {len(pieces)}",
-                line=line_no)
-        perturb_charts[chart] = tuple(
-            parse_poly(p, list(x_names) + ["t"], allow_laurent=True, line=line_no)
-            for p in pieces)
+    perturb: List[Optional[Tuple[Poly, ...]]] = [
+        _components(texts[0], x_names + ("t",), m, "perturbation", "component")
+        if texts else None for texts in perturb_texts]
 
+    names = x_names
     if non_immersive:
-        return _embed_graph(curve, x_names, num_charts, transition,
-                            morphism_charts, gens_charts, sigma_charts,
-                            perturb_charts, window, order)
+        if "y" in x_names:
+            raise LiftError("graph embedding reserves the coordinate name 'y'")
+        names = ("y",) + x_names
+        for chart in (0, 1):
+            morphism[chart], gens[chart] = graph_embed(morphism[chart], gens[chart])
+        # y -> 1/y; x keeps its transition, the identity on a one-chart target
+        space = transition or [Poly.variable(m, k) for k in range(m)]
+        transition = ([monomial_inverse(Poly.variable(m + 1, 0))]
+                      + [p.reindex(m + 1, range(1, m + 1)) for p in space])
+        perturb = [None if p is None else (Poly.zero(m + 2),) + tuple(
+            c.reindex(m + 2, range(1, m + 2)) for c in p) for p in perturb]
 
-    atlas = TargetAtlas(x_names, num_charts,
-                        transition if num_charts == 2 else None)
-    morphism = MorphismData(morphism_charts[0], morphism_charts[1])
-    sheaf = PresentedSheaf.from_charts(atlas, morphism,
-                                       gens_charts[0], gens_charts[1])
-    return LiftScenario(curve, sheaf, (sigma_charts[0], sigma_charts[1]),
-                        tuple(perturb_charts), window, order)
-
-
-def _embed_graph(curve, x_names, num_charts, transition, morphism_charts,
-                 gens_charts, sigma_charts, perturb_charts, window, order):
-    """Prepend the curve parameter as a target coordinate (graph of the morphism)."""
-    if "y" in x_names:
-        raise LiftError("graph embedding reserves the coordinate name 'y'")
-    m = len(x_names)
-    names = ("y",) + tuple(x_names)
-    y_var = Poly.variable(m + 1, 0)
-    if num_charts == 2:
-        shifted = [p.reindex(m + 1, range(1, m + 1)) for p in transition]
-    else:
-        shifted = [Poly.variable(m + 1, k + 1) for k in range(m)]
-    new_transition = [monomial_inverse(y_var)] + shifted
-    atlas = TargetAtlas(names, 2, new_transition)
-    new_morphism = []
-    for chart in (0, 1):
-        param_poly = Poly.variable(1, 0)
-        new_morphism.append((param_poly,) + tuple(morphism_charts[chart]))
-    morphism = MorphismData(new_morphism[0], new_morphism[1])
-    new_gens = [[], []]
-    for chart in (0, 1):
-        for g in gens_charts[chart]:
-            comps = [Poly.zero(m + 2)]
-            comps += [c.reindex(m + 2, range(1, m + 2)) for c in g.components[:-1]]
-            comps += [Poly.zero(m + 2)]
-            new_gens[chart].append(VectorField(comps))
-    new_perturb: List[Optional[Tuple[Poly, ...]]] = [None, None]
-    for chart in (0, 1):
-        if perturb_charts[chart] is not None:
-            new_perturb[chart] = (Poly.zero(m + 2),) + tuple(
-                c.reindex(m + 2, range(1, m + 2)) for c in perturb_charts[chart])
-    sheaf = PresentedSheaf.from_charts(atlas, morphism, new_gens[0], new_gens[1])
-    return LiftScenario(curve, sheaf, (sigma_charts[0], sigma_charts[1]),
-                        tuple(new_perturb), window, order)
+    # every generator gets a zero time component
+    q = len(names)
+    gens = [[VectorField([c.reindex(q + 1, range(q)) for c in g.components]
+                         + [Poly.zero(q + 1)]) for g in chart_gens]
+            for chart_gens in gens]
+    atlas = TargetAtlas(names, 1 if transition is None else 2, transition)
+    sheaf = PresentedSheaf.from_charts(atlas, MorphismData(*morphism), *gens)
+    return LiftScenario(curve, sheaf, (sigma[0], sigma[1]), tuple(perturb),
+                        window, order)
 
 
-def _parse_curve(clause_list):
+def _split_clauses(text: str) -> Dict[str, List[_Clause]]:
+    """Clauses of each tag, each with its line and the column where it starts."""
+    clauses: Dict[str, List[_Clause]] = {tag: [] for tag in _KNOWN_TAGS}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        stripped = body.lstrip()
+        line = stripped.rstrip()
+        if not line:
+            continue
+        match = _TAG_RE.match(line)
+        if not match:
+            raise ParseError("expected a [tag] line", line=line_no)
+        tag = match.group(1)
+        if tag not in _KNOWN_TAGS:
+            raise ParseError(f"unknown tag [{tag}]", line=line_no)
+        start = len(body) - len(stripped) + match.start(2)
+        for piece, offset in split_list(match.group(2), ";"):
+            clause = piece.lstrip()
+            if clause:
+                clauses[tag].append(_Clause(clause.rstrip(), line_no,
+                                            start + offset + len(piece) - len(clause)))
+    return clauses
+
+
+def _formulas(texts: Dict[str, _Clause], x_names: Sequence[str],
+              names: Sequence[str], missing: str) -> List[Poly]:
+    """One formula per target coordinate, in the order the [x] section declares."""
+    out = []
+    for name in x_names:
+        if name not in texts:
+            raise LiftError(f"{missing} target coordinate {name}")
+        out.append(texts[name].poly(names))
+    return out
+
+
+def _components(clause: _Clause, names: Sequence[str], count: int, what: str,
+                noun: str, allow_laurent: bool = True) -> Tuple[Poly, ...]:
+    """Comma-separated polynomials, exactly `count` of them."""
+    pieces = split_list(clause.text)
+    if len(pieces) != count:
+        raise clause.error(f"{what} needs {count} {noun}(s), got {len(pieces)}")
+    return tuple(parse_poly(piece, names, allow_laurent, clause.line,
+                            clause.col + offset) for piece, offset in pieces)
+
+
+def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
     z_name, w_name = "z", "w"
     saw_charts = False
-    for clause, line_no in clause_list:
-        words = clause.split()
+    for clause in clause_list:
+        words = clause.text.split()
         if words[0] == "charts":
             if len(words) != 3:
-                raise ParseError("charts clause needs two parameter names",
-                                 line=line_no)
+                raise clause.error("charts clause needs two parameter names")
             z_name, w_name = words[1], words[2]
             saw_charts = True
         elif words[0] == "transition":
-            text = "".join(words[1:]).replace(" ", "")
-            if text != f"{w_name}=1/{z_name}":
-                raise ParseError(
-                    f"only the transition {w_name} = 1/{z_name} is supported",
-                    line=line_no)
+            if "".join(words[1:]) != f"{w_name}=1/{z_name}":
+                raise clause.error(
+                    f"only the transition {w_name} = 1/{z_name} is supported")
         else:
-            raise ParseError(f"unknown [y] clause {clause!r}", line=line_no)
+            raise clause.error(f"unknown [y] clause {clause.text!r}")
     if not saw_charts:
         raise ParseError("the [y] section needs a charts clause")
     return z_name, w_name
 
 
-def _integer(text, message, line_no):
+def _integer(clause: _Clause, message: str) -> int:
     try:
-        return int(text)
+        return int(clause.text)
     except ValueError:
-        raise ParseError(message, line=line_no) from None
+        raise clause.error(message) from None
 
 
-def _parse_target(clause_list):
+def _parse_target(clause_list: List[_Clause]):
     names: Optional[Tuple[str, ...]] = None
     num_charts = 1
-    transition_texts: Dict[str, Tuple[str, int]] = {}
-    jacobian_text: Optional[Tuple[str, int]] = None
-    for clause, line_no in clause_list:
-        words = clause.split(None, 1)
-        head = words[0]
-        rest = words[1] if len(words) > 1 else ""
+    transitions: Dict[str, _Clause] = {}    # 'x -> expr', at the column of x
+    jacobian: Optional[_Clause] = None
+    for clause in clause_list:
+        head = clause.text.split(None, 1)[0]
+        rest = clause.after(len(head))
         if head == "vars":
-            names = tuple(n.strip() for n in rest.split(","))
-            if not all(names):
-                raise ParseError("empty variable name", line=line_no)
-            for i, name in enumerate(names):
-                if name in names[:i]:
-                    raise ParseError(f"duplicate variable name {name!r}", line=line_no)
+            names = parse_names(rest.text, clause.line, clause.col)
         elif head == "charts":
-            num_charts = _integer(rest, "charts must be 1 or 2", line_no)
+            num_charts = _integer(rest, "charts must be 1 or 2")
             if num_charts not in (1, 2):
-                raise ParseError("charts must be 1 or 2", line=line_no)
+                raise rest.error("charts must be 1 or 2")
         elif head == "transition":
-            if "->" not in rest:
-                raise ParseError("transition clause needs 'var -> expr'",
-                                 line=line_no)
-            var, expr = rest.split("->", 1)
-            transition_texts[var.strip()] = (expr.strip(), line_no)
+            arrow = rest.text.find("->")
+            if arrow < 0:
+                raise clause.error("transition clause needs 'var -> expr'")
+            var = rest.text[:arrow].strip()
+            if var in transitions:
+                raise rest.error(
+                    f"duplicate transition for target coordinate {var!r}")
+            transitions[var] = rest
         elif head == "jacobian":
-            jacobian_text = (rest.strip(), line_no)
+            if jacobian is not None:
+                raise clause.error("duplicate jacobian clause")
+            jacobian = rest
         else:
-            raise ParseError(f"unknown [x] clause {clause!r}", line=line_no)
+            raise clause.error(f"unknown [x] clause {clause.text!r}")
     if names is None:
         raise ParseError("the [x] section needs a vars clause")
-    return names, num_charts, transition_texts, jacobian_text
+    for var, at in transitions.items():
+        if var not in names:
+            raise at.error(f"unknown target coordinate {var!r}")
+    exprs = {var: at.after(at.text.find("->") + 2) for var, at in transitions.items()}
+    return names, num_charts, exprs, jacobian
 
 
-_CHART_RE = re.compile(r"^chart([01])\s*:\s*(.*)$")
+_CHART_RE = re.compile(r"(gen\s+)?chart([01])\s*:\s*")
 
 
-def _parse_morphism(clause_list, x_names):
-    texts: List[Dict[str, Tuple[str, int]]] = [{}, {}]
+def _chart_payload(clause: _Clause, tag: str) -> Tuple[int, _Clause]:
+    """Chart and payload of 'chart0: ...' ('gen chart0: ...' in [sheaf])."""
+    match = _CHART_RE.match(clause.text)
+    if not match or bool(match.group(1)) != (tag == "sheaf"):
+        raise clause.error(f"unknown [{tag}] clause {clause.text!r}")
+    end = match.end()    # the pattern takes the blanks before the payload
+    return int(match.group(2)), _Clause(clause.text[end:], clause.line, clause.col + end)
+
+
+def _per_chart(clause_list: List[_Clause],
+               tag: str) -> Tuple[List[_Clause], List[_Clause]]:
+    """Payloads per chart: any number of generators, otherwise at most one."""
+    charts: Tuple[List[_Clause], List[_Clause]] = ([], [])
+    for clause in clause_list:
+        chart, payload = _chart_payload(clause, tag)
+        if tag != "sheaf" and charts[chart]:
+            raise clause.error(f"duplicate [{tag}] for chart{chart}")
+        charts[chart].append(payload)
+    return charts
+
+
+def _parse_morphism(clause_list: List[_Clause], x_names: Sequence[str]):
+    texts: List[Dict[str, _Clause]] = [{}, {}]
     non_immersive = False
-    for clause, line_no in clause_list:
-        if clause.strip() == "non-immersive":
+    for clause in clause_list:
+        if clause.text == "non-immersive":
             non_immersive = True
             continue
-        match = _CHART_RE.match(clause)
-        if not match:
-            raise ParseError(f"unknown [f] clause {clause!r}", line=line_no)
-        chart = int(match.group(1))
-        for assign in match.group(2).split(","):
-            if "=" not in assign:
-                raise ParseError("morphism clause needs 'coord = expr'",
-                                 line=line_no)
-            var, expr = assign.split("=", 1)
-            var = var.strip()
-            if var not in x_names:
-                raise ParseError(f"unknown target coordinate {var!r}", line=line_no)
-            texts[chart][var] = (expr.strip(), line_no)
+        chart, payload = _chart_payload(clause, "f")
+        for piece, offset in split_list(payload.text):
+            equals = piece.find("=")
+            if equals < 0:
+                raise payload.after(offset, offset + len(piece)).error(
+                    "morphism clause needs 'coord = expr'")
+            target = payload.after(offset, offset + equals)
+            if target.text not in x_names:
+                raise target.error(f"unknown target coordinate {target.text!r}")
+            if target.text in texts[chart]:
+                raise target.error(
+                    f"duplicate chart{chart} assignment to {target.text!r}")
+            texts[chart][target.text] = payload.after(offset + equals + 1,
+                                                      offset + len(piece))
     return texts, non_immersive
 
 
-_GEN_RE = re.compile(r"^gen\s+chart([01])\s*:\s*(.*)$")
-
-
-def _parse_gens(clause_list, x_names):
-    texts: List[List[Tuple[str, int]]] = [[], []]
-    for clause, line_no in clause_list:
-        match = _GEN_RE.match(clause)
-        if not match:
-            raise ParseError(f"unknown [sheaf] clause {clause!r}", line=line_no)
-        texts[int(match.group(1))].append((match.group(2), line_no))
-    return texts
-
-
-def _parse_per_chart(clause_list, what, optional=False):
-    texts: Dict[int, Tuple[str, int]] = {}
-    for clause, line_no in clause_list:
-        match = _CHART_RE.match(clause)
-        if not match:
-            raise ParseError(f"unknown [{what}] clause {clause!r}", line=line_no)
-        chart = int(match.group(1))
-        if chart in texts:
-            raise ParseError(f"duplicate [{what}] for chart{chart}", line=line_no)
-        texts[chart] = (match.group(2), line_no)
-    if not optional and not texts:
-        raise ParseError(f"the [{what}] section is required")
-    return texts
-
-
-def _parse_window(clause_list):
-    if not clause_list:
-        return (-8, 8)
+def _only(clause_list: List[_Clause], tag: str) -> Optional[_Clause]:
+    """The section's one clause, or None when the section is absent."""
     if len(clause_list) > 1:
-        raise ParseError("multiple [window] clauses")
-    clause, line_no = clause_list[0]
-    words = clause.split()
-    if len(words) != 2:
-        raise ParseError("window needs two integers", line=line_no)
-    lo, hi = (_integer(w, "window needs two integers", line_no) for w in words)
-    if lo > hi:
-        raise ParseError("window lower bound exceeds upper bound", line=line_no)
-    return (lo, hi)
+        raise ParseError(f"multiple [{tag}] clauses")
+    return clause_list[0] if clause_list else None
 
 
-def _parse_order(clause_list):
-    if not clause_list:
+def _parse_order(clause: Optional[_Clause]) -> int:
+    if clause is None:
         return 4
-    if len(clause_list) > 1:
-        raise ParseError("multiple [order] clauses")
-    clause, line_no = clause_list[0]
-    order = _integer(clause, "order needs an integer", line_no)
+    order = _integer(clause, "order needs an integer")
     if order < 1:
-        raise ParseError("order must be >= 1", line=line_no)
+        raise clause.error("order must be >= 1")
     return order

@@ -202,6 +202,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err == message
 
+    @pytest.mark.parametrize("argv,message", [
+        (["rank", "--vars", "x,y", "--gens", "x,0; 0,x^", "--point", "1,0"],
+         "parse error: expected an integer (line 1, column 10)\n"),
+        (["rank", "--vars", "x,y", "--gens", "x,0; 0,x; x", "--point", "1,0"],
+         "parse error: 1 components for 2 variables (line 1, column 10)\n"),
+        (["invariance", "--vars", "x,y", "--gens", "1,0; 0,x", "--combo", "1; y^",
+          "--point", "0,0"],
+         "parse error: expected an integer (line 1, column 6)\n"),
+    ], ids=["gens", "gens-arity", "combo"])
+    def test_list_error_column_counts_from_argument_start(self, capsys, argv,
+                                                          message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err == message
+
     @pytest.mark.parametrize("transition,det", [
         ("0", "0"),
         ("z^-1 + z", "z + z^-1"),

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetlift import lifting
 from jetlift.algebra import Poly, monomial_inverse
 from jetlift.cech import TargetAtlas, negate_exponents, uni, uni_x
-from jetlift.errors import (ClassificationError, LiftError, LiftObstructedError,
-                            PreconditionError)
+from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
+                            LiftObstructedError, PreconditionError)
 from jetlift.lifting import (defect_cochain, field_to_chart0, field_to_chart1,
                              initial_state, lift_step, lift_to_order,
                              local_jet_section, project_section,
@@ -217,6 +218,15 @@ class TestPerturbedFlagship:
         for f in result.state.fields:
             assert time_component_class(f) is TimeClass.CONSTANT_FLOW
 
+    def test_glue_check_catches_a_wrong_correction(self, monkeypatch):
+        # twice the correction leaves the chart-0 candidate off by the defect
+        state = initial_state(parse_scenario(PERTURBED))
+        extend = lifting._extend_to_field
+        monkeypatch.setattr(lifting, "_extend_to_field",
+                            lambda *args: extend(*args).scale(2))
+        with pytest.raises(InternalCheckError, match="nonzero defect"):
+            lift_step(state)
+
     def test_tower_property(self):
         full = lift_to_order(parse_scenario(PERTURBED), 4)
         for n in range(1, 4):
@@ -253,6 +263,21 @@ class TestEmbeddedScenario:
         # component along the curve factor
         assert jets_of(result, 0, 0) == (uni_x(1), Poly.zero(1), Poly.zero(1),
                                          Poly.zero(1))
+
+    def test_two_chart_target_keeps_its_transition(self):
+        # the graph of the flagship morphism: y -> 1/y joins x -> 1/x, and the
+        # x jets are those of the plain flagship
+        text = PERTURBED.replace("chart1: x = w", "chart1: x = w ; non-immersive")
+        scenario = parse_scenario(text)
+        y, x = Poly.variable(2, 0), Poly.variable(2, 1)
+        assert scenario.atlas.names == ("y", "x")
+        assert scenario.atlas.transition == (monomial_inverse(y),
+                                             monomial_inverse(x))
+        plain = lift_to_order(parse_scenario(PERTURBED), 4)
+        embedded = lift_to_order(scenario, 4)
+        for chart in (0, 1):
+            assert jets_of(embedded, chart, 1) == jets_of(plain, chart, 0)
+            assert jets_of(embedded, chart, 2) == jets_of(plain, chart, 1)
 
 
 class TestDefectCochain:

@@ -11,7 +11,7 @@ from jetlift.algebra import Poly
 from jetlift.cech import uni, uni_x
 from jetlift.errors import JetliftError, LiftError, ParseError
 from jetlift.parsing import (parse_field, parse_grid, parse_point, parse_poly,
-                             parse_rational)
+                             parse_rational, parse_window, split_list)
 from jetlift.scenario import parse_scenario
 from jetlift.vectorfields import VectorField
 
@@ -93,6 +93,24 @@ class TestFieldPointGrid:
         with pytest.raises(ParseError):
             parse_grid("x=-1:1:0", ["x"])
 
+    def test_split_list_keeps_offsets(self):
+        assert split_list("x,0; 0,x", ";") == [("x,0", 0), (" 0,x", 4)]
+        assert split_list("") == [("", 0)]
+
+    def test_field_positions_count_from_col_offset(self):
+        with pytest.raises(ParseError) as err:
+            parse_field("0, x^", ["x", "y"], col_offset=10)
+        assert err.value.column == 16
+
+    def test_window(self):
+        assert parse_window(" -4  40 ") == (-4, 40)
+        with pytest.raises(ParseError, match="window needs two integers"):
+            parse_window("4", line=3)
+        with pytest.raises(ParseError) as err:
+            parse_window("4 -4", line=3, col_offset=11)
+        assert str(err.value) == ("window lower bound exceeds upper bound "
+                                  "(line 3, column 12)")
+
 
 GOOD = """
 # a comment line
@@ -152,25 +170,68 @@ class TestScenarioParsing:
         with pytest.raises(ParseError):
             parse_scenario(GOOD.replace("transition w = 1/z", "transition w = z"))
 
+    def test_polynomial_error_counts_from_line_start(self):
+        # line 7 of flagship.scn is the [sheaf] line; '^' ends at column 42
+        lines = FLAGSHIP.splitlines()
+        assert lines[6].startswith("[sheaf]")
+        lines[6] = lines[6].replace("gen chart1: -x", "gen chart1: -x^")
+        with pytest.raises(ParseError) as err:
+            parse_scenario("\n".join(lines))
+        assert (err.value.line, err.value.column) == (7, 43)
+        assert str(err.value).startswith("expected an integer")
 
-PERTURBED = (Path(__file__).resolve().parent.parent / "scenarios"
-             / "flagship_perturbed.scn").read_text(encoding="utf-8")
+    @pytest.mark.parametrize("old,new,message,column", [
+        ("chart0: x = z ;", "chart0: x = 7*z ; chart0: x = z ;",
+         "duplicate chart0 assignment to 'x'", 38),
+        ("transition x -> 1/x ; jacobian -x^-2",
+         "transition x -> 5/x ; transition x -> 1/x",
+         "duplicate transition for target coordinate 'x'", 65),
+        ("jacobian -x^-2", "transition q -> 1/q",
+         "unknown target coordinate 'q'", 65),
+        ("jacobian -x^-2", "jacobian -x^-2 ; jacobian -x^-2",
+         "duplicate jacobian clause", 71),
+    ], ids=["assignment", "transition", "undeclared-transition", "jacobian"])
+    def test_repeated_or_undeclared_clause_rejected(self, old, new, message,
+                                                    column):
+        text = GOOD.replace(old, new)
+        assert text != GOOD
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if new in row)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FLAGSHIP = (SCENARIOS / "flagship.scn").read_text(encoding="utf-8")
+PERTURBED = (SCENARIOS / "flagship_perturbed.scn").read_text(encoding="utf-8")
+# the one-chart, non-immersive scenario: parsed through the graph embedding
+EMBEDDED = (SCENARIOS / "graph_embedded.scn").read_text(encoding="utf-8")
 
 
 @st.composite
-def one_character_mutations(draw):
-    """flagship_perturbed.scn with one character replaced, inserted or deleted."""
+def one_character_mutations(draw, base=PERTURBED):
+    """`base` with one character replaced, inserted or deleted."""
     op = draw(st.sampled_from(["replace", "insert", "delete"]))
-    i = draw(st.integers(min_value=0, max_value=len(PERTURBED) - 1))
+    i = draw(st.integers(min_value=0, max_value=len(base) - 1))
     ch = draw(st.sampled_from("0123456789 -+*/^;:,=[]()#\nxyzwt_.>"))
     if op == "delete":
-        return PERTURBED[:i] + PERTURBED[i + 1:]
-    return PERTURBED[:i] + ch + PERTURBED[i + (op == "replace"):]
+        return base[:i] + base[i + 1:]
+    return base[:i] + ch + base[i + (op == "replace"):]
 
 
 @settings(max_examples=300, deadline=None)
 @given(one_character_mutations())
 def test_scenario_mutations_raise_only_engine_errors(text):
+    try:
+        parse_scenario(text)
+    except JetliftError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_character_mutations(EMBEDDED))
+def test_embedded_scenario_mutations_raise_only_engine_errors(text):
     try:
         parse_scenario(text)
     except JetliftError:
