@@ -297,14 +297,21 @@ class Poly:
         for v in values:
             if v.num_vars != out_vars:
                 raise DimensionError("substitution values disagree on variable count")
-        inverses: dict = {}
+        powers: dict = {}
 
         def power(k: int, e: int) -> "Poly":
-            if e >= 0:
-                return values[k] ** e
-            if k not in inverses:
-                inverses[k] = monomial_inverse(values[k])
-            return inverses[k] ** (-e)
+            if e == 1:
+                return values[k]
+            p = powers.get((k, e))
+            if p is None:
+                if e >= 0:
+                    p = values[k] ** e
+                elif e == -1:
+                    p = monomial_inverse(values[k])
+                else:
+                    p = power(k, -1) ** (-e)
+                powers[k, e] = p
+            return p
 
         acc = Poly.zero(out_vars)
         for e, c in self.terms.items():

@@ -25,7 +25,12 @@ other.
 The defect machinery compares flows of two fields whose n-jets agree.  The first
 disagreement is a tangent vector equal to an iterated Lie bracket.  `verify_dj`
 computes it three independent ways: from the Picard oracle, from the truncated
-engine, and from the bracket.
+engine, and from the bracket.  The bracket is read at the point only: both
+fields are moved there by `Poly.substitute` of x + point, not by the binomial
+recentring of `flow_jet`, and `vectorfields.iterated_bracket` graded by total
+degree keeps only the terms that can reach the constant term.  That truncation
+is the bracket's own code, on its own integer scaling, so no part of the
+bracket check is shared with the Picard oracle or the jet engine.
 """
 
 from __future__ import annotations
@@ -254,7 +259,12 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     (a) jet difference: the order-(n+1) Picard series of both fields, read as
     jets and subtracted.  (b) derivation powers: ((D2^{n+1} - D1^{n+1}) x_k) at
     the point, the top rows of the truncated jets.  (c) the iterated bracket
-    [d1, d2]^(n+1) at the point.  The three share no jet code.
+    [d1, d2]^(n+1) at the point: both fields are moved to the point by
+    `Poly.substitute` of x + point, and `iterated_bracket` with every weight 1
+    builds only the terms that can reach the constant term, which is read off.
+    (c) neither calls `derivation_powers` nor `_recentre`, and its truncation
+    and integer scaling are the bracket's own, so a fault in the jet engine or
+    in the Picard oracle cannot hide in it.  The three share no jet code.
     """
     if order < 1:
         raise OrderError("defects need order >= 1")
@@ -269,7 +279,13 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     a = jet_difference(jet_from_series(flow_series_picard(d2, pt, order + 1)),
                        jet_from_series(flow_series_picard(d1, pt, order + 1))).vec
     b = tuple(x2 - x1 for x1, x2 in zip(j1.coords[-1], j2.coords[-1]))
-    c = iterated_bracket(d1, d2, order + 1).value_at(pt)
+    m = len(pt)
+    if any(pt):
+        shift = [Poly.variable(m, k) + Poly.constant(m, p) for k, p in enumerate(pt)]
+        d1, d2 = (VectorField([comp.substitute(shift) for comp in d.components])
+                  for d in (d1, d2))
+    bracket = iterated_bracket(d1, d2, order + 1, (1,) * m)
+    c = tuple(comp.constant_term() for comp in bracket.components)
     return DefectReport(order, pt, a, b, c)
 
 

@@ -3,8 +3,9 @@
 State at order n holds, per chart, a constant-flow witness field and the jet section
 it induces along the curve.  One step computes the order-(n+1) candidates, measures
 their overlap defect as an affine jet difference (cross-checked against the iterated
-Lie bracket of the witness fields), splits the defect cochain, extends each chart's
-correction to a vector field, and replaces D with D - (t^n/n!) E.  After the
+Lie bracket of the witness fields, built graded by t alone so that only the terms
+that reach t^0 on the curve are formed), splits the defect cochain, extends each
+chart's correction to a vector field, and replaces D with D - (t^n/n!) E.  After the
 replacement the corrected candidates must glue exactly and project onto the previous
 section; both facts are recomputed, not assumed.
 
@@ -241,11 +242,16 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
 
 def _bracket_orientation(sheaf: PresentedSheaf, fields: Sequence[VectorField],
                          tangent: Sequence[Poly], order: int) -> str:
-    """Compare the measured defect with the iterated bracket of the witnesses."""
+    """Compare the measured defect with the iterated bracket of the witnesses.
+
+    The curve lies at t = 0, so only the t^0 terms of the bracket are read: it
+    is built graded by t alone, and a term that cannot reach t^0 is never
+    formed (see `iterated_bracket`).
+    """
     atlas = sheaf.atlas
     d0 = fields[0]
     d1 = field_to_chart0(atlas, fields[1])
-    bracket = iterated_bracket(d0, d1, order)
+    bracket = iterated_bracket(d0, d1, order, (0,) * atlas.num_coords + (1,))
     f0 = sheaf.morphism.components(0)
     values = [evaluate_along_curve(c, f0) for c in bracket.components[:-1]]
     if all(p.is_zero() for p in tangent) and all(v.is_zero() for v in values):
@@ -450,7 +456,7 @@ def _validate_sigma(scenario: LiftScenario):
 def _validate_perturbation(field: VectorField):
     for c in field.components:
         for exps in c.terms:
-            if exps[-1] == 0:
+            if exps[-1] <= 0:
                 raise LiftError(
                     "perturbations must vanish at t = 0 (every term needs a "
                     "time factor)")

@@ -1,15 +1,18 @@
-"""Parsers for polynomial, field, point, window, and grid literals.
+"""Parsers for polynomial, field, point, integer, window, and grid literals.
 
 Grammar for polynomials: terms separated by + or -, each term an optional rational
-coefficient (p or p/q), an optional '*', and variable powers (name, or name^k);
-whitespace is insignificant.  Negative exponents are accepted only when the caller
-allows Laurent input.  `split_list` splits lists and keeps each piece's offset, so
-errors carry the 1-based line/column of the offending token in the whole text
-(shifted by `col_offset` when that text is part of a longer line).
+coefficient (p or p/q) and variable powers (name, or name^k), with an optional '*'
+between two of these factors; whitespace is insignificant.  Digits are ASCII
+only, and an integer literal is ASCII digits with an optional leading '-'.
+Negative exponents are accepted only when the caller allows Laurent input.
+`split_list` splits lists and keeps each piece's offset, so errors carry the
+1-based line/column of the offending token in the whole text (shifted by
+`col_offset` when that text is part of a longer line).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,7 +21,14 @@ from .errors import ParseError
 from .vectorfields import VectorField
 
 __all__ = ["split_list", "parse_names", "parse_poly", "parse_field", "parse_point",
-           "parse_rational", "parse_window", "parse_grid"]
+           "parse_rational", "parse_integer", "parse_window", "parse_grid"]
+
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _is_digit(c: str) -> bool:
+    """An ASCII digit; int() and str.isdecimal() also take other scripts' digits."""
+    return "0" <= c <= "9"
 
 
 class _Scanner:
@@ -54,7 +64,7 @@ class _Scanner:
         if allow_sign and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer", start)
@@ -79,13 +89,14 @@ def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
     coeff = Fraction(sign)
     have_coeff = False
     pending_div = False
-    if sc.peek().isdecimal():
+    after_star = False
+    if _is_digit(sc.peek()):
         num = sc.read_int()
         coeff = Fraction(sign * num)
         have_coeff = True
         if sc.peek() == "/":
             sc.take()
-            if sc.peek().isdecimal():
+            if _is_digit(sc.peek()):
                 den_pos = sc.pos
                 den = sc.read_int()
                 if den == 0:
@@ -98,11 +109,16 @@ def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
     while True:
         c = sc.peek()
         if c == "*" and not pending_div:
+            if after_star or not (have_coeff or saw_factor):
+                raise sc.error("unexpected '*'")
             sc.take()
+            after_star = True
             c = sc.peek()
             if c == "":
                 raise sc.error("dangling '*'")
             continue
+        if c == "/" and after_star:
+            raise sc.error("unexpected '/'")
         if c == "/" and not pending_div and (have_coeff or saw_factor):
             sc.take()
             pending_div = True
@@ -130,6 +146,7 @@ def _parse_term(sc: _Scanner, names: Sequence[str], allow_laurent: bool,
             raise sc.error("negative exponents need Laurent input", exp_pos)
         exponents[k] += power
         saw_factor = True
+        after_star = False
     if not have_coeff and not saw_factor:
         raise sc.error("expected a term")
     return tuple(exponents), coeff
@@ -221,12 +238,23 @@ def parse_rational(text: str, line: int = 1, col_offset: int = 0) -> Fraction:
     return Fraction(sign * num, den)
 
 
+def parse_integer(text: str, message: str, line: int = 1, col_offset: int = 0) -> int:
+    """Integer literal: ASCII digits with an optional leading '-', nothing else.
+
+    `message` is the error for any other text.
+    """
+    if not _INTEGER_RE.fullmatch(text):
+        raise ParseError(message, line, col_offset + 1)
+    return int(text)
+
+
 def parse_window(text: str, line: int = 1, col_offset: int = 0) -> Tuple[int, int]:
     """Degree window literal 'lo hi': two integers with lo <= hi."""
-    try:
-        lo, hi = (int(word) for word in text.split())
-    except ValueError:
-        raise ParseError("window needs two integers", line, col_offset + 1) from None
+    words = text.split()
+    if len(words) != 2:
+        raise ParseError("window needs two integers", line, col_offset + 1)
+    lo, hi = (parse_integer(word, "window needs two integers", line, col_offset)
+              for word in words)
     if lo > hi:
         raise ParseError("window lower bound exceeds upper bound", line, col_offset + 1)
     return lo, hi

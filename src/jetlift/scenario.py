@@ -5,9 +5,9 @@ Sections are tagged lines; '#' starts a comment; clauses on a line are separated
 generator coefficients, optional per-chart perturbations written in chart-0 target
 coordinates plus time.  A `non-immersive` clause on the [f] line requests the graph
 embedding (`vectorfields.graph_embed`), which prepends the curve parameter as an
-extra target coordinate.  A repeated transition, jacobian or assignment, and a
-transition for an undeclared coordinate, are errors; positions count from the
-start of the line.
+extra target coordinate.  A repeated vars, charts, transition, jacobian or
+assignment, and a transition for an undeclared coordinate, are errors; positions
+count from the start of the line.
 
     [y]        charts z w ; transition w = 1/z
     [x]        vars x ; charts 2 ; transition x -> 1/x ; jacobian -x^-2
@@ -28,7 +28,8 @@ from .algebra import Poly, monomial_inverse
 from .cech import CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas
 from .errors import LiftError, ParseError
 from .lifting import LiftScenario
-from .parsing import parse_names, parse_poly, parse_window, split_list
+from .parsing import (parse_integer, parse_names, parse_poly, parse_window,
+                      split_list)
 from .vectorfields import VectorField, graph_embed
 
 __all__ = ["parse_scenario", "parse_scenario_file"]
@@ -197,6 +198,8 @@ def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
     for clause in clause_list:
         words = clause.text.split()
         if words[0] == "charts":
+            if saw_charts:
+                raise clause.error("duplicate charts clause")
             if len(words) != 3:
                 raise clause.error("charts clause needs two parameter names")
             z_name, w_name = words[1], words[2]
@@ -212,25 +215,24 @@ def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
     return z_name, w_name
 
 
-def _integer(clause: _Clause, message: str) -> int:
-    try:
-        return int(clause.text)
-    except ValueError:
-        raise clause.error(message) from None
-
-
 def _parse_target(clause_list: List[_Clause]):
     names: Optional[Tuple[str, ...]] = None
     num_charts = 1
     transitions: Dict[str, _Clause] = {}    # 'x -> expr', at the column of x
     jacobian: Optional[_Clause] = None
+    seen = set()    # heads that may appear once
     for clause in clause_list:
         head = clause.text.split(None, 1)[0]
         rest = clause.after(len(head))
+        if head in ("vars", "charts", "jacobian"):
+            if head in seen:
+                raise clause.error(f"duplicate {head} clause")
+            seen.add(head)
         if head == "vars":
             names = parse_names(rest.text, clause.line, clause.col)
         elif head == "charts":
-            num_charts = _integer(rest, "charts must be 1 or 2")
+            num_charts = parse_integer(rest.text, "charts must be 1 or 2", rest.line,
+                                       rest.col)
             if num_charts not in (1, 2):
                 raise rest.error("charts must be 1 or 2")
         elif head == "transition":
@@ -243,8 +245,6 @@ def _parse_target(clause_list: List[_Clause]):
                     f"duplicate transition for target coordinate {var!r}")
             transitions[var] = rest
         elif head == "jacobian":
-            if jacobian is not None:
-                raise clause.error("duplicate jacobian clause")
             jacobian = rest
         else:
             raise clause.error(f"unknown [x] clause {clause.text!r}")
@@ -315,7 +315,8 @@ def _only(clause_list: List[_Clause], tag: str) -> Optional[_Clause]:
 def _parse_order(clause: Optional[_Clause]) -> int:
     if clause is None:
         return 4
-    order = _integer(clause, "order needs an integer")
+    order = parse_integer(clause.text, "order needs an integer", clause.line,
+                          clause.col)
     if order < 1:
         raise clause.error("order must be >= 1")
     return order

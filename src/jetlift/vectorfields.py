@@ -14,7 +14,7 @@ import enum
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import _kernel_py
 from ._backend import kernel as _k
@@ -215,15 +215,91 @@ def lie_bracket(d1: VectorField, d2: VectorField) -> VectorField:
     ])
 
 
-def iterated_bracket(d1: VectorField, d2: VectorField, n: int) -> VectorField:
-    """[D1, D2]^(n): the base case n=2 is the plain bracket, then [D1, . ] repeatedly."""
+def iterated_bracket(d1: VectorField, d2: VectorField, n: int,
+                     weights: Optional[Sequence[int]] = None) -> VectorField:
+    """[D1, D2]^(n): the base case n=2 is the plain bracket, then [D1, . ] repeatedly.
+
+    Without `weights` the result is the whole bracket.  With `weights`, read as
+    in `derivation_powers` (x^e has weighted degree sum_k weights[k] * e_k, each
+    weight is 0 or 1, weighted exponents are non-negative), only the
+    weighted-degree-0 part of the result is exact.  Level 1 is D2 and level j is
+    [D1, level j-1].  A term of degree g of a field's component i times d/dx_i
+    of a degree-d term has degree g + d - weights[i], at least g - 1 and at
+    least d - 1, so a bracket lowers weighted degree by at most 1: of level j
+    only the terms of degree <= n - j can reach degree 0 at level n, and of D1
+    and D2 only those of degree <= n - 1.  Level j keeps exactly those terms,
+    and the products that would exceed its cap are never formed.  With every
+    weight 0 every term has degree 0 and nothing is dropped, which is the
+    unweighted case.
+
+    The loop runs on Python ints.  With L1 and L2 the lcms of the coefficient
+    denominators of the cut D1 and D2, level j is built from L1*D1 and L2*D2,
+    which gives L1^(j-1) * L2 times the bracket, and the result is divided once.
+    The compiled kernel takes Fractions only, so the loop calls the pure kernel
+    `_kernel_py` whichever kernel `_backend` selected.  The bracket shares no
+    code with `derivation_powers`, so it can certify the jet engine.
+    """
     if n < 2:
         raise OrderError(f"iterated bracket needs n >= 2, got {n}")
     check_limit("iterated bracket n", n, "MAX_ORDER", MAX_ORDER)
-    result = lie_bracket(d1, d2)
-    for _ in range(n - 2):
-        result = lie_bracket(d1, result)
-    return result
+    if d1.num_vars != d2.num_vars:
+        raise DimensionError("fields have different variable counts")
+    m = d1.num_vars
+    weights = tuple(weights) if weights is not None else (0,) * m
+    if len(weights) != m or any(w not in (0, 1) for w in weights):
+        raise ValueError(f"bracket weights must be {m} values of 0 or 1, got {weights}")
+    graded = [k for k, w in enumerate(weights) if w]
+    if len(graded) == m:
+        grade = sum
+    elif len(graded) == 1:
+        grade = itemgetter(graded[0])
+    else:
+        grade = lambda e: sum([e[k] for k in graded])  # noqa: E731
+
+    def scaled(field):
+        comps = [{e: c for e, c in comp.terms.items() if grade(e) < n}
+                 for comp in field.components]
+        big = lcm(*(c.denominator for comp in comps for c in comp.values()))
+        return big, [{e: c.numerator * (big // c.denominator) for e, c in comp.items()}
+                     for comp in comps]
+
+    def cutter(field):
+        # cut(c)[i]: component i of `field` cut to weighted degree <= c + weights[i]
+        graded_terms = [[(grade(e), e, c) for e, c in comp.items()] for comp in field]
+        cache: dict = {}
+
+        def cut(c):
+            if c not in cache:
+                cache[c] = [{e: v for g, e, v in comp if g <= c + w}
+                            for comp, w in zip(graded_terms, weights)]
+            return cache[c]
+        return cut
+
+    def capped_derive(cut, terms, cap):
+        # sum_i F_i * d(terms)/dx_i cut to weighted degree <= cap: the degree-d
+        # part of `terms` meets F cut at cap - d, and no product above cap is formed
+        parts: dict = {}
+        for e, c in terms.items():
+            parts.setdefault(grade(e), {})[e] = c
+        out: dict = {}
+        for d, part in parts.items():
+            part = _kernel_py.derive_terms(cut(cap - d), part)
+            if part:
+                out = _kernel_py.add_terms(out, part) if out else part
+        return out
+
+    l1, a = scaled(d1)
+    l2, row = scaled(d2)
+    cut_a = cutter(a)
+    for j in range(2, n + 1):
+        cap = n - j
+        cut_row = cutter(row)
+        row = [_kernel_py.add_terms(capped_derive(cut_a, r_k, cap),
+                                    _kernel_py.neg_terms(capped_derive(cut_row, a_k, cap)))
+               for r_k, a_k in zip(row, a)]
+    denominator = l1 ** (n - 1) * l2
+    return VectorField([Poly._raw(m, {e: Fraction(c, denominator) for e, c in comp.items()})
+                        for comp in row])
 
 
 def time_component_class(field: VectorField) -> TimeClass:

@@ -196,7 +196,13 @@ class TestCommands:
          "error: degree bound must be >= 0\n"),
         (["bracket", "--vars", "x,x", "--f1", "x,x", "--f2", "1,0"],
          "parse error: duplicate variable name 'x' in --vars (line 1, column 1)\n"),
-    ], ids=["negative-degree", "duplicate-vars"])
+        (["strata", "--vars", "x,y", "--gens", "x,0; 0,*x", "--grid",
+          "x=0:1:1,y=0:1:1"],
+         "parse error: unexpected '*' (line 1, column 8)\n"),
+        (["cohomology", "--transition", "z^-2", "--nu", "z^-1", "--window",
+          "1_0 20"],
+         "parse error: window needs two integers (line 1, column 1)\n"),
+    ], ids=["negative-degree", "duplicate-vars", "stray-star", "window-underscore"])
     def test_rejected_input_exit_code(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()
@@ -235,7 +241,7 @@ class TestCommands:
         import jetlift.flows as flows
         from jetlift.vectorfields import VectorField
         monkeypatch.setattr(flows, "iterated_bracket",
-                            lambda d1, d2, n: VectorField.coordinate(2, 0))
+                            lambda d1, d2, n, weights: VectorField.coordinate(2, 0))
         code = main(["defect", "--vars", "x,y", "--f1", "1,0", "--f2", "1,x",
                      "--point", "0,0", "--n", "1"])
         captured = capsys.readouterr()

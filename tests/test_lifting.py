@@ -419,3 +419,11 @@ class TestScenarioValidation:
         bad = PERTURBED.replace("t * x^2", "x^2")
         with pytest.raises(LiftError):
             lift_to_order(parse_scenario(bad), 2)
+
+    @pytest.mark.parametrize("term", ["t^-1 * x^2", "t * x^2 + t^-2"])
+    def test_perturbation_rejects_negative_time_powers(self, term):
+        # a t^-k term does not vanish at t = 0, and the jet engine and the
+        # bracket, both graded by t, read t-exponents as non-negative
+        bad = PERTURBED.replace("t * x^2", term)
+        with pytest.raises(LiftError, match="perturbations must vanish at t = 0"):
+            lift_to_order(parse_scenario(bad), 2)

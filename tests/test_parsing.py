@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from jetlift.algebra import Poly
 from jetlift.cech import uni, uni_x
 from jetlift.errors import JetliftError, LiftError, ParseError
-from jetlift.parsing import (parse_field, parse_grid, parse_point, parse_poly,
-                             parse_rational, parse_window, split_list)
+from jetlift.parsing import (parse_field, parse_grid, parse_integer, parse_point,
+                             parse_poly, parse_rational, parse_window, split_list)
 from jetlift.scenario import parse_scenario
 from jetlift.vectorfields import VectorField
 
@@ -57,6 +57,25 @@ class TestPolyGrammar:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_poly("1/0", ["x"])
+
+    @pytest.mark.parametrize("text,message,column", [
+        ("*x", "unexpected '*'", 1),
+        ("2**x", "unexpected '*'", 3),
+        ("x**2", "unexpected '*'", 3),
+        ("x + * y", "unexpected '*'", 5),
+        ("2*/x", "unexpected '/'", 3),
+        ("\u0663x", "expected a term", 1),
+        ("x^\u0663", "expected an integer", 3),
+    ], ids=["leading-star", "doubled-star", "star-power", "star-after-sign",
+            "star-slash", "arabic-indic-coefficient", "arabic-indic-exponent"])
+    def test_stray_star_and_non_ascii_digits_rejected(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ["x", "y"], allow_laurent=True)
+        assert str(err.value) == f"{message} (line 1, column {column})"
+
+    def test_star_between_factors_still_accepted(self):
+        assert parse_poly("2*x*y", ["x", "y"]) == parse_poly("2 x y", ["x", "y"])
+        assert parse_poly("1/2*x", ["x"]) == Poly(1, {(1,): Fraction(1, 2)})
 
 
 class TestFieldPointGrid:
@@ -110,6 +129,20 @@ class TestFieldPointGrid:
             parse_window("4 -4", line=3, col_offset=11)
         assert str(err.value) == ("window lower bound exceeds upper bound "
                                   "(line 3, column 12)")
+
+    @pytest.mark.parametrize("text", ["1_0 2_0", "+1 3", "1 \u0663", "1 2 3", "1 2.0"],
+                             ids=["underscore", "plus", "arabic-indic", "three",
+                                  "decimal"])
+    def test_window_accepts_ascii_integers_only(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_window(text, line=2, col_offset=4)
+        assert str(err.value) == "window needs two integers (line 2, column 5)"
+
+    def test_integer(self):
+        assert parse_integer("-12", "bad") == -12 and parse_integer("007", "bad") == 7
+        for text in ("", "-", "+3", "1_0", "\u0663", " 3", "3 ", "--3"):
+            with pytest.raises(ParseError, match="^bad"):
+                parse_integer(text, "bad")
 
 
 GOOD = """
@@ -190,7 +223,18 @@ class TestScenarioParsing:
          "unknown target coordinate 'q'", 65),
         ("jacobian -x^-2", "jacobian -x^-2 ; jacobian -x^-2",
          "duplicate jacobian clause", 71),
-    ], ids=["assignment", "transition", "undeclared-transition", "jacobian"])
+        ("vars x ;", "vars q ; vars x ;", "duplicate vars clause", 21),
+        ("charts 2 ;", "charts 1 ; charts 2 ;", "duplicate charts clause", 32),
+        ("charts z w ;", "charts z w ; charts z w ;", "duplicate charts clause", 25),
+        ("charts 2 ;", "charts +2 ;", "charts must be 1 or 2", 28),
+        ("charts 2 ;", "charts \u0662 ;", "charts must be 1 or 2", 28),
+        ("[order]    4", "[order]    +4", "order needs an integer", 12),
+        ("[order]    4", "[order]    1_0", "order needs an integer", 12),
+        ("[order]    4", "[order]    \u0664", "order needs an integer", 12),
+        ("[window]   -8 8", "[window]   -8 +8", "window needs two integers", 12),
+    ], ids=["assignment", "transition", "undeclared-transition", "jacobian",
+            "vars", "x-charts", "y-charts", "charts-plus", "charts-arabic-indic",
+            "order-plus", "order-underscore", "order-arabic-indic", "window-plus"])
     def test_repeated_or_undeclared_clause_rejected(self, old, new, message,
                                                     column):
         text = GOOD.replace(old, new)

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlift.algebra import Poly
+from jetlift.cech import evaluate_along_curve
 from jetlift.errors import ClassificationError, DimensionError
 from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
                                   derivation_powers, extend_constant_flow, graph_embed,
                                   iterated_bracket, lie_bracket,
                                   time_component_class)
 
-from strategies import exponent_tuples, polys, vector_fields
+from strategies import exponent_tuples, fractions, points, polys, vector_fields
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -73,6 +74,12 @@ class TestBracket:
     def test_n_below_two(self):
         with pytest.raises(ValueError):
             iterated_bracket(D_X, X_DY, 1)
+
+    @pytest.mark.parametrize("weights", [(1,), (1, 2), (1, -1)],
+                             ids=["short", "two", "negative"])
+    def test_bracket_weights_are_zero_or_one_per_variable(self, weights):
+        with pytest.raises(ValueError, match="bracket weights must be 2 values of 0 or 1"):
+            iterated_bracket(D_X, X_DY, 2, weights)
 
 
 @settings(max_examples=40)
@@ -139,6 +146,58 @@ def test_derivation_powers_are_weighted_truncations(case):
                                 if sum(w * x for w, x in zip(weights, e)) <= cap})
                        for p in full]
         full = [apply_derivation(d, p) for p in full]
+
+
+def _repeated_bracket(d1, d2, n):
+    result = lie_bracket(d1, d2)
+    for _ in range(n - 2):
+        result = lie_bracket(d1, result)
+    return result
+
+
+@st.composite
+def bracket_at_point_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    fields = vector_fields(m, max_degree=4 - m, max_terms=3)
+    return (draw(fields), draw(fields), draw(points(m)),
+            draw(st.integers(min_value=2, max_value=5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_at_point_cases())
+def test_weighted_bracket_at_the_point(case):
+    # graded by total degree around the point, the truncated bracket keeps
+    # exactly the constant terms: the bracket's value at the point
+    d1, d2, pt, n = case
+    m = d1.num_vars
+    full = iterated_bracket(d1, d2, n)
+    assert full == _repeated_bracket(d1, d2, n)
+    shift = [Poly.variable(m, k) + p for k, p in enumerate(pt)]
+    moved = [VectorField([c.substitute(shift) for c in d.components]) for d in (d1, d2)]
+    truncated = iterated_bracket(*moved, n, (1,) * m)
+    assert tuple(c.constant_term() for c in truncated.components) == full.value_at(pt)
+
+
+def _constant_flow_fields():
+    """Constant-flow fields on (x, t): Laurent in x, polynomial in t."""
+    exponents = st.tuples(st.integers(min_value=-3, max_value=3),
+                          st.integers(min_value=0, max_value=3))
+    space = st.dictionaries(exponents, fractions(), max_size=3)
+    return space.map(lambda terms: VectorField([Poly(2, terms, laurent=True),
+                                                Poly.one(2)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constant_flow_fields(), _constant_flow_fields(),
+       st.integers(min_value=2, max_value=5))
+def test_time_weighted_bracket_along_the_curve(d1, d2, n):
+    # along x = z at t = 0 only the t^0 terms are read
+    curve = [Poly.variable(1, 0)]
+    full = _repeated_bracket(d1, d2, n)
+    truncated = iterated_bracket(d1, d2, n, (0, 1))
+    assert truncated.components[1].is_zero()
+    assert evaluate_along_curve(truncated.components[0], curve) == \
+        evaluate_along_curve(full.components[0], curve)
 
 
 class TestTimeClassification:
