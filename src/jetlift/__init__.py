@@ -26,7 +26,7 @@ from .jets import (Jet, TangentVector, jet_difference, jet_from_series,
 from .lifting import (LiftResult, LiftScenario, LiftState, defect_cochain,
                       lift_step, lift_to_order, local_jet_section)
 from .scenario import parse_scenario, parse_scenario_file
-from .vectorfields import (TimeClass, TimeField, VectorField, apply_derivation,
+from .vectorfields import (TimeClass, VectorField, apply_derivation,
                            extend_constant_flow, graph_embed, iterated_bracket,
                            lie_bracket, time_component_class)
 
@@ -37,7 +37,7 @@ __all__ = [
     "Poly", "TruncSeries",
     "Jet", "TangentVector", "jet_project", "jet_difference", "jet_translate",
     "jet_to_series", "jet_from_series",
-    "VectorField", "TimeField", "TimeClass", "apply_derivation", "lie_bracket",
+    "VectorField", "TimeClass", "apply_derivation", "lie_bracket",
     "iterated_bracket", "extend_constant_flow", "time_component_class",
     "graph_embed",
     "flow_jet", "flow_series_picard", "jet_defect", "verify_dj", "DefectReport",

@@ -5,19 +5,22 @@ w = 1/z; with only two charts there are no triple overlaps, so antisymmetry is t
 whole cocycle condition, and first cohomology is the cokernel of an exact linear map
 between finite Laurent windows.  Sections of the presented sheaf are recorded as
 generator-coefficient vectors; crossing the overlap substitutes the parameter and
-multiplies by a transition matrix T.  T solves for the chart-1 generators, pushed
-along the curve by the one Jacobian entry per row of the monomial target
-transition (`TargetAtlas.reading`), as chart-0 generator combinations.
+multiplies by a transition matrix T.  Every crossing of the target overlap lives
+here, on the atlas's one reading of each component as c * x_j^(+-1): a field is
+pushed by one Jacobian entry per row, and a jet section's series of coordinate j
+is scaled by c, after one `series_inverse` when the exponent is -1.  T writes the
+pushed chart-1 generators, read along the curve, in the chart-0 generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Poly, poly_det
+from .algebra import Poly, monomial_inverse, poly_det, series_inverse
 from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
 from .limits import MAX_WINDOW_SPAN, check_limit
 from .vectorfields import VectorField
@@ -30,6 +33,9 @@ __all__ = [
     "Cochain0",
     "Cochain1",
     "Obstruction",
+    "field_to_chart0",
+    "field_to_chart1",
+    "transition_jet_section",
     "restrict_section",
     "solve_section_coordinates",
     "coboundary",
@@ -143,14 +149,6 @@ class TargetAtlas:
     def num_coords(self) -> int:
         return len(self.names)
 
-    def jacobian(self) -> List[List[Poly]]:
-        """J[k][j] = d(transition_k)/d(chart-1 coordinate j)."""
-        if self.transition is None:
-            raise LiftError("one-chart target has no transition Jacobian")
-        q = self.num_coords
-        return [[self.transition[k].partial(j) for j in range(q)]
-                for k in range(q)]
-
 
 def _read_monomial_map(transition: Sequence[Poly]):
     """Read x0 = G(x1), each G_k = c * x1_j^(+-1) with distinct j: G^-1, readings."""
@@ -214,6 +212,72 @@ class MorphismData:
             raise LiftError("morphism charts disagree on the overlap (chart0 -> chart1)")
 
 
+# -- crossing the target overlap ---------------------------------------------------
+
+# a jet section along one chart: [coordinate][order] -> Laurent polynomial in the
+# chart parameter; coordinates run over the target space coordinates, then time
+JetSection = Tuple[Tuple[Poly, ...], ...]
+
+
+def field_to_chart0(atlas: TargetAtlas, field: VectorField) -> VectorField:
+    """Push a chart-1 field (space coords + time) into chart-0 coordinates."""
+    return _push_field(atlas, field, 0)
+
+
+def field_to_chart1(atlas: TargetAtlas, field: VectorField) -> VectorField:
+    """Push a chart-0 field (space coords + time) into chart-1 coordinates."""
+    return _push_field(atlas, field, 1)
+
+
+def _push_field(atlas: TargetAtlas, field: VectorField, chart: int) -> VectorField:
+    """Push a field into `chart` along x' = forward(x), whose inverse is back.
+
+    forward_k = c * x_j^(+-1), so component k is d(forward_k)/dx_j * F_j, read
+    at x = back(x'); time is untouched.
+    """
+    if atlas.transition is None:
+        return field
+    q = atlas.num_coords
+    forward, back = atlas.transition, atlas.inverse
+    if chart == 1:
+        forward, back = back, forward
+    comps = [g.partial(m.source).reindex(q + 1, range(q))
+             * field.components[m.source]
+             for g, m in zip(forward, atlas.reading[chart])]
+    comps.append(field.components[q])
+    values = [p.reindex(q + 1, range(q)) for p in back]
+    values.append(Poly.variable(q + 1, q))
+    return VectorField([c.substitute(values) for c in comps])
+
+
+def transition_jet_section(atlas: TargetAtlas, section: JetSection,
+                           order: int) -> JetSection:
+    """Re-express a chart-1 jet section in chart-0 data on the overlap.
+
+    Substitutes w = 1/z in all coefficients; chart-0 coordinate k is then the
+    series of chart-1 coordinate j scaled by c, inverted first when the exponent
+    is -1 (which needs a monomial leading coefficient).
+    """
+    q = atlas.num_coords
+    resub = [[negate_exponents(p) for p in coord] for coord in section]
+    if atlas.transition is None:
+        return tuple(tuple(coord) for coord in resub)
+    zero = Poly.zero(1)
+    # derivative coordinates -> Taylor coefficients
+    taylor = [[p * Fraction(1, factorial(i)) for i, p in enumerate(coord)]
+              for coord in resub]
+    composed = []
+    for m in atlas.reading[0]:
+        base = taylor[m.source]
+        if m.exponent < 0:
+            base = series_inverse(base, order, zero, monomial_inverse)
+        composed.append([m.coefficient * v for v in base])
+    composed.append(taylor[q])  # time is untouched by the target transition
+    return tuple(
+        tuple(c * Fraction(factorial(i)) for i, c in enumerate(coord))
+        for coord in composed)
+
+
 # -- presented sheaves ---------------------------------------------------------
 
 def evaluate_along_curve(p: Poly, morphism: Sequence[Poly]) -> Poly:
@@ -234,8 +298,8 @@ class PresentedSheaf:
 
     A section over chart alpha is an s-vector of Laurent polynomials in that chart's
     parameter (coefficients of the generators).  On the overlap, chart-1 coefficient
-    vectors are read in the chart-0 frame as T(z) . c(1/z); T is computed from the
-    target-atlas Jacobian along the curve and re-verified against the generators.
+    vectors are read in the chart-0 frame as T(z) . c(1/z); T is solved from the
+    chart-1 generators pushed by `field_to_chart0` and read along the curve.
     T must be a unit over Q[z, 1/z], det T = c*z^k with c != 0; any other T raises
     TransitionError.
     """
@@ -305,37 +369,26 @@ class PresentedSheaf:
         """
         if self.atlas is None or self.morphism is None:
             raise LiftError("formal presentation carries no geometric data")
-        q = self.atlas.num_coords
         f = self.morphism.components(chart)
-        out = []
-        for g in self.gens(chart):
-            out.append([evaluate_along_curve(g.components[k], f) for k in range(q)])
-        return out
+        return [_along_curve(g, f) for g in self.gens(chart)]
+
+
+def _along_curve(field: VectorField, morphism: Sequence[Poly]) -> List[Poly]:
+    """Space components of a field (space coords + time) restricted to the curve."""
+    return [evaluate_along_curve(c, morphism) for c in field.components[:-1]]
 
 
 def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
                             gens0: Sequence[VectorField],
                             gens1: Sequence[VectorField]) -> List[List[Poly]]:
-    """Solve gen1_j (pushed to the chart-0 frame along the curve) = sum_k T[k][j] gen0_k."""
-    q = atlas.num_coords
-    f1 = morphism.components(1)
-    # one Jacobian entry per row, read along the curve once: component k of a
-    # pushed vector is d(transition_k)/dx_j (f1) times component j = source
-    push = None
-    if atlas.transition is not None:
-        push = [(m.source, g.partial(m.source).substitute(f1))
-                for g, m in zip(atlas.transition, atlas.reading[0])]
-    # chart-1 generator values along the curve, pushed to chart-0 frame, in z
-    pushed: List[List[Poly]] = []
-    for g in gens1:
-        vec_w = [evaluate_along_curve(g.components[k], f1) for k in range(q)]
-        if push is not None:
-            vec_w = [d * vec_w[j] for j, d in push]
-        pushed.append([negate_exponents(p) for p in vec_w])
-    base: List[List[Poly]] = []
+    """Solve gen1_j (pushed to the chart-0 frame along the curve) = sum_k T[k][j] gen0_k.
+
+    `MorphismData.verify` has checked back(f0(z)) = f1(1/z), so a pushed
+    generator read along f0 is its chart-1 value along f1 at w = 1/z.
+    """
     f0 = morphism.components(0)
-    for g in gens0:
-        base.append([evaluate_along_curve(g.components[k], f0) for k in range(q)])
+    pushed = [_along_curve(field_to_chart0(atlas, g), f0) for g in gens1]
+    base = [_along_curve(g, f0) for g in gens0]
 
     lo, hi = window_of([p for vec in pushed + base for p in vec])
     span = hi - lo

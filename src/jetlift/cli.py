@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over the library: it parses exact literals,
-invokes one operation, and prints deterministic text.  Exit codes: 0 success,
-1 mathematical refutation (a claim checked false, e.g. an obstruction under
---expect-unobstructed), 2 usage or parse errors and unreadable input files,
-3 a failed internal cross-check (a defect in the engine, not in the input).
+invokes one operation, and prints deterministic text.  argparse only splits the
+command line; every literal, the integer flags included, goes through `parsing`.
+Exit codes: 0 success, 1 mathematical refutation (a claim checked false, e.g. an
+obstruction under --expect-unobstructed), 2 usage or parse errors and unreadable
+input files, 3 a failed internal cross-check (a defect in the engine, not in the
+input).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .frobenius import (CounterexamplePoint, Distribution, InvolutivityCertifica
                         NotFoundUpTo, grid_points, involutivity_certificate,
                         rank_at, strata_sample)
 from .lifting import lift_to_order
-from .parsing import (parse_field, parse_grid, parse_names, parse_point,
-                      parse_poly, parse_window, split_list)
+from .parsing import (parse_field, parse_grid, parse_integer, parse_names,
+                      parse_point, parse_poly, parse_window, split_list)
 from .scenario import parse_scenario_file
 from .vectorfields import iterated_bracket, lie_bracket
 
@@ -193,20 +195,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
 
     p = add("flowjet", _cmd_flowjet, help="jet of the integral curve")
     p.add_argument("--vars", required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
 
     p = add("defect", _cmd_defect, help="top-order difference of two flows")
     p.add_argument("--vars", required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
 
     p = add("verify-dj", _cmd_verify_dj,
             help="defect three ways: jets, derivation powers, bracket")
@@ -214,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
 
     p = add("rank", _cmd_rank, help="pointwise rank of a distribution")
     p.add_argument("--vars", required=True)
@@ -224,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("involutive", _cmd_involutive, help="involutivity certificate search")
     p.add_argument("--vars", required=True)
     p.add_argument("--gens", required=True)
-    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--degree", default="0")
 
     p = add("strata", _cmd_strata, help="rank stratification on a grid")
     p.add_argument("--vars", required=True)
@@ -237,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True)
     p.add_argument("--combo", required=True, help="coefficients separated by ';'")
     p.add_argument("--point", required=True)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", default="10")
 
     p = add("cohomology", _cmd_cohomology,
             help="split a 1-cochain or report the obstruction")
@@ -250,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("lift", _cmd_lift, help="run a lifting scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order")
 
     return parser
 
@@ -259,6 +261,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse keeps the integer flags as text; they follow parse_integer
+        for dest in ("n", "order", "degree"):
+            text = getattr(args, dest, None)
+            if text is not None:
+                setattr(args, dest, parse_integer(text, f"--{dest} needs an integer"))
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -15,10 +15,9 @@ by t alone: after the i-th of n derivations a term of t-degree above n - i can
 never reach t^0, so it is dropped, and each row is restricted to the curve by
 keeping its t^0 terms.  The engine runs on Python ints: with L the lcm of the
 witness field's coefficient denominators, it builds (L*D)^i and divides row i
-by L^i once, so the rows it returns are the exact rational D^i.  Crossing the
-overlap reads chart-0 coordinate k as c * x_j^(+-1) (`TargetAtlas.reading`): a
-section's series of coordinate j is scaled by c, after one `series_inverse` when
-the exponent is -1, and a field is pushed by one Jacobian entry per row.
+by L^i once, so the rows it returns are the exact rational D^i.  This module
+holds the loop only: every crossing of the target overlap (pushing fields,
+re-expressing jet sections) comes from `cech`, next to the atlas it reads.
 """
 
 from __future__ import annotations
@@ -28,11 +27,12 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Poly, monomial_inverse, series_inverse
-from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
-                   PresentedSheaf, TargetAtlas, check_window, evaluate_along_curve,
-                   negate_exponents, solve_coboundary, solve_section_coordinates,
-                   window_of)
+from .algebra import Poly
+from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
+                   Obstruction, PresentedSheaf, TargetAtlas, evaluate_along_curve,
+                   field_to_chart0, field_to_chart1, restrict_section,
+                   solve_coboundary, solve_section_coordinates,
+                   transition_jet_section, window_of)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
                      PreconditionError)
@@ -50,11 +50,6 @@ __all__ = [
     "lift_step",
     "lift_to_order",
 ]
-
-# a jet section along one chart: [coordinate][order] -> Laurent polynomial in the
-# chart parameter; coordinates run over the target space coordinates, then time
-JetSection = Tuple[Tuple[Poly, ...], ...]
-
 
 @dataclass(frozen=True)
 class LiftScenario:
@@ -165,34 +160,6 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
                  for k in range(n_coords))
 
 
-def transition_jet_section(atlas: TargetAtlas, section: JetSection,
-                           order: int) -> JetSection:
-    """Re-express a chart-1 jet section in chart-0 data on the overlap.
-
-    Substitutes w = 1/z in all coefficients; chart-0 coordinate k is then the
-    series of chart-1 coordinate j scaled by c, inverted first when the exponent
-    is -1 (which needs a monomial leading coefficient).
-    """
-    q = atlas.num_coords
-    resub = [[negate_exponents(p) for p in coord] for coord in section]
-    if atlas.transition is None:
-        return tuple(tuple(coord) for coord in resub)
-    zero = Poly.zero(1)
-    # derivative coordinates -> Taylor coefficients
-    taylor = [[p * Fraction(1, factorial(i)) for i, p in enumerate(coord)]
-              for coord in resub]
-    composed = []
-    for m in atlas.reading[0]:
-        base = taylor[m.source]
-        if m.exponent < 0:
-            base = series_inverse(base, order, zero, monomial_inverse)
-        composed.append([m.coefficient * v for v in base])
-    composed.append(taylor[q])  # time is untouched by the target transition
-    return tuple(
-        tuple(c * Fraction(factorial(i)) for i, c in enumerate(coord))
-        for coord in composed)
-
-
 def project_section(section: JetSection, order: int) -> JetSection:
     return tuple(coord[:order + 1] for coord in section)
 
@@ -201,13 +168,13 @@ def project_section(section: JetSection, order: int) -> JetSection:
 
 def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
                    order: int, window: Tuple[int, int],
-                   fields: Optional[Sequence[VectorField]] = None):
+                   fields: Sequence[VectorField]):
     """Affine difference of order-(order) candidates on the overlap, as a cochain.
 
     Candidates must agree below top order on the overlap (checked exactly).  The
-    tangential difference is re-expressed in generator coefficients; when the
-    witness fields are supplied the result is cross-checked against their iterated
-    Lie bracket and the matching orientation is reported.
+    tangential difference is re-expressed in generator coefficients and
+    cross-checked against the iterated Lie bracket of the witness fields; the
+    matching orientation is reported.
     """
     atlas = sheaf.atlas
     tau0, tau1 = candidates
@@ -224,20 +191,13 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
         raise LiftError("defect has a nonzero time component")
     tangent = diff[:-1]
 
-    gens0_curve = sheaf.gens_along_curve(0)
-    lo, hi = window
-    coeffs = solve_section_coordinates(gens0_curve, tangent, (lo, hi))
+    coeffs = solve_section_coordinates(sheaf.gens_along_curve(0), tangent, window)
     if coeffs is None:
         raise LiftError(
             "defect is not a generator combination within the window; "
             "the scenario does not deform along the presented sheaf")
-    check_window(coeffs, window, "defect cochain")
     nu = Cochain1.from_nu01(sheaf, coeffs, window)
-
-    orientation = "not checked"
-    if fields is not None:
-        orientation = _bracket_orientation(sheaf, fields, tangent, order)
-    return nu, orientation
+    return nu, _bracket_orientation(sheaf, fields, tangent, order)
 
 
 def _bracket_orientation(sheaf: PresentedSheaf, fields: Sequence[VectorField],
@@ -261,37 +221,6 @@ def _bracket_orientation(sheaf: PresentedSheaf, fields: Sequence[VectorField],
     if all((a + b).is_zero() for a, b in zip(values, tangent)):
         return "matched nu = -[D0,D1]^(%d) along the curve" % order
     raise InternalCheckError("defect does not match the iterated bracket either way")
-
-
-def field_to_chart0(atlas: TargetAtlas, field: VectorField) -> VectorField:
-    """Push a chart-1 field (space coords + time) into chart-0 coordinates."""
-    return _push_field(atlas, field, 0)
-
-
-def field_to_chart1(atlas: TargetAtlas, field: VectorField) -> VectorField:
-    """Push a chart-0 field (space coords + time) into chart-1 coordinates."""
-    return _push_field(atlas, field, 1)
-
-
-def _push_field(atlas: TargetAtlas, field: VectorField, chart: int) -> VectorField:
-    """Push a field into `chart` along x' = forward(x), whose inverse is back.
-
-    forward_k = c * x_j^(+-1), so component k is d(forward_k)/dx_j * F_j, read
-    at x = back(x'); time is untouched.
-    """
-    if atlas.transition is None:
-        return field
-    q = atlas.num_coords
-    forward, back = atlas.transition, atlas.inverse
-    if chart == 1:
-        forward, back = back, forward
-    comps = [g.partial(m.source).reindex(q + 1, range(q))
-             * field.components[m.source]
-             for g, m in zip(forward, atlas.reading[chart])]
-    comps.append(field.components[q])
-    values = [p.reindex(q + 1, range(q)) for p in back]
-    values.append(Poly.variable(q + 1, q))
-    return VectorField([c.substitute(values) for c in comps])
 
 
 # -- the lifting loop -------------------------------------------------------------
@@ -446,7 +375,6 @@ def _validate_sigma(scenario: LiftScenario):
     window = window_of(list(sig0) + list(sig1))
     grow = _window_growth(scenario) + max(abs(window[0]), abs(window[1])) + 2
     wide = (-grow - 8, grow + 8)
-    from .cech import restrict_section
     r1 = restrict_section(sheaf, 1, sig1, wide)
     for a, b in zip(sig0, r1):
         if a != b:

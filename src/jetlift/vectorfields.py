@@ -24,7 +24,6 @@ from .limits import MAX_ORDER, check_limit
 
 __all__ = [
     "VectorField",
-    "TimeField",
     "TimeClass",
     "apply_derivation",
     "derivation_powers",
@@ -113,9 +112,6 @@ class VectorField:
 
 # Fields with a distinguished time variable are plain VectorFields whose last
 # variable is time; the classification is computed, never stored.
-TimeField = VectorField
-
-
 class TimeClass(enum.Enum):
     TIME_DEPENDENT_IN_F = "TimeDependentInF"
     CONSTANT_FLOW = "ConstantFlow"

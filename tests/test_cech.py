@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetlift.algebra import Poly
@@ -13,6 +13,8 @@ from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
                           solve_coboundary, uni, uni_x)
 from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
 from jetlift.vectorfields import VectorField
+
+from strategies import fractions, polys
 
 W = (-8, 8)
 TRIVIAL = PresentedSheaf.line_bundle(Poly.one(1))
@@ -244,13 +246,102 @@ class TestTargetAtlas:
         atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
         assert atlas.inverse[0] == uni_x(-1)
 
-    def test_declared_jacobian_matches(self):
-        atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
-        assert atlas.jacobian()[0][0] == uni({-2: -1})
-
     def test_non_monomial_transition_rejected(self):
         with pytest.raises(LiftError):
             TargetAtlas(("x",), 2, [uni({1: 1, 0: 1})])
 
     def test_negate_exponents(self):
         assert negate_exponents(uni({2: 1, -1: 3})) == uni({-2: 1, 1: 3})
+
+
+def reference_push(forward, back, field):
+    """Chain rule with the whole Jacobian: sum_j d(forward_k)/dx_j F_j at x = back(x')."""
+    q = len(forward)
+    comps = [sum((g.partial(j).reindex(q + 1, range(q)) * field.components[j]
+                  for j in range(q)), Poly.zero(q + 1)) for g in forward]
+    values = [p.reindex(q + 1, range(q)) for p in back]
+    values.append(Poly.variable(q + 1, q))
+    return VectorField([c.substitute(values)
+                        for c in comps + [field.components[q]]])
+
+
+def along_curve(field, curve):
+    """Space components of a field at (x, t) = (curve, 0)."""
+    values = list(curve) + [Poly.zero(1)]
+    return [c.substitute(values) for c in field.components[:-1]]
+
+
+@st.composite
+def transition_cases(draw):
+    """A monomial atlas, a morphism it accepts, and generators with a unit T.
+
+    Chart-0 coordinate k is c_k * x_(j_k)^(+-1) for a random permutation j of
+    q = 1-2 coordinates and c_k != 0, +-1, written out here with its inverse.  A
+    chart-1 coordinate read with exponent -1 maps to a Laurent monomial, so f0
+    stays Laurent.  The chart-0 generators are triangular along the curve, hence
+    independent; chart-1 generator j is the chart-1 reading of
+    sum_k M[k][j] gen0_k with M upper triangular and monomial on the diagonal, so
+    T = M along the curve is a unit.
+    """
+    q = draw(st.integers(min_value=1, max_value=2))
+    perm = draw(st.permutations(range(q)))
+    nonunit = fractions().filter(lambda c: c not in (0, 1, -1))
+    transition, inverse, f1 = [None] * q, [None] * q, [None] * q
+    for k, j in enumerate(perm):
+        e = draw(st.sampled_from((1, -1)))
+        c = draw(nonunit)
+        exps = [0] * q
+        exps[j] = e
+        transition[k] = Poly.monomial(q, exps, c, laurent=True)
+        exps = [0] * q
+        exps[k] = e
+        inverse[j] = Poly.monomial(q, exps, 1 / c if e == 1 else c, laurent=True)
+        values = (st.builds(lambda d, c: uni({d: c}), st.integers(-2, 2), nonunit)
+                  if e == -1 else laurent_polys(-2, 2, 3).filter(
+                      lambda p: not p.is_zero()))
+        f1[j] = draw(values)
+    atlas = TargetAtlas(("x", "y")[:q], 2, transition)
+    f0 = [negate_exponents(g.substitute(f1)) for g in transition]
+    morphism = MorphismData(tuple(f0), tuple(f1))
+
+    s = draw(st.integers(min_value=1, max_value=q))
+    space = list(range(q))
+    gens0 = []
+    for k in range(s):
+        comps = [Poly.zero(q) for _ in range(k)]
+        comps.append(draw(polys(q, 2, 3)))
+        comps += [draw(polys(q, 2, 2)) for _ in range(k + 1, q)]
+        assume(not comps[k].substitute(f0).is_zero())
+        gens0.append(VectorField([p.reindex(q + 1, space) for p in comps]
+                                 + [Poly.zero(q + 1)]))
+    monomial_coords = [m for m in range(q) if f0[m].as_monomial() is not None]
+    gens1 = []
+    for j in range(s):
+        combination = VectorField.zero(q + 1)
+        for k in range(j + 1):
+            if k < j:
+                factor = draw(polys(q, 2, 2))
+            else:
+                exps = [0] * q
+                if monomial_coords:
+                    exps[draw(st.sampled_from(monomial_coords))] = draw(
+                        st.integers(-2, 2))
+                factor = Poly.monomial(q, exps, draw(nonunit), laurent=True)
+            combination = combination + gens0[k].scale(factor.reindex(q + 1, space))
+        gens1.append(reference_push(inverse, transition, combination))
+    return atlas, inverse, morphism, gens0, gens1
+
+
+@settings(max_examples=150, deadline=None)
+@given(transition_cases())
+def test_transition_combines_pushed_generators(case):
+    atlas, inverse, morphism, gens0, gens1 = case
+    sheaf = PresentedSheaf.from_charts(atlas, morphism, gens0, gens1)
+    f0 = morphism.components(0)
+    base = [along_curve(g, f0) for g in gens0]
+    for j, g in enumerate(gens1):
+        pushed = along_curve(reference_push(atlas.transition, inverse, g), f0)
+        combined = [sum((sheaf.transition[k][j] * base[k][i]
+                         for k in range(len(gens0))), Poly.zero(1))
+                    for i in range(atlas.num_coords)]
+        assert combined == pushed

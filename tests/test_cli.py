@@ -1,10 +1,11 @@
 """The command line is a thin adapter: outputs equal library results, bytes stable."""
 
+import argparse
 import time
 
 import pytest
 
-from jetlift.cli import main
+from jetlift.cli import _build_parser, main
 
 FLAGSHIP = """\
 [y]        charts z w ; transition w = 1/z
@@ -302,10 +303,49 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("literal", ["1_0", "+1", "\u0663", " 2"],
+                             ids=["underscore", "plus", "arabic-indic", "space"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["iterbracket", "--vars", "x,y", "--f1", "1,0", "--f2", "0,x^2"], "--n"),
+        (["defect", "--vars", "x,y", "--f1", "1,0", "--f2", "1,x",
+          "--point", "0,0"], "--n"),
+        (["verify-dj", "--vars", "x,y", "--f1", "1,0", "--f2", "1,x^2",
+          "--point", "0,0"], "--n"),
+        (["flowjet", "--vars", "x", "--field", "x^2", "--point", "1"], "--order"),
+        (["invariance", "--vars", "x,y", "--gens", "1,0; 0,x", "--combo", "1; 0",
+          "--point", "0,0"], "--order"),
+        (["lift", "--scenario", "FLAGSHIP"], "--order"),
+        (["involutive", "--vars", "x,y", "--gens", "x,0; 0,x"], "--degree"),
+    ], ids=["iterbracket", "defect", "verify-dj", "flowjet", "invariance", "lift",
+            "involutive"])
+    def test_integer_flag_takes_only_integer_literals(self, capsys, tmp_path,
+                                                      argv, flag, literal):
+        # the flags follow parse_integer, like the scenario [order] clause
+        path = tmp_path / "flagship.scn"
+        path.write_text(FLAGSHIP, encoding="utf-8")
+        argv = [str(path) if a == "FLAGSHIP" else a for a in argv]
+        code = main(argv + [flag, literal])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"parse error: {flag} needs an integer "
+                                "(line 1, column 1)\n")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["bracket", "--vars", "x,y"])
         assert err.value.code == 2
+
+    def test_no_flag_has_an_argparse_converter(self):
+        # every literal goes through parsing; a type= converter would be a
+        # second reader with its own rules and its own error path
+        parser = _build_parser()
+        subparsers = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        commands = [sub for action in subparsers for sub in action.choices.values()]
+        assert commands
+        for command in [parser] + commands:
+            for action in command._actions:
+                assert action.type is None, (command.prog, action.dest)
 
 
 class TestDeterminism:

@@ -15,19 +15,19 @@ from hypothesis import strategies as st
 
 from jetlift import lifting
 from jetlift.algebra import Poly, monomial_inverse
-from jetlift.cech import TargetAtlas, negate_exponents, uni, uni_x
+from jetlift.cech import (TargetAtlas, field_to_chart0, field_to_chart1,
+                          negate_exponents, transition_jet_section, uni, uni_x)
 from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
                             LiftObstructedError, PreconditionError)
-from jetlift.lifting import (defect_cochain, field_to_chart0, field_to_chart1,
-                             initial_state, lift_step, lift_to_order,
-                             local_jet_section, project_section,
-                             transition_jet_section)
+from jetlift.lifting import (defect_cochain, initial_state, lift_step,
+                             lift_to_order, local_jet_section, project_section)
 from jetlift.scenario import parse_scenario
 from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
                                   time_component_class)
 
 from strategies import fractions
 from test_algebra import reference_poly_on_series
+from test_cech import reference_push
 
 FLAGSHIP = """
 [y]        charts z w ; transition w = 1/z
@@ -296,7 +296,8 @@ class TestDefectCochain:
         sec[0][1] = sec[0][1] + Poly.one(1)
         broken[0] = tuple(tuple(row) for row in sec)
         with pytest.raises(PreconditionError):
-            defect_cochain(scenario.sheaf, broken, 2, state.window)
+            defect_cochain(scenario.sheaf, broken, 2, state.window,
+                           fields=state.fields)
 
     def test_square_time_perturbation_is_invisible_at_order_two(self):
         # t^2-perturbations only show up from order three on
@@ -372,18 +373,6 @@ def overlap_cases(draw):
     return atlas, field, tuple(tuple(coord) for coord in section), order
 
 
-def reference_field_to_chart0(atlas, field):
-    """Chain rule with the whole Jacobian: sum_j dG_k/dx_j F_j at x = G^-1(x')."""
-    q = atlas.num_coords
-    jac = atlas.jacobian()
-    comps = [sum((jac[k][j].reindex(q + 1, range(q)) * field.components[j]
-                  for j in range(q)), Poly.zero(q + 1)) for k in range(q)]
-    values = [p.reindex(q + 1, range(q)) for p in atlas.inverse]
-    values.append(Poly.variable(q + 1, q))
-    return VectorField([c.substitute(values)
-                        for c in comps + [field.components[q]]])
-
-
 def reference_transition_jet_section(atlas, section, order):
     """General composition: Taylor form, each transition formula on the series, back."""
     q = atlas.num_coords
@@ -403,7 +392,8 @@ def test_overlap_crossing_matches_general_transition(case):
     atlas, field, section, order = case
     assert field_to_chart0(atlas, field_to_chart1(atlas, field)) == field
     assert field_to_chart1(atlas, field_to_chart0(atlas, field)) == field
-    assert field_to_chart0(atlas, field) == reference_field_to_chart0(atlas, field)
+    assert (field_to_chart0(atlas, field)
+            == reference_push(atlas.transition, atlas.inverse, field))
     assert (transition_jet_section(atlas, section, order)
             == reference_transition_jet_section(atlas, section, order))
 
