@@ -7,17 +7,17 @@ through a `laurent=True` constructor, in which case negative exponents are allow
 (used by the two-chart Čech machinery).  Equality is purely structural: same variable
 count, same term dict.
 
-The truncated-series helpers (`series_mul`, `series_inverse`, `series_compose`)
-work over any exact commutative ring: Fractions for `Poly.compose_series`, whose
-`series_compose` takes non-negative exponents only, and Laurent polynomials for
-the chart crossing of `lifting`, one `series_inverse` per inverted coordinate.
+The truncated-series helpers (`series_mul`, `series_compose`) work over any
+exact commutative ring that supports + and *; `Poly.compose_series` runs them on
+Fractions, and `series_compose` takes non-negative exponents only.  The chart
+crossing of jet sections, with its inverse of a series, lives in `cech`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from ._backend import BACKEND, kernel as _k
 from .errors import DimensionError
@@ -30,7 +30,6 @@ __all__ = [
     "TruncSeries",
     "as_fraction",
     "series_mul",
-    "series_inverse",
     "series_compose",
     "default_names",
 ]
@@ -286,7 +285,9 @@ class Poly:
         """Substitute a polynomial (or Laurent monomial) for each variable.
 
         All entries must share a variable count; negative exponents of a variable are
-        only allowed when the substituted value is an invertible monomial.
+        only allowed when the substituted value is an invertible monomial.  When
+        every value is a single term, each term of self maps to one term: its
+        exponents through the values' exponents, its coefficient times theirs.
         """
         if len(values) != self.num_vars:
             raise DimensionError(
@@ -297,6 +298,9 @@ class Poly:
         for v in values:
             if v.num_vars != out_vars:
                 raise DimensionError("substitution values disagree on variable count")
+        monomials = [v.as_monomial() for v in values]
+        if None not in monomials:
+            return Poly._raw(out_vars, _substitute_monomials(self.terms, monomials))
         powers: dict = {}
 
         def power(k: int, e: int) -> "Poly":
@@ -359,6 +363,38 @@ class Poly:
         return f"Poly({self.num_vars}, {self.render()!r})"
 
 
+def _substitute_monomials(terms, monomials) -> dict:
+    """Terms of a substitution whose values are the single terms `monomials`.
+
+    Equal exponents are accumulated as `add_terms` adds one term at a time, so
+    the keys come out in the order of the general path of `Poly.substitute`.
+    """
+    out: dict = {}
+    for e, c in terms.items():
+        exps = None
+        for ek, (ve, vc) in zip(e, monomials):
+            if not ek:
+                continue
+            if ek == 1:
+                c = c * vc
+                shifted = ve
+            else:
+                c = c * vc ** ek
+                shifted = [ek * x for x in ve]
+            exps = shifted if exps is None else [a + b for a, b in zip(exps, shifted)]
+        key = tuple(exps) if exps is not None else (0,) * len(monomials[0][0])
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            s = prev + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
 def monomial_inverse(p: Poly) -> Poly:
     """Inverse of a single-term polynomial, as a Laurent monomial."""
     mono = p.as_monomial()
@@ -380,19 +416,6 @@ def series_mul(a: Sequence, b: Sequence, order: int, zero) -> list:
             continue
         for j, bj in enumerate(b[:order + 1 - i]):
             out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def series_inverse(a: Sequence, order: int, zero, invert_leading: Callable) -> list:
-    """Multiplicative inverse of a truncated series with invertible leading term."""
-    inv0 = invert_leading(a[0])
-    out = [inv0] + [zero] * order
-    for n in range(1, order + 1):
-        s = zero
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else zero
-            s = s + ak * out[n - k]
-        out[n] = -(inv0 * s)
     return out
 
 

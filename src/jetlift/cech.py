@@ -7,20 +7,22 @@ between finite Laurent windows.  Sections of the presented sheaf are recorded as
 generator-coefficient vectors; crossing the overlap substitutes the parameter and
 multiplies by a transition matrix T.  Every crossing of the target overlap lives
 here, on the atlas's one reading of each component as c * x_j^(+-1): a field is
-pushed by one Jacobian entry per row, and a jet section's series of coordinate j
-is scaled by c, after one `series_inverse` when the exponent is -1.  T writes the
-pushed chart-1 generators, read along the curve, in the chart-0 generators.
+pushed by one Jacobian entry per row, and a jet section's rows of coordinate j
+are scaled by c, after the divided-power inverse of those rows when the
+exponent is -1.  `OverlapJets` carries that crossing one order at a time, and
+`transition_jet_section` is the same crossing folded up from order 0.  T writes
+the pushed chart-1 generators, read along the curve, in the chart-0 generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Poly, monomial_inverse, poly_det, series_inverse
+from .algebra import Poly, monomial_inverse, poly_det
 from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
 from .limits import MAX_WINDOW_SPAN, check_limit
 from .vectorfields import VectorField
@@ -35,6 +37,7 @@ __all__ = [
     "Obstruction",
     "field_to_chart0",
     "field_to_chart1",
+    "OverlapJets",
     "transition_jet_section",
     "restrict_section",
     "solve_section_coordinates",
@@ -250,32 +253,85 @@ def _push_field(atlas: TargetAtlas, field: VectorField, chart: int) -> VectorFie
     return VectorField([c.substitute(values) for c in comps])
 
 
+class OverlapJets:
+    """A chart-1 jet section read in chart 0, carried one order at a time.
+
+    `rows` holds the chart-1 rows read at w = 1/z, [coordinate][order].  A jet
+    section stores derivative rows h_i = D^i x, so a coordinate that chart 0
+    reads with exponent -1 needs the rows of its inverse; in this divided-power
+    (Hurwitz) form they are h'_0 = 1/h_0 and
+
+        h'_n = -h'_0 * sum_{k=1..n} C(n, k) * h_k * h'_(n-k),
+
+    kept in `inverses` for every such coordinate (None for the others).  `image`
+    is the chart-0 reading: coordinate k is c * h_j or c * h'_j, time is
+    untouched.  `extend` adds the rows of the next order and computes one new
+    inverse row per inverted coordinate; the rows below stay as they are.
+    """
+
+    __slots__ = ("atlas", "rows", "inverses", "image")
+
+    def __init__(self, atlas: TargetAtlas, rows: JetSection,
+                 inverses: Tuple[Optional[Tuple[Poly, ...]], ...], image: JetSection):
+        object.__setattr__(self, "atlas", atlas)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "image", image)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OverlapJets is immutable")
+
+    @classmethod
+    def of(cls, atlas: TargetAtlas, section: JetSection, order: int) -> "OverlapJets":
+        """The rows <= order of a chart-1 section, extended one by one from order 0."""
+        q = atlas.num_coords
+        empty = ((),) * (q + 1)
+        inverses: Tuple[Optional[tuple], ...] = ()
+        if atlas.transition is not None:
+            inverted = {m.source for m in atlas.reading[0] if m.exponent < 0}
+            inverses = tuple(() if j in inverted else None for j in range(q))
+        carried = cls(atlas, empty, inverses, empty)
+        for i in range(order + 1):
+            carried = carried.extend([coord[i] for coord in section])
+        return carried
+
+    def extend(self, row: Sequence[Poly]) -> "OverlapJets":
+        """Carry one more order: `row[k]` is the chart-1 row of coordinate k."""
+        n = len(self.rows[0])
+        rows = tuple(r + (negate_exponents(p),) for r, p in zip(self.rows, row))
+        if self.atlas.transition is None:
+            return OverlapJets(self.atlas, rows, (), rows)
+        inverses = tuple(None if inv is None else inv + (_inverse_row(rows[j], inv, n),)
+                         for j, inv in enumerate(self.inverses))
+        top = [m.coefficient * (inverses[m.source] if m.exponent < 0
+                                else rows[m.source])[n]
+               for m in self.atlas.reading[0]]
+        top.append(rows[-1][n])  # time is untouched by the target transition
+        image = tuple(r + (p,) for r, p in zip(self.image, top))
+        return OverlapJets(self.atlas, rows, inverses, image)
+
+
+def _inverse_row(h: Sequence[Poly], inv: Sequence[Poly], n: int) -> Poly:
+    """Row n of the Hurwitz inverse of the rows h, from its rows below n."""
+    if n == 0:
+        return monomial_inverse(h[0])
+    s = Poly.zero(1)
+    for k in range(1, n + 1):
+        if h[k]:
+            s = s + h[k] * inv[n - k] * comb(n, k)
+    return -(inv[0] * s)
+
+
 def transition_jet_section(atlas: TargetAtlas, section: JetSection,
                            order: int) -> JetSection:
-    """Re-express a chart-1 jet section in chart-0 data on the overlap.
+    """Re-express the rows <= order of a chart-1 jet section in chart-0 data.
 
     Substitutes w = 1/z in all coefficients; chart-0 coordinate k is then the
-    series of chart-1 coordinate j scaled by c, inverted first when the exponent
-    is -1 (which needs a monomial leading coefficient).
+    rows of chart-1 coordinate j scaled by c, inverted first when the exponent
+    is -1 (which needs a monomial leading coefficient).  This is `OverlapJets`
+    extended from order 0, so every crossing of a jet section runs one routine.
     """
-    q = atlas.num_coords
-    resub = [[negate_exponents(p) for p in coord] for coord in section]
-    if atlas.transition is None:
-        return tuple(tuple(coord) for coord in resub)
-    zero = Poly.zero(1)
-    # derivative coordinates -> Taylor coefficients
-    taylor = [[p * Fraction(1, factorial(i)) for i, p in enumerate(coord)]
-              for coord in resub]
-    composed = []
-    for m in atlas.reading[0]:
-        base = taylor[m.source]
-        if m.exponent < 0:
-            base = series_inverse(base, order, zero, monomial_inverse)
-        composed.append([m.coefficient * v for v in base])
-    composed.append(taylor[q])  # time is untouched by the target transition
-    return tuple(
-        tuple(c * Fraction(factorial(i)) for i, c in enumerate(coord))
-        for coord in composed)
+    return OverlapJets.of(atlas, section, order).image
 
 
 # -- presented sheaves ---------------------------------------------------------

@@ -1,13 +1,18 @@
 """Order-by-order lifting of infinitesimal deformations along a presented subsheaf.
 
 State at order n holds, per chart, a constant-flow witness field and the jet section
-it induces along the curve.  One step computes the order-(n+1) candidates, measures
-their overlap defect as an affine jet difference (cross-checked against the iterated
-Lie bracket of the witness fields, built graded by t alone so that only the terms
-that reach t^0 on the curve are formed), splits the defect cochain, extends each
-chart's correction to a vector field, and replaces D with D - (t^n/n!) E.  After the
-replacement the corrected candidates must glue exactly and project onto the previous
-section; both facts are recomputed, not assumed.
+it induces along the curve, and the chart-1 section read in chart 0 (a carried
+`cech.OverlapJets`).  Rows <= n of all three are fixed from then on, so one step
+computes only row n + 1 of each candidate and one more row of the crossing.  It
+measures the overlap defect as an affine jet difference (cross-checked against the
+iterated Lie bracket of the witness fields, built graded by t alone so that only the
+terms that reach t^0 on the curve are formed), splits the defect cochain, extends
+each chart's correction to a vector field, and replaces D with D - (t^n/n!) E.  A
+corrected chart's section is then recomputed whole from its new field and must
+project onto the previous one; the crossing is extended by its new row, and the
+two charts must glue exactly.  Before `lift_to_order` returns, or reports an
+obstruction, both sections and the crossing are rebuilt from scratch at the order
+reached and must equal the carried ones.
 
 A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
 comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
@@ -29,9 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Poly
 from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
-                   Obstruction, PresentedSheaf, TargetAtlas, evaluate_along_curve,
-                   field_to_chart0, field_to_chart1, restrict_section,
-                   solve_coboundary, solve_section_coordinates,
+                   Obstruction, OverlapJets, PresentedSheaf, TargetAtlas,
+                   evaluate_along_curve, field_to_chart0, field_to_chart1,
+                   restrict_section, solve_coboundary, solve_section_coordinates,
                    transition_jet_section, window_of)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
@@ -77,6 +82,7 @@ class LiftState:
     fields: Tuple[VectorField, VectorField]
     sections: Tuple[JetSection, JetSection]
     window: Tuple[int, int]
+    crossing: OverlapJets      # sections[1] read in chart 0, carried by order
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,19 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
     Row i is read off `derivation_powers` graded by t alone: only its t^0 terms
     survive the restriction to the curve.
     """
+    powers = _derivation_rows(field, morphism, order)
+    return tuple(tuple(evaluate_along_curve(row[k], morphism) for row in powers)
+                 for k in range(field.num_vars))
+
+
+def _top_jet_row(field: VectorField, morphism: Sequence[Poly],
+                 order: int) -> Tuple[Poly, ...]:
+    """Row `order` of `local_jet_section` alone, one entry per coordinate."""
+    top = _derivation_rows(field, morphism, order)[order]
+    return tuple(evaluate_along_curve(p, morphism) for p in top)
+
+
+def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int):
     if time_component_class(field) is not TimeClass.CONSTANT_FLOW:
         raise ClassificationError(
             "jet sections require a field with constant flow in time")
@@ -155,9 +174,7 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
     if len(morphism) != n_coords - 1:
         raise DimensionError("morphism must cover every space coordinate")
     weights = (0,) * (n_coords - 1) + (1,)
-    powers = derivation_powers(field.components, order, weights)
-    return tuple(tuple(evaluate_along_curve(row[k], morphism) for row in powers)
-                 for k in range(n_coords))
+    return derivation_powers(field.components, order, weights)
 
 
 def project_section(section: JetSection, order: int) -> JetSection:
@@ -171,14 +188,15 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
                    fields: Sequence[VectorField]):
     """Affine difference of order-(order) candidates on the overlap, as a cochain.
 
-    Candidates must agree below top order on the overlap (checked exactly).  The
-    tangential difference is re-expressed in generator coefficients and
-    cross-checked against the iterated Lie bracket of the witness fields; the
-    matching orientation is reported.
+    Both candidates come in chart-0 data: chart 0's own, and chart 1's read
+    across the overlap (`transition_jet_section` or a carried `OverlapJets`).
+    They must agree below top order (checked exactly).  The tangential
+    difference is re-expressed in generator coefficients and cross-checked
+    against the iterated Lie bracket of the witness fields; the matching
+    orientation is reported.
     """
     atlas = sheaf.atlas
-    tau0, tau1 = candidates
-    tau1_in_0 = transition_jet_section(atlas, tau1, order)
+    tau0, tau1_in_0 = candidates
     for i in range(order):
         for k in range(atlas.num_coords + 1):
             if tau0[k][i] != tau1_in_0[k][i]:
@@ -256,18 +274,27 @@ def _extend_to_field(sheaf: PresentedSheaf, chart: int,
     return acc
 
 
+def _with_row(section: JetSection, row: Sequence[Poly]) -> JetSection:
+    return tuple(coord + (p,) for coord, p in zip(section, row))
+
+
 def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
-    """One lifting step: candidates, defect, splitting, correction, re-check."""
+    """One lifting step: candidates, defect, splitting, correction, re-check.
+
+    Rows <= n of both sections and of the crossing are carried over; a step
+    computes row n + 1 of each candidate and one more row of the crossing.
+    """
     scenario = state.scenario
     sheaf = scenario.sheaf
     n = state.order
     window = state.window
 
-    candidates = [local_jet_section(state.fields[chart],
-                                    sheaf.morphism.components(chart), n + 1)
-                  for chart in (0, 1)]
-    nu, orientation = defect_cochain(sheaf, candidates, n + 1, window,
-                                     fields=state.fields)
+    rows = [_top_jet_row(state.fields[chart], sheaf.morphism.components(chart), n + 1)
+            for chart in (0, 1)]
+    candidates = [_with_row(state.sections[chart], rows[chart]) for chart in (0, 1)]
+    crossing = state.crossing.extend(rows[1])
+    nu, orientation = defect_cochain(sheaf, (candidates[0], crossing.image), n + 1,
+                                     window, fields=state.fields)
 
     if nu.is_zero():
         lam = None
@@ -300,24 +327,27 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
         for f in new_fields:
             if time_component_class(f) is not TimeClass.CONSTANT_FLOW:
                 raise InternalCheckError("correction broke the constant-flow class")
-        # an uncorrected chart keeps its field, hence its candidate section
-        corrected = [candidates[chart] if corrections[chart] is None
-                     else local_jet_section(new_fields[chart],
-                                            sheaf.morphism.components(chart), n + 1)
-                     for chart in (0, 1)]
+        # an uncorrected chart keeps its field, hence its candidate; a corrected
+        # one is recomputed whole, so its rows <= n are checked, not carried
+        corrected = list(candidates)
+        for chart in (0, 1):
+            if corrections[chart] is None:
+                continue
+            corrected[chart] = local_jet_section(
+                new_fields[chart], sheaf.morphism.components(chart), n + 1)
+            if project_section(corrected[chart], n) != state.sections[chart]:
+                raise InternalCheckError(
+                    "lifted section does not project onto its predecessor")
+        if corrections[1] is not None:
+            crossing = state.crossing.extend([coord[n + 1] for coord in corrected[1]])
         # glued: equal at every order <= n + 1 on the overlap
-        if transition_jet_section(sheaf.atlas, corrected[1], n + 1) != corrected[0]:
+        if crossing.image != corrected[0]:
             raise InternalCheckError("corrected candidates still have a nonzero defect")
-
-    for chart in (0, 1):
-        if project_section(corrected[chart], n) != state.sections[chart]:
-            raise InternalCheckError(
-                "lifted section does not project onto its predecessor")
 
     grown = _window_growth(scenario)
     new_window = (window[0] - grown, window[1] + grown)
     new_state = LiftState(scenario, n + 1, tuple(new_fields),
-                          tuple(corrected), new_window)
+                          tuple(corrected), new_window, crossing)
     return new_state, LiftStep(n, nu, lam, orientation, tuple(corrections))
 
 
@@ -353,16 +383,16 @@ def initial_state(scenario: LiftScenario) -> LiftState:
         fields.append(VectorField(comps))
     sections = [local_jet_section(fields[chart], sheaf.morphism.components(chart), 1)
                 for chart in (0, 1)]
+    crossing = OverlapJets.of(atlas, sections[1], 1)
     # the first-order data must already glue; anything else is a bad scenario
-    tau1_in_0 = transition_jet_section(atlas, sections[1], 1)
     for i in range(2):
         for k in range(q + 1):
-            if sections[0][k][i] != tau1_in_0[k][i]:
+            if sections[0][k][i] != crossing.image[k][i]:
                 raise LiftError(
                     f"first-order deformation does not glue at order {i}, "
                     f"coordinate {k}")
-    return LiftState(scenario, 1, tuple(fields), tuple(tuple(s) for s in sections),
-                     scenario.window)
+    return LiftState(scenario, 1, tuple(fields), tuple(sections),
+                     scenario.window, crossing)
 
 
 def _validate_sigma(scenario: LiftScenario):
@@ -398,8 +428,26 @@ def lift_to_order(scenario: LiftScenario, order: Optional[int] = None) -> LiftRe
     check_limit("lift order", target, "MAX_ORDER", MAX_ORDER)
     state = initial_state(scenario)
     result = LiftResult(scenario, state)
-    while state.order < target:
-        state, step = lift_step(state)
-        result.steps.append(step)
-        result.state = state
+    try:
+        while state.order < target:
+            state, step = lift_step(state)
+            result.steps.append(step)
+            result.state = state
+    except LiftObstructedError:
+        _recompute(state)
+        raise
+    _recompute(state)
     return result
+
+
+def _recompute(state: LiftState):
+    """Rebuild the carried sections and crossing from scratch; they must agree."""
+    sheaf = state.scenario.sheaf
+    fresh = tuple(local_jet_section(state.fields[chart],
+                                    sheaf.morphism.components(chart), state.order)
+                  for chart in (0, 1))
+    if fresh != state.sections:
+        raise InternalCheckError("carried jet sections differ from a recomputation")
+    crossed = transition_jet_section(sheaf.atlas, fresh[1], state.order)
+    if crossed != state.crossing.image:
+        raise InternalCheckError("carried overlap crossing differs from a recomputation")

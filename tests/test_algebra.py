@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlift.algebra import (Poly, TruncSeries, monomial_inverse, series_compose,
-                             series_inverse, series_mul)
+                             series_mul)
 from jetlift.errors import DimensionError
 
-from strategies import fractions, points, polys
+from strategies import exponent_tuples, fractions, points, polys
 
 X = Poly.variable(1, 0)
 X2 = Poly.variable(2, 0)
@@ -125,13 +125,26 @@ class TestComposeSeries:
             series_compose(inv.terms, [[Fraction(1), Fraction(1)]], 1, Fraction(0))
 
 
+def reference_series_inverse(a, order, zero, invert_leading):
+    """Inverse of a truncated series on Taylor coefficients: a * b = 1."""
+    inv0 = invert_leading(a[0])
+    out = [inv0] + [zero] * order
+    for n in range(1, order + 1):
+        s = zero
+        for k in range(1, min(n, len(a) - 1) + 1):
+            s = s + a[k] * out[n - k]
+        out[n] = -(inv0 * s)
+    return out
+
+
 def reference_poly_on_series(g, series, order, zero, one, invert_leading):
     """Per-term reference composer: every power rebuilt from `one` for each term."""
     inverses = {}
 
     def var_power(j, e):
         if e < 0 and j not in inverses:
-            inverses[j] = series_inverse(list(series[j]), order, zero, invert_leading)
+            inverses[j] = reference_series_inverse(list(series[j]), order, zero,
+                                                   invert_leading)
         base = series[j] if e >= 0 else inverses[j]
         out = [one] + [zero] * order
         for _ in range(abs(e)):
@@ -181,6 +194,70 @@ def test_series_compose_matches_reference(case):
             == reference_poly_on_series(g, series, order, zero, one, invert_leading))
 
 
+def reference_substitute(p, values):
+    """Term by term: the coefficient times each value's power, summed in term order."""
+    out_vars = values[0].num_vars
+    acc = Poly.zero(out_vars)
+    for exps, c in p.terms.items():
+        term = Poly.constant(out_vars, c)
+        for value, e in zip(values, exps):
+            base = value if e >= 0 else monomial_inverse(value)
+            for _ in range(abs(e)):
+                term = term * base
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def monomial_substitutions(draw):
+    """A Laurent polynomial in 1-3 variables and one Laurent monomial per variable.
+
+    Exponents and coefficients are small, so distinct terms often land on one
+    key.  The first two values are often equal, and then a term and its mirror
+    in the first two variables are added with opposite signs: they cancel.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=3))
+    small = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3), 2))
+    p = draw(st.dictionaries(exponent_tuples(n, 2, laurent=True), small,
+                             max_size=8).map(lambda t: Poly(n, t, laurent=True)))
+    values = [Poly.monomial(m, draw(exponent_tuples(m, 1, laurent=True)),
+                            draw(st.sampled_from((1, -1, Fraction(3, 2)))),
+                            laurent=True)
+              for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        values[1] = values[0]
+        for e in draw(st.lists(exponent_tuples(n, 2, laurent=True), max_size=3)):
+            p = p + Poly(n, {e: 1, (e[1], e[0]) + e[2:]: -1}, laurent=True)
+    return p, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_substitutions())
+def test_monomial_substitution_maps_exponents(case):
+    p, values = case
+    image = p.substitute(values)
+    expected = reference_substitute(p, values)
+    assert image == expected
+    assert list(image.terms) == list(expected.terms)
+
+
+class TestSubstitute:
+    def test_cancelled_key_returns_at_the_end(self):
+        # x and y both become z: z cancels, z^2 follows, and z comes back after it
+        p = Poly(2, {(1, 0): 1, (0, 1): -1, (2, 0): 3, (-1, 2): 5}, laurent=True)
+        image = p.substitute([X, X])
+        assert image == Poly(1, {(2,): 3, (1,): 5})
+        assert list(image.terms) == [(2,), (1,)]
+
+    def test_negative_exponent_needs_a_monomial_value(self):
+        p = Poly(1, {(-1,): 1}, laurent=True)
+        with pytest.raises(ValueError, match="not an invertible monomial"):
+            p.substitute([X + 1])
+        with pytest.raises(ValueError, match="not an invertible monomial"):
+            Poly(2, {(1, -2): 1}, laurent=True).substitute([X, X + 1])
+
+
 @settings(max_examples=60)
 @given(polys(2), polys(2), polys(2))
 def test_ring_axioms(f, g, h):
@@ -218,13 +295,6 @@ def test_composition_constant_term_is_evaluation(f, pt):
 
 
 class TestSeriesHelpers:
-    def test_series_inverse_geometric(self):
-        # 1/(1 - t) = 1 + t + t^2 + ...
-        a = [Fraction(1), Fraction(-1), Fraction(0), Fraction(0)]
-        inv = series_inverse(a, 3, Fraction(0), lambda c: 1 / c)
-        assert inv == [Fraction(1)] * 4
-        assert series_mul(a, inv, 3, Fraction(0)) == [1, 0, 0, 0]
-
     def test_monomial_inverse(self):
         p = Poly(1, {(2,): Fraction(3)})
         assert monomial_inverse(p) * p == Poly.one(1)

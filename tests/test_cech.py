@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from jetlift.algebra import Poly
 from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
-                          PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
-                          negate_exponents, restrict_section,
-                          solve_coboundary, uni, uni_x)
+                          OverlapJets, PresentedSheaf, TargetAtlas, coboundary,
+                          cocycle_check, negate_exponents, restrict_section,
+                          solve_coboundary, transition_jet_section, uni, uni_x)
 from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
 from jetlift.vectorfields import VectorField
 
@@ -252,6 +252,19 @@ class TestTargetAtlas:
 
     def test_negate_exponents(self):
         assert negate_exponents(uni({2: 1, -1: 3})) == uni({-2: 1, 1: 3})
+
+
+class TestOverlapJets:
+    def test_inverse_rows_of_a_geometric_series(self):
+        # x0 = 1/x1 and x1 = 1 - t: x0 = 1/(1 - t) = sum t^n, whose derivative
+        # rows are n!; time crosses unchanged
+        atlas = TargetAtlas(("x",), 2, [uni_x(-1)])
+        one, zero = Poly.one(1), Poly.zero(1)
+        section = ((one, -one, zero, zero, zero), (zero, one, zero, zero, zero))
+        carried = OverlapJets.of(atlas, section, 4)
+        assert carried.image == ((one, one, 2 * one, 6 * one, 24 * one), section[1])
+        assert carried.inverses == (carried.image[0],)
+        assert transition_jet_section(atlas, section, 4) == carried.image
 
 
 def reference_push(forward, back, field):

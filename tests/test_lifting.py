@@ -6,6 +6,7 @@ corrected perturbed field is (x + t*x^2) d/dx + d/dt, whose derivative coordinat
 at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by order).
 """
 
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from jetlift import lifting
 from jetlift.algebra import Poly, monomial_inverse
-from jetlift.cech import (TargetAtlas, field_to_chart0, field_to_chart1,
-                          negate_exponents, transition_jet_section, uni, uni_x)
+from jetlift.cech import (OverlapJets, TargetAtlas, field_to_chart0,
+                          field_to_chart1, negate_exponents, transition_jet_section,
+                          uni, uni_x)
 from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
                             LiftObstructedError, PreconditionError)
 from jetlift.lifting import (defect_cochain, initial_state, lift_step,
@@ -295,8 +297,9 @@ class TestDefectCochain:
         sec = [list(row) for row in good[0]]
         sec[0][1] = sec[0][1] + Poly.one(1)
         broken[0] = tuple(tuple(row) for row in sec)
+        crossed = [broken[0], transition_jet_section(scenario.atlas, broken[1], 2)]
         with pytest.raises(PreconditionError):
-            defect_cochain(scenario.sheaf, broken, 2, state.window,
+            defect_cochain(scenario.sheaf, crossed, 2, state.window,
                            fields=state.fields)
 
     def test_square_time_perturbation_is_invisible_at_order_two(self):
@@ -315,7 +318,9 @@ class TestDefectCochain:
         candidates = [local_jet_section(state.fields[c],
                                         scenario.sheaf.morphism.components(c), 2)
                       for c in (0, 1)]
-        nu, orientation = defect_cochain(scenario.sheaf, candidates, 2,
+        crossed = [candidates[0],
+                   transition_jet_section(scenario.atlas, candidates[1], 2)]
+        nu, orientation = defect_cochain(scenario.sheaf, crossed, 2,
                                          state.window, fields=state.fields)
         assert nu.is_zero() and orientation == "zero defect"
 
@@ -396,6 +401,109 @@ def test_overlap_crossing_matches_general_transition(case):
             == reference_push(atlas.transition, atlas.inverse, field))
     assert (transition_jet_section(atlas, section, order)
             == reference_transition_jet_section(atlas, section, order))
+
+
+PERMUTED = """
+[y]        charts z w ; transition w = 1/z
+[x]        vars x, y ; charts 2 ; transition x -> 2*y ; transition y -> 1/x
+[f]        chart0: x = 2, y = z ; chart1: x = w, y = 1
+[sheaf]    gen chart0: 0, y ; gen chart1: -x, 0
+[sigma]    chart0: 1 ; chart1: 1
+[window]   -8 8
+"""
+
+# (scenario without [perturb], the perturbation components with {} for the
+# drawn terms): the log field, the degree -2 presentation, and the permuted
+# atlas x0 = 2*y1, y0 = 1/x1, perturbed along its curve coordinate y
+TOWER_BASES = {
+    "log-field": (FLAGSHIP, "{}"),
+    "degree-2": (OBSTRUCTED.replace("[perturb]  chart1: -t*x^3\n", ""), "{}"),
+    "permuted": (PERMUTED, "0, {}"),
+}
+
+
+@st.composite
+def tower_cases(draw):
+    """A base scenario with random perturbation terms t^a*v^b on one or both charts."""
+    name = draw(st.sampled_from(sorted(TOWER_BASES)))
+    text, components = TOWER_BASES[name]
+    var = "y" if name == "permuted" else "x"
+    term = st.builds(lambda c, a, b: f"{c}*t^{a}*{var}^{b}",
+                     st.sampled_from(("1", "-1", "1/2", "-2/3", "3")),
+                     st.integers(1, 2), st.integers(0, 5))
+    charts = draw(st.sampled_from(((0,), (1,), (0, 1))))
+    clauses = []
+    for c in charts:
+        terms = " + ".join(draw(st.lists(term, min_size=1, max_size=2)))
+        clauses.append(f"chart{c}: " + components.format(terms.replace("+ -", "- ")))
+    order = draw(st.integers(min_value=2, max_value=6))
+    return text + "[perturb]  " + " ; ".join(clauses) + "\n", order
+
+
+def assert_carried_state_is_recomputed(state):
+    scenario = state.scenario
+    for chart in (0, 1):
+        assert state.sections[chart] == local_jet_section(
+            state.fields[chart], scenario.morphism.components(chart), state.order)
+    assert state.crossing.image == reference_transition_jet_section(
+        scenario.atlas, state.sections[1], state.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_cases())
+def test_carried_tower_matches_recomputation(case):
+    # each step carries rows <= n and adds one; a from-scratch jet section and
+    # the general transition must see the same state after every step
+    text, order = case
+    state = initial_state(parse_scenario(text))
+    assert_carried_state_is_recomputed(state)
+    while state.order < order:
+        try:
+            state, _ = lift_step(state)
+        except LiftObstructedError:
+            break
+        assert_carried_state_is_recomputed(state)
+
+
+def _with_wrong_top_row(state, chart):
+    sections = list(state.sections)
+    sections[chart] = tuple(coord[:-1] + (coord[-1] + Poly.one(1),)
+                            for coord in sections[chart])
+    return dataclasses.replace(state, sections=tuple(sections))
+
+
+class TestFinalRecomputation:
+    def test_wrong_carried_section_is_caught(self, monkeypatch):
+        step = lifting.lift_step
+
+        def skewed(state):
+            new_state, record = step(state)
+            return _with_wrong_top_row(new_state, 1), record
+        monkeypatch.setattr(lifting, "lift_step", skewed)
+        with pytest.raises(InternalCheckError, match="carried jet sections"):
+            lift_to_order(parse_scenario(PERTURBED), 2)
+
+    def test_wrong_carried_crossing_is_caught(self, monkeypatch):
+        start = lifting.initial_state
+
+        def skewed(scenario):
+            state = start(scenario)
+            crossing = state.crossing
+            return dataclasses.replace(state, crossing=OverlapJets(
+                crossing.atlas, crossing.rows, crossing.inverses,
+                _with_wrong_top_row(state, 0).sections[0]))
+        monkeypatch.setattr(lifting, "initial_state", skewed)
+        with pytest.raises(InternalCheckError, match="carried overlap crossing"):
+            lift_to_order(parse_scenario(PERTURBED), 1)
+
+    def test_obstructed_lift_is_rechecked_first(self, monkeypatch):
+        # the defect reads chart 1 through the crossing, so only the final
+        # recomputation sees its section
+        start = lifting.initial_state
+        monkeypatch.setattr(lifting, "initial_state",
+                            lambda scenario: _with_wrong_top_row(start(scenario), 1))
+        with pytest.raises(InternalCheckError, match="carried jet sections"):
+            lift_to_order(parse_scenario(OBSTRUCTED), 3)
 
 
 class TestScenarioValidation:
