@@ -10,8 +10,8 @@ and always uses the pure kernel, which is generic over int and Fraction.
 from ._backend import BACKEND as KERNEL_BACKEND
 from .algebra import Poly, TruncSeries
 from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
-                   PresentedSheaf, TargetAtlas, coboundary, cocycle_check,
-                   restrict_section, solve_coboundary)
+                   PresentedSheaf, TargetAtlas, coboundary, restrict_section,
+                   solve_coboundary)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      JetliftError, LiftError, LiftObstructedError, LimitError,
                      OrderError, ParseError, PreconditionError, TransitionError,
@@ -47,7 +47,7 @@ __all__ = [
     "strata_sample", "StratumReport",
     "CurveAtlas", "TargetAtlas", "MorphismData", "PresentedSheaf",
     "Cochain0", "Cochain1", "Obstruction", "restrict_section", "coboundary",
-    "cocycle_check", "solve_coboundary",
+    "solve_coboundary",
     "LiftScenario", "LiftState", "LiftResult", "local_jet_section",
     "defect_cochain", "lift_step", "lift_to_order",
     "parse_scenario", "parse_scenario_file",

@@ -19,13 +19,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
-from ._backend import BACKEND, kernel as _k
+from ._backend import kernel as _k
 from .errors import DimensionError
 
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "BACKEND",
     "Poly",
     "TruncSeries",
     "as_fraction",

@@ -1,17 +1,18 @@
 """Two-chart curve atlases, presented sheaves, and Čech cochains over Laurent windows.
 
 The compact curve is fixed to the two-chart shape with parameters z and w glued by
-w = 1/z; with only two charts there are no triple overlaps, so antisymmetry is the
-whole cocycle condition, and first cohomology is the cokernel of an exact linear map
-between finite Laurent windows.  Sections of the presented sheaf are recorded as
-generator-coefficient vectors; crossing the overlap substitutes the parameter and
-multiplies by a transition matrix T.  Every crossing of the target overlap lives
-here, on the atlas's one reading of each component as c * x_j^(+-1): a field is
-pushed by one Jacobian entry per row, and a jet section's rows of coordinate j
-are scaled by c, after the divided-power inverse of those rows when the
-exponent is -1.  `OverlapJets` carries that crossing one order at a time, and
-`transition_jet_section` is the same crossing folded up from order 0.  T writes
-the pushed chart-1 generators, read along the curve, in the chart-0 generators.
+w = 1/z; with no triple overlaps a 1-cochain is its one section nu_01, and first
+cohomology is the cokernel of an exact linear map between finite Laurent windows.
+Sections of the presented sheaf are generator-coefficient vectors; crossing the
+overlap substitutes the parameter and multiplies by a transition matrix T.  Every
+target is two charts glued by a monomial map (one chart: the identity), and every
+crossing of its overlap lives here, on the atlas's one reading of each component
+as c * x_j^(+-1): a field is pushed by one Jacobian entry per row, and a jet
+section's rows of coordinate j are scaled by c, after the divided-power inverse
+of those rows when the exponent is -1.  `OverlapJets` carries that crossing one
+order at a time, and `transition_jet_section` is the same crossing folded up
+from order 0.  T writes the pushed chart-1 generators, read along the curve, in
+the chart-0 generators.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "restrict_section",
     "solve_section_coordinates",
     "coboundary",
-    "cocycle_check",
     "solve_coboundary",
 ]
 
@@ -51,9 +51,9 @@ Window = Tuple[int, int]
 
 # -- univariate Laurent helpers ----------------------------------------------
 
-def uni(terms, *, laurent=True) -> Poly:
-    """Univariate (Laurent) polynomial from {exponent: coefficient}."""
-    return Poly(1, {(e,): c for e, c in terms.items()}, laurent=laurent)
+def uni(terms) -> Poly:
+    """Univariate Laurent polynomial from {exponent: coefficient}."""
+    return Poly(1, {(e,): c for e, c in terms.items()}, laurent=True)
 
 
 def uni_x(e: int = 1) -> Poly:
@@ -113,34 +113,26 @@ class Monomial(NamedTuple):
 
 
 class TargetAtlas:
-    """One or two coordinate charts for the target, with a monomial transition.
+    """Two coordinate charts for the target, glued by a monomial transition.
 
-    For two charts, `transition[k]` gives chart-0 coordinate k as c * x_j^(+-1) in
-    the chart-1 coordinates (e.g. x -> 1/x), each j used once; `inverse` gives the
-    chart-1 coordinates in the chart-0 ones.  `reading[chart][k]` is coordinate k
-    of `chart` read once as a `Monomial` of the other chart's coordinates.
+    `transition[k]` gives chart-0 coordinate k as c * x_j^(+-1) in the chart-1
+    coordinates (e.g. x -> 1/x; x -> x for a one-chart target), each j used once;
+    `inverse` gives the chart-1 coordinates in the chart-0 ones.  `reading[chart][k]`
+    is coordinate k of `chart` read once as a `Monomial` of the other chart's.
     """
 
-    __slots__ = ("names", "num_charts", "transition", "inverse", "reading")
+    __slots__ = ("names", "transition", "inverse", "reading")
 
-    def __init__(self, names: Sequence[str], num_charts: int,
-                 transition: Optional[Sequence[Poly]] = None):
+    def __init__(self, names: Sequence[str], transition: Sequence[Poly]):
         names = tuple(names)
         q = len(names)
         if q < 1:
             raise ValueError("at least one target coordinate required")
-        if num_charts not in (1, 2):
-            raise ValueError("only one- or two-chart targets are supported")
-        if (transition is None) != (num_charts == 1):
-            raise ValueError("two charts need a transition, one chart forbids it")
-        inverse = reading = None
-        if transition is not None:
-            transition = tuple(transition)
-            if len(transition) != q:
-                raise DimensionError("one transition formula per coordinate required")
-            inverse, reading = _read_monomial_map(transition)
+        transition = tuple(transition)
+        if len(transition) != q:
+            raise DimensionError("one transition formula per coordinate required")
+        inverse, reading = _read_monomial_map(transition)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "num_charts", num_charts)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "reading", reading)
@@ -196,11 +188,6 @@ class MorphismData:
         """Both chart representations must agree on the overlap, both ways."""
         if len(self.chart0) != atlas.num_coords or len(self.chart1) != atlas.num_coords:
             raise DimensionError("morphism components do not match target coordinates")
-        if atlas.transition is None:
-            expect0 = tuple(negate_exponents(p) for p in self.chart1)
-            if expect0 != self.chart0:
-                raise LiftError("morphism charts disagree on the overlap")
-            return
         # chart-1 data pushed through the transition, read at w = 1/z
         try:
             pushed = [g.substitute(self.chart1) for g in atlas.transition]
@@ -238,8 +225,6 @@ def _push_field(atlas: TargetAtlas, field: VectorField, chart: int) -> VectorFie
     forward_k = c * x_j^(+-1), so component k is d(forward_k)/dx_j * F_j, read
     at x = back(x'); time is untouched.
     """
-    if atlas.transition is None:
-        return field
     q = atlas.num_coords
     forward, back = atlas.transition, atlas.inverse
     if chart == 1:
@@ -286,10 +271,8 @@ class OverlapJets:
         """The rows <= order of a chart-1 section, extended one by one from order 0."""
         q = atlas.num_coords
         empty = ((),) * (q + 1)
-        inverses: Tuple[Optional[tuple], ...] = ()
-        if atlas.transition is not None:
-            inverted = {m.source for m in atlas.reading[0] if m.exponent < 0}
-            inverses = tuple(() if j in inverted else None for j in range(q))
+        inverted = {m.source for m in atlas.reading[0] if m.exponent < 0}
+        inverses = tuple(() if j in inverted else None for j in range(q))
         carried = cls(atlas, empty, inverses, empty)
         for i in range(order + 1):
             carried = carried.extend([coord[i] for coord in section])
@@ -299,8 +282,6 @@ class OverlapJets:
         """Carry one more order: `row[k]` is the chart-1 row of coordinate k."""
         n = len(self.rows[0])
         rows = tuple(r + (negate_exponents(p),) for r, p in zip(self.rows, row))
-        if self.atlas.transition is None:
-            return OverlapJets(self.atlas, rows, (), rows)
         inverses = tuple(None if inv is None else inv + (_inverse_row(rows[j], inv, n),)
                          for j, inv in enumerate(self.inverses))
         top = [m.coefficient * (inverses[m.source] if m.exponent < 0
@@ -513,20 +494,18 @@ class Cochain0:
 
 
 class Cochain1:
-    """Overlap sections nu_(0,1) and nu_(1,0), both written in the chart-0 frame."""
+    """The overlap section nu_(0,1) in the chart-0 frame; nu_(1,0) = -nu_(0,1)."""
 
-    __slots__ = ("sheaf", "nu01", "nu10", "window")
+    __slots__ = ("sheaf", "nu01", "window")
 
-    def __init__(self, sheaf: PresentedSheaf, nu01: Sequence[Poly],
-                 nu10: Sequence[Poly], window: Window):
-        nu01, nu10 = tuple(nu01), tuple(nu10)
+    def __init__(self, sheaf: PresentedSheaf, nu01: Sequence[Poly], window: Window):
+        nu01 = tuple(nu01)
         s = sheaf.num_gens
-        if len(nu01) != s or len(nu10) != s:
+        if len(nu01) != s:
             raise DimensionError(f"cochain needs {s} coefficients per overlap")
-        check_window(nu01 + nu10, window, "1-cochain")
+        check_window(nu01, window, "1-cochain")
         object.__setattr__(self, "sheaf", sheaf)
         object.__setattr__(self, "nu01", nu01)
-        object.__setattr__(self, "nu10", nu10)
         object.__setattr__(self, "window", window)
 
     def __setattr__(self, name, value):
@@ -535,7 +514,7 @@ class Cochain1:
     @classmethod
     def from_nu01(cls, sheaf: PresentedSheaf, nu01: Sequence[Poly],
                   window: Window) -> "Cochain1":
-        return cls(sheaf, nu01, [-p for p in nu01], window)
+        return cls(sheaf, nu01, window)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.nu01)
@@ -543,10 +522,10 @@ class Cochain1:
     def __eq__(self, other):
         if not isinstance(other, Cochain1):
             return NotImplemented
-        return (self.nu01, self.nu10) == (other.nu01, other.nu10)
+        return self.nu01 == other.nu01
 
     def __hash__(self):
-        return hash((self.nu01, self.nu10))
+        return hash(self.nu01)
 
 
 def restrict_section(sheaf: PresentedSheaf, chart: int, coefficients: Sequence[Poly],
@@ -569,18 +548,13 @@ def restrict_section(sheaf: PresentedSheaf, chart: int, coefficients: Sequence[P
     return out
 
 
-def coboundary(cochain: Cochain0, window: Optional[Window] = None) -> Cochain1:
+def coboundary(cochain: Cochain0) -> Cochain1:
     """(delta lambda)_(0,1) = restrict(lambda_0) - restrict(lambda_1)."""
-    window = window or cochain.window
+    window = cochain.window
     r0 = restrict_section(cochain.sheaf, 0, cochain.chart0, window)
     r1 = restrict_section(cochain.sheaf, 1, cochain.chart1, window)
     nu01 = tuple(a - b for a, b in zip(r0, r1))
     return Cochain1.from_nu01(cochain.sheaf, nu01, window)
-
-
-def cocycle_check(cochain: Cochain1) -> bool:
-    """With two charts the cocycle condition is exactly antisymmetry."""
-    return all((a + b).is_zero() for a, b in zip(cochain.nu01, cochain.nu10))
 
 
 @dataclass(frozen=True)
@@ -588,7 +562,6 @@ class Obstruction:
     """Nonzero class of a 1-cochain modulo coboundaries, within the window."""
     residual: Tuple[Poly, ...]
     cokernel_dim: int
-    window: Window
 
     def render(self, param: str = "z") -> str:
         body = ", ".join(p.render([param]) for p in self.residual)
@@ -603,8 +576,6 @@ def solve_coboundary(cochain: Cochain1):
     overlap window cannot contribute and are excluded.  Free variables are pinned to
     zero, so nu = 0 yields lambda = 0 and the splitting is canonical.
     """
-    if not cocycle_check(cochain):
-        raise LiftError("cocycle condition (antisymmetry) fails")
     sheaf = cochain.sheaf
     s = sheaf.num_gens
     lo, hi = cochain.window
@@ -631,7 +602,7 @@ def solve_coboundary(cochain: Cochain1):
         for (k, e), v in residual.items():
             terms[k][(e,)] = v
         res_polys = [Poly._raw(1, t) for t in terms]
-        return Obstruction(tuple(res_polys), len(rows) - rank, cochain.window)
+        return Obstruction(tuple(res_polys), len(rows) - rank)
 
     lam0_terms: List[dict] = [{} for _ in range(s)]
     lam1_terms: List[dict] = [{} for _ in range(s)]

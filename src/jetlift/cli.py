@@ -3,6 +3,8 @@
 Every subcommand is a thin adapter over the library: it parses exact literals,
 invokes one operation, and prints deterministic text.  argparse only splits the
 command line; every literal, the integer flags included, goes through `parsing`.
+Integers of any size are read and printed in full.  A variable name is what a
+polynomial reads as one: a letter or '_', then letters, digits or '_'.
 Exit codes: 0 success, 1 mathematical refutation (a claim checked false, e.g. an
 obstruction under --expect-unobstructed), 2 usage or parse errors and unreadable
 input files, 3 a failed internal cross-check (a defect in the engine, not in the
@@ -260,6 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)    # exact integers of any size, in and out
     try:
         # argparse keeps the integer flags as text; they follow parse_integer
         for dest in ("n", "order", "degree"):
@@ -276,6 +280,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (JetliftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

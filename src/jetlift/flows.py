@@ -7,9 +7,10 @@ the basepoint.  `flow_jet` moves the field to the basepoint once
 (x -> x + point) and grades every variable with weight 1, so every row is a
 constant term: a polynomial field lowers total degree by at most 1 per
 application, and after the i-th of n derivations a term of total degree above
-n - i can never reach the constant term; such terms are never formed.  The
-engine clears the denominators of the recentred field: with L their lcm it
-builds (L*D)^i x_k on Python ints and divides row i by L^i once.
+n - i can never reach the constant term; such terms are never formed, and
+`_recentre` builds only the shifts (x + p)^e -> x^j with j < n, however large e
+is.  The engine clears the denominators of the recentred field: with L their
+lcm it builds (L*D)^i x_k on Python ints and divides row i by L^i once.
 
 `flow_series_picard` integrates the same curve by Picard iteration on truncated
 series, and every round runs on Python ints.  It rescales the curve to
@@ -80,7 +81,8 @@ def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
                 partial = [(t + (ek,), d + ek, v) for t, d, v in partial
                            if d + ek <= max_degree]
                 continue
-            shifts = [comb(ek, j) * pk ** (ek - j) for j in range(ek + 1)]
+            shifts = [comb(ek, j) * pk ** (ek - j)
+                      for j in range(min(ek, max_degree) + 1)]
             partial = [(t + (j,), d + j, v * shifts[j]) for t, d, v in partial
                        for j in range(min(ek, max_degree - d) + 1)]
         for t, _, v in partial:

@@ -63,8 +63,8 @@ class LiftScenario:
     sheaf: PresentedSheaf
     sigma: Tuple[Tuple[Poly, ...], Tuple[Poly, ...]]     # per chart, s coefficients
     perturbations: Tuple[Optional[Tuple[Poly, ...]], ...]  # chart-0 frame, per chart
-    window: Tuple[int, int] = (-8, 8)
-    order: int = 4
+    window: Tuple[int, int]
+    order: int
 
     @property
     def atlas(self) -> TargetAtlas:

@@ -136,8 +136,11 @@ def solve_combination(gens: Sequence[Sequence[Terms]], target: Sequence[Terms],
     A vector is a list of term dicts, one per component.  Unknown (k, e), k
     major and e in the order of `shifts`, contributes X^e * gens[k]; the rows are
     the sorted (component, exponent) keys.  Returns one term dict per generator,
-    or None when target is not such a combination.
+    or None when target is not such a combination.  A zero target returns the
+    canonical solution, zero, without an elimination.
     """
+    if not any(target):
+        return [{} for _ in gens]
     unknowns = [(k, e) for k in range(len(gens)) for e in shifts]
     columns = [{(comp, tuple(map(add, exp, e))): c
                 for comp, terms in enumerate(gens[k]) for exp, c in terms.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Poly
 from .errors import ParseError
@@ -195,12 +195,23 @@ def split_list(text: str, sep: str = ",") -> List[Tuple[str, int]]:
     return pieces
 
 
-def parse_names(text: str, line: int = 1, col_offset: int = 0,
-                where: str = "") -> Tuple[str, ...]:
-    """Comma-separated distinct variable names; `where` ends each message."""
-    names = tuple(piece.strip() for piece, _ in split_list(text))
+def parse_names(text: str, line: int = 1, col_offset: int = 0, where: str = "",
+                reserved: Mapping[str, str] = {}) -> Tuple[str, ...]:
+    """Comma-separated distinct variable names; `where` ends each message.
+
+    A name is what a polynomial reads as one.  `reserved` maps a name to the
+    error it raises at the name's column.
+    """
+    pieces = split_list(text)
+    names = tuple(piece.strip() for piece, _ in pieces)
     if not all(names):
         raise ParseError(f"empty variable name{where}", line, col_offset + 1)
+    for (piece, offset), name in zip(pieces, names):
+        sc = _Scanner(piece, line, col_offset + offset + piece.find(name))
+        if not (name[0].isalpha() or name[0] == "_") or sc.read_name() != name:
+            raise sc.error(f"invalid variable name {name!r}{where}", 0)
+        if name in reserved:
+            raise sc.error(reserved[name], 0)
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ParseError(f"duplicate variable name {name!r}{where}", line,

@@ -3,11 +3,13 @@
 Sections are tagged lines; '#' starts a comment; clauses on a line are separated by
 ';'.  Two-chart curve, one- or two-chart target, generators and first-order data as
 generator coefficients, optional per-chart perturbations written in chart-0 target
-coordinates plus time.  A `non-immersive` clause on the [f] line requests the graph
-embedding (`vectorfields.graph_embed`), which prepends the curve parameter as an
-extra target coordinate.  A repeated vars, charts, transition, jacobian or
-assignment, and a transition for an undeclared coordinate, are errors; positions
-count from the start of the line.
+coordinates plus time.  A one-chart target is two charts glued by the identity.
+A `non-immersive` clause on the [f] line requests the graph embedding
+(`vectorfields.graph_embed`), which prepends the curve parameter as an extra
+target coordinate y.  A target coordinate may not be named t (time), nor y when
+embedded.  A repeated vars, charts, transition, jacobian or assignment, and a
+transition for an undeclared coordinate, are errors; positions count from the
+start of the line.
 
     [y]        charts z w ; transition w = 1/z
     [x]        vars x ; charts 2 ; transition x -> 1/x ; jacobian -x^-2
@@ -67,8 +69,13 @@ def parse_scenario_file(path: str) -> LiftScenario:
 def parse_scenario(text: str) -> LiftScenario:
     clauses = _split_clauses(text)
     curve = CurveAtlas(*_parse_curve(clauses["y"]))
-    x_names, num_charts, transition_texts, jacobian = _parse_target(clauses["x"])
-    morphism_texts, non_immersive = _parse_morphism(clauses["f"], x_names)
+    non_immersive = any(clause.text == "non-immersive" for clause in clauses["f"])
+    reserved = {"t": "the coordinate name 't' is reserved for time"}
+    if non_immersive:
+        reserved["y"] = "graph embedding reserves the coordinate name 'y'"
+    x_names, charts, transition_texts, jacobian = _parse_target(clauses["x"],
+                                                                 reserved)
+    morphism_texts = _parse_morphism(clauses["f"], x_names)
     gen_texts = _per_chart(clauses["sheaf"], "sheaf")
     sigma_texts = _per_chart(clauses["sigma"], "sigma")
     if not any(sigma_texts):
@@ -82,8 +89,11 @@ def parse_scenario(text: str) -> LiftScenario:
     m = len(x_names)
 
     # target transition formulas (chart-1 coords -> chart-0 coords)
-    transition: Optional[List[Poly]] = None
-    if num_charts == 2:
+    if charts == 1:
+        if transition_texts or jacobian is not None:
+            raise LiftError("a one-chart target cannot declare a transition")
+        transition = [Poly.variable(m, k) for k in range(m)]
+    else:
         transition = _formulas(transition_texts, x_names, x_names,
                                "no transition formula for")
         if jacobian is not None:
@@ -95,8 +105,6 @@ def parse_scenario(text: str) -> LiftScenario:
                 raise LiftError(
                     f"declared jacobian {declared} does not match the transition "
                     f"derivative {transition[0].partial(0)}")
-    elif transition_texts or jacobian is not None:
-        raise LiftError("a one-chart target cannot declare a transition")
 
     morphism = [tuple(_formulas(morphism_texts[chart], x_names,
                                 [curve.param_name(chart)],
@@ -124,15 +132,12 @@ def parse_scenario(text: str) -> LiftScenario:
 
     names = x_names
     if non_immersive:
-        if "y" in x_names:
-            raise LiftError("graph embedding reserves the coordinate name 'y'")
         names = ("y",) + x_names
         for chart in (0, 1):
             morphism[chart], gens[chart] = graph_embed(morphism[chart], gens[chart])
-        # y -> 1/y; x keeps its transition, the identity on a one-chart target
-        space = transition or [Poly.variable(m, k) for k in range(m)]
+        # y -> 1/y; x keeps its transition
         transition = ([monomial_inverse(Poly.variable(m + 1, 0))]
-                      + [p.reindex(m + 1, range(1, m + 1)) for p in space])
+                      + [p.reindex(m + 1, range(1, m + 1)) for p in transition])
         perturb = [None if p is None else (Poly.zero(m + 2),) + tuple(
             c.reindex(m + 2, range(1, m + 2)) for c in p) for p in perturb]
 
@@ -141,7 +146,7 @@ def parse_scenario(text: str) -> LiftScenario:
     gens = [[VectorField([c.reindex(q + 1, range(q)) for c in g.components]
                          + [Poly.zero(q + 1)]) for g in chart_gens]
             for chart_gens in gens]
-    atlas = TargetAtlas(names, 1 if transition is None else 2, transition)
+    atlas = TargetAtlas(names, transition)
     sheaf = PresentedSheaf.from_charts(atlas, MorphismData(*morphism), *gens)
     return LiftScenario(curve, sheaf, (sigma[0], sigma[1]), tuple(perturb),
                         window, order)
@@ -215,9 +220,9 @@ def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
     return z_name, w_name
 
 
-def _parse_target(clause_list: List[_Clause]):
+def _parse_target(clause_list: List[_Clause], reserved: Dict[str, str]):
     names: Optional[Tuple[str, ...]] = None
-    num_charts = 1
+    charts = 1
     transitions: Dict[str, _Clause] = {}    # 'x -> expr', at the column of x
     jacobian: Optional[_Clause] = None
     seen = set()    # heads that may appear once
@@ -229,11 +234,11 @@ def _parse_target(clause_list: List[_Clause]):
                 raise clause.error(f"duplicate {head} clause")
             seen.add(head)
         if head == "vars":
-            names = parse_names(rest.text, clause.line, clause.col)
+            names = parse_names(rest.text, rest.line, rest.col, reserved=reserved)
         elif head == "charts":
-            num_charts = parse_integer(rest.text, "charts must be 1 or 2", rest.line,
-                                       rest.col)
-            if num_charts not in (1, 2):
+            charts = parse_integer(rest.text, "charts must be 1 or 2", rest.line,
+                                   rest.col)
+            if charts not in (1, 2):
                 raise rest.error("charts must be 1 or 2")
         elif head == "transition":
             arrow = rest.text.find("->")
@@ -254,7 +259,7 @@ def _parse_target(clause_list: List[_Clause]):
         if var not in names:
             raise at.error(f"unknown target coordinate {var!r}")
     exprs = {var: at.after(at.text.find("->") + 2) for var, at in transitions.items()}
-    return names, num_charts, exprs, jacobian
+    return names, charts, exprs, jacobian
 
 
 _CHART_RE = re.compile(r"(gen\s+)?chart([01])\s*:\s*")
@@ -283,10 +288,8 @@ def _per_chart(clause_list: List[_Clause],
 
 def _parse_morphism(clause_list: List[_Clause], x_names: Sequence[str]):
     texts: List[Dict[str, _Clause]] = [{}, {}]
-    non_immersive = False
     for clause in clause_list:
         if clause.text == "non-immersive":
-            non_immersive = True
             continue
         chart, payload = _chart_payload(clause, "f")
         for piece, offset in split_list(payload.text):
@@ -302,7 +305,7 @@ def _parse_morphism(clause_list: List[_Clause], x_names: Sequence[str]):
                     f"duplicate chart{chart} assignment to {target.text!r}")
             texts[chart][target.text] = payload.after(offset + equals + 1,
                                                       offset + len(piece))
-    return texts, non_immersive
+    return texts
 
 
 def _only(clause_list: List[_Clause], tag: str) -> Optional[_Clause]:

@@ -1,6 +1,7 @@
 """The command line is a thin adapter: outputs equal library results, bytes stable."""
 
 import argparse
+import sys
 import time
 
 import pytest
@@ -203,7 +204,10 @@ class TestCommands:
         (["cohomology", "--transition", "z^-2", "--nu", "z^-1", "--window",
           "1_0 20"],
          "parse error: window needs two integers (line 1, column 1)\n"),
-    ], ids=["negative-degree", "duplicate-vars", "stray-star", "window-underscore"])
+        (["flowjet", "--vars", "x^2", "--field", "1", "--point", "1", "--order", "2"],
+         "parse error: invalid variable name 'x^2' in --vars (line 1, column 1)\n"),
+    ], ids=["negative-degree", "duplicate-vars", "stray-star", "window-underscore",
+            "power-as-name"])
     def test_rejected_input_exit_code(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()
@@ -346,6 +350,44 @@ class TestCommands:
         for command in [parser] + commands:
             for action in command._actions:
                 assert action.type is None, (command.prog, action.dest)
+
+
+def _str_of_any_size(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntegersOfAnySize:
+    """Python caps int <-> str at 4,300 digits; an exact engine reads and prints all."""
+
+    def test_long_integer_literal(self, capsys):
+        ones = "1" * 5000
+        code, out = run(capsys, "flowjet", "--vars", "x", "--field", ones,
+                        "--point", "0", "--order", "1")
+        assert code == 0 and out == f"(0,{ones})\n"
+
+    def test_long_integer_answer(self, capsys):
+        code, out = run(capsys, "flowjet", "--vars", "x", "--field", "x^5000",
+                        "--point", "3", "--order", "2")
+        first, second = (_str_of_any_size(n) for n in (3 ** 5000, 5000 * 3 ** 9999))
+        assert code == 0 and out == f"(3,{first},{second})\n"
+
+    def test_digit_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run(capsys, "flowjet", "--vars", "x", "--field", "x^5000",
+                "--point", "3", "--order", "2")
+            assert sys.get_int_max_str_digits() == 5000
+            assert main(["flowjet", "--vars", "x^2", "--field", "1", "--point", "1",
+                         "--order", "2"]) == 2
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDeterminism:

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetlift import flows
 from jetlift.algebra import Poly, TruncSeries
 from jetlift.errors import DimensionError, JetliftError, OrderError, PreconditionError
 from jetlift.flows import (flow_jet, flow_series_picard, jet_defect,
@@ -102,6 +103,21 @@ def jet_cases(draw):
 def test_truncated_engine_matches_untruncated_reference(case):
     d, pt, order = case
     assert flow_jet(d, pt, order) == reference_flow_jet(d, pt, order)
+
+
+def test_recentre_builds_only_the_binomials_it_reads(monkeypatch):
+    # an order-2 jet reads (x + 3)^3000 to degree 1: C(3000, 0) and C(3000, 1)
+    calls = []
+    monkeypatch.setattr(flows, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    jet = flow_jet(VectorField([Poly.variable(1, 0) ** 3000]), [3], 2)
+    assert calls == [(3000, 0), (3000, 1)]
+    assert jet == Jet(1, 2, [(3,), (3 ** 3000,), (3000 * 3 ** 5999,)])
+
+
+def test_high_exponent_jet_matches_picard():
+    d = field(X ** 60 * Y + Poly.one(2), X * Y ** 45)
+    pt = [Fraction(2), Fraction(-1, 3)]
+    assert flow_jet(d, pt, 4) == jet_from_series(flow_series_picard(d, pt, 4))
 
 
 class TestPicard:

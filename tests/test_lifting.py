@@ -255,8 +255,9 @@ class TestEmbeddedScenario:
     def test_embedding_shape(self):
         scenario = parse_scenario(EMBEDDED)
         assert scenario.atlas.names == ("y", "x")
-        assert scenario.atlas.num_charts == 2
-        assert scenario.atlas.transition[0] == Poly(2, {(-1, 0): 1}, laurent=True)
+        # y -> 1/y, and x keeps the identity of its one-chart target
+        assert scenario.atlas.transition == (Poly(2, {(-1, 0): 1}, laurent=True),
+                                             Poly.variable(2, 1))
 
     def test_lift_completes_with_one_correction(self):
         result = lift_to_order(parse_scenario(EMBEDDED), 3)
@@ -366,7 +367,7 @@ def overlap_cases(draw):
         exps[j] = draw(st.sampled_from((1, -1)))
         transition.append(Poly.monomial(q, exps, draw(fractions().filter(bool)),
                                         laurent=True))
-    atlas = TargetAtlas(("x", "y")[:q], 2, transition)
+    atlas = TargetAtlas(("x", "y")[:q], transition)
     exponents = [st.integers(-2, 2)] * q + [st.integers(0, 2)]
     field = VectorField([draw(laurent_polys(q + 1, exponents, 3))
                          for _ in range(q + 1)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlift import linalg
-from jetlift.linalg import rank, rref, solve_with_residual
+from jetlift.linalg import rank, rref, solve_combination, solve_with_residual
 
 from strategies import fractions
 
@@ -181,6 +181,20 @@ def test_empty_shapes():
     assert solve_with_residual([], {}, []) == ([], {}, 0)
     assert solve_with_residual([], {"b": F(2)}, ["a", "b"]) == ([], {"b": F(2)}, 0)
     assert solve_with_residual([{}, {}], {}, ["a"]) == ([F(0), F(0)], {}, 0)
+
+
+def test_zero_target_is_solved_without_elimination(monkeypatch):
+    # gens 1 + 2X on component 0 with -X^2 on component 1, and 3X on component 0
+    gens = [[{(0,): F(1), (1,): F(2)}, {(2,): F(-1)}], [{(1,): F(3)}, {}]]
+    shifts = [(e,) for e in range(-2, 3)]
+    columns = [{(comp, (exp[0] + e[0],)): c for comp, terms in enumerate(g)
+                for exp, c in terms.items()} for g in gens for e in shifts]
+    x, residual, _ = solve_with_residual(columns, {}, sorted(set().union(*columns)))
+    assert residual == {} and not any(x)    # the eliminated answer is zero
+    calls = []
+    monkeypatch.setattr(linalg, "solve_with_residual", lambda *a: calls.append(a))
+    assert solve_combination(gens, [{}, {}], shifts) == [{}, {}]
+    assert calls == []
 
 
 def test_residual_representative_follows_pivot_rule():

@@ -199,6 +199,12 @@ class TestScenarioParsing:
             parse_scenario(GOOD.replace("vars x ;", "vars x, x ;"))
         assert err.value.line == 4 and "duplicate variable name 'x'" in str(err.value)
 
+    def test_graph_embedding_reserves_y(self):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(EMBEDDED.replace("vars x ;", "vars x, y ;"))
+        assert str(err.value) == ("graph embedding reserves the coordinate name 'y' "
+                                  "(line 6, column 20)")
+
     def test_curve_transition_shape_enforced(self):
         with pytest.raises(ParseError):
             parse_scenario(GOOD.replace("transition w = 1/z", "transition w = z"))
@@ -232,9 +238,12 @@ class TestScenarioParsing:
         ("[order]    4", "[order]    1_0", "order needs an integer", 12),
         ("[order]    4", "[order]    \u0664", "order needs an integer", 12),
         ("[window]   -8 8", "[window]   -8 +8", "window needs two integers", 12),
+        ("vars x ;", "vars x y ;", "invalid variable name 'x y'", 17),
+        ("vars x ;", "vars x, t ;", "the coordinate name 't' is reserved for time", 20),
     ], ids=["assignment", "transition", "undeclared-transition", "jacobian",
             "vars", "x-charts", "y-charts", "charts-plus", "charts-arabic-indic",
-            "order-plus", "order-underscore", "order-arabic-indic", "window-plus"])
+            "order-plus", "order-underscore", "order-arabic-indic", "window-plus",
+            "vars-blank-inside", "vars-time"])
     def test_repeated_or_undeclared_clause_rejected(self, old, new, message,
                                                     column):
         text = GOOD.replace(old, new)
