@@ -528,8 +528,8 @@ class Cochain1:
         return hash(self.nu01)
 
 
-def restrict_section(sheaf: PresentedSheaf, chart: int, coefficients: Sequence[Poly],
-                     window: Window) -> Tuple[Poly, ...]:
+def restrict_section(sheaf: PresentedSheaf, chart: int,
+                     coefficients: Sequence[Poly]) -> Tuple[Poly, ...]:
     """Restrict a chart section to the overlap, expressed in the chart-0 frame."""
     coefficients = tuple(coefficients)
     if len(coefficients) != sheaf.num_gens:
@@ -544,17 +544,19 @@ def restrict_section(sheaf: PresentedSheaf, chart: int, coefficients: Sequence[P
             for k in range(sheaf.num_gens))
     else:
         raise ValueError("chart must be 0 or 1")
-    check_window(out, window, "restricted section")
     return out
 
 
 def coboundary(cochain: Cochain0) -> Cochain1:
-    """(delta lambda)_(0,1) = restrict(lambda_0) - restrict(lambda_1)."""
-    window = cochain.window
-    r0 = restrict_section(cochain.sheaf, 0, cochain.chart0, window)
-    r1 = restrict_section(cochain.sheaf, 1, cochain.chart1, window)
+    """(delta lambda)_(0,1) = restrict(lambda_0) - restrict(lambda_1).
+
+    lambda_0 lies in the window, so a restriction of lambda_1 that leaves it
+    leaves nu outside it too, and the 1-cochain's own check reports it.
+    """
+    r0 = restrict_section(cochain.sheaf, 0, cochain.chart0)
+    r1 = restrict_section(cochain.sheaf, 1, cochain.chart1)
     nu01 = tuple(a - b for a, b in zip(r0, r1))
-    return Cochain1.from_nu01(cochain.sheaf, nu01, window)
+    return Cochain1.from_nu01(cochain.sheaf, nu01, cochain.window)
 
 
 @dataclass(frozen=True)

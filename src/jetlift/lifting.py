@@ -7,12 +7,14 @@ computes only row n + 1 of each candidate and one more row of the crossing.  It
 measures the overlap defect as an affine jet difference (cross-checked against the
 iterated Lie bracket of the witness fields, built graded by t alone so that only the
 terms that reach t^0 on the curve are formed), splits the defect cochain, extends
-each chart's correction to a vector field, and replaces D with D - (t^n/n!) E.  A
-corrected chart's section is then recomputed whole from its new field and must
-project onto the previous one; the crossing is extended by its new row, and the
-two charts must glue exactly.  Before `lift_to_order` returns, or reports an
-obstruction, both sections and the crossing are rebuilt from scratch at the order
-reached and must equal the carried ones.
+each chart's correction to a vector field, and replaces D with D - (t^n/n!) E.
+Every new row, corrected or not, is the top row of the chart's current field;
+the crossing takes chart 1's, and on every step the two charts must then glue
+exactly.  The carried rows <= n are not re-derived during the loop: before
+`lift_to_order` returns, or reports an obstruction, both sections and the
+crossing are rebuilt from scratch at the order reached and must equal the
+carried ones, so a correction that moved a carried row ends in
+`InternalCheckError`.
 
 A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
 comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
@@ -37,7 +39,7 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
                    Obstruction, OverlapJets, PresentedSheaf, TargetAtlas,
                    evaluate_along_curve, field_to_chart0, field_to_chart1,
                    restrict_section, solve_coboundary, solve_section_coordinates,
-                   transition_jet_section, window_of)
+                   transition_jet_section)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
                      PreconditionError)
@@ -177,10 +179,6 @@ def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int):
     return derivation_powers(field.components, order, weights)
 
 
-def project_section(section: JetSection, order: int) -> JetSection:
-    return tuple(coord[:order + 1] for coord in section)
-
-
 # -- defects --------------------------------------------------------------------
 
 def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
@@ -279,29 +277,31 @@ def _with_row(section: JetSection, row: Sequence[Poly]) -> JetSection:
 
 
 def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
-    """One lifting step: candidates, defect, splitting, correction, re-check.
+    """One lifting step: candidates, defect, splitting, correction, glue check.
 
-    Rows <= n of both sections and of the crossing are carried over; a step
-    computes row n + 1 of each candidate and one more row of the crossing.
+    Rows <= n of both sections and of the crossing are carried over.  Row n + 1
+    of each chart is the top jet row of that chart's field: the candidate's,
+    or D - (t^n/n!) E when the splitting corrects the chart.  The crossing is
+    extended by chart 1's row, and the two charts must then glue exactly.
     """
     scenario = state.scenario
     sheaf = scenario.sheaf
     n = state.order
     window = state.window
 
-    rows = [_top_jet_row(state.fields[chart], sheaf.morphism.components(chart), n + 1)
-            for chart in (0, 1)]
-    candidates = [_with_row(state.sections[chart], rows[chart]) for chart in (0, 1)]
-    crossing = state.crossing.extend(rows[1])
-    nu, orientation = defect_cochain(sheaf, (candidates[0], crossing.image), n + 1,
-                                     window, fields=state.fields)
+    def top_row(chart, field):
+        return _top_jet_row(field, sheaf.morphism.components(chart), n + 1)
 
-    if nu.is_zero():
-        lam = None
-        corrections: Tuple[Optional[VectorField], ...] = (None, None)
-        new_fields = state.fields
-        corrected = candidates
-    else:
+    fields = list(state.fields)
+    rows = [top_row(chart, fields[chart]) for chart in (0, 1)]
+    crossing = state.crossing.extend(rows[1])
+    nu, orientation = defect_cochain(
+        sheaf, (_with_row(state.sections[0], rows[0]), crossing.image), n + 1,
+        window, fields=state.fields)
+
+    lam = None
+    corrections: List[Optional[VectorField]] = [None, None]
+    if not nu.is_zero():
         split = solve_coboundary(nu)
         if isinstance(split, Obstruction):
             raise LiftObstructedError(
@@ -312,42 +312,26 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
         scale = Poly.monomial(sheaf.atlas.num_coords + 1,
                               (0,) * sheaf.atlas.num_coords + (n,),
                               Fraction(1, factorial(n)))
-        new_fields_list = []
-        corrections_list: List[Optional[VectorField]] = []
         for chart in (0, 1):
             e_field = _extend_to_field(sheaf, chart, lam.coefficients(chart))
             if e_field.is_zero():
-                corrections_list.append(None)
-                new_fields_list.append(state.fields[chart])
-            else:
-                corrections_list.append(e_field)
-                new_fields_list.append(state.fields[chart] - e_field.scale(scale))
-        new_fields = tuple(new_fields_list)
-        corrections = tuple(corrections_list)
-        for f in new_fields:
-            if time_component_class(f) is not TimeClass.CONSTANT_FLOW:
-                raise InternalCheckError("correction broke the constant-flow class")
-        # an uncorrected chart keeps its field, hence its candidate; a corrected
-        # one is recomputed whole, so its rows <= n are checked, not carried
-        corrected = list(candidates)
-        for chart in (0, 1):
-            if corrections[chart] is None:
                 continue
-            corrected[chart] = local_jet_section(
-                new_fields[chart], sheaf.morphism.components(chart), n + 1)
-            if project_section(corrected[chart], n) != state.sections[chart]:
-                raise InternalCheckError(
-                    "lifted section does not project onto its predecessor")
+            corrections[chart] = e_field
+            fields[chart] = fields[chart] - e_field.scale(scale)
+            if time_component_class(fields[chart]) is not TimeClass.CONSTANT_FLOW:
+                raise InternalCheckError("correction broke the constant-flow class")
+            rows[chart] = top_row(chart, fields[chart])
         if corrections[1] is not None:
-            crossing = state.crossing.extend([coord[n + 1] for coord in corrected[1]])
-        # glued: equal at every order <= n + 1 on the overlap
-        if crossing.image != corrected[0]:
-            raise InternalCheckError("corrected candidates still have a nonzero defect")
+            crossing = state.crossing.extend(rows[1])
+    sections = tuple(_with_row(state.sections[chart], rows[chart]) for chart in (0, 1))
+    # glued: equal at every order <= n + 1 on the overlap
+    if crossing.image != sections[0]:
+        raise InternalCheckError("corrected candidates still have a nonzero defect")
 
     grown = _window_growth(scenario)
     new_window = (window[0] - grown, window[1] + grown)
-    new_state = LiftState(scenario, n + 1, tuple(new_fields),
-                          tuple(corrected), new_window, crossing)
+    new_state = LiftState(scenario, n + 1, tuple(fields), sections, new_window,
+                          crossing)
     return new_state, LiftStep(n, nu, lam, orientation, tuple(corrections))
 
 
@@ -402,13 +386,8 @@ def _validate_sigma(scenario: LiftScenario):
     sig0, sig1 = scenario.sigma
     if len(sig0) != s or len(sig1) != s:
         raise DimensionError(f"sigma needs {s} coefficients per chart")
-    window = window_of(list(sig0) + list(sig1))
-    grow = _window_growth(scenario) + max(abs(window[0]), abs(window[1])) + 2
-    wide = (-grow - 8, grow + 8)
-    r1 = restrict_section(sheaf, 1, sig1, wide)
-    for a, b in zip(sig0, r1):
-        if a != b:
-            raise LiftError("sigma is not a global section of the presented sheaf")
+    if restrict_section(sheaf, 1, sig1) != tuple(sig0):
+        raise LiftError("sigma is not a global section of the presented sheaf")
 
 
 def _validate_perturbation(field: VectorField):

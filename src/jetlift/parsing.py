@@ -20,8 +20,9 @@ from .algebra import Poly
 from .errors import ParseError
 from .vectorfields import VectorField
 
-__all__ = ["split_list", "parse_names", "parse_poly", "parse_field", "parse_point",
-           "parse_rational", "parse_integer", "parse_window", "parse_grid"]
+__all__ = ["split_list", "parse_names", "read_names", "parse_poly", "parse_field",
+           "parse_point", "parse_rational", "parse_integer", "parse_window",
+           "parse_grid"]
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
@@ -197,12 +198,17 @@ def split_list(text: str, sep: str = ",") -> List[Tuple[str, int]]:
 
 def parse_names(text: str, line: int = 1, col_offset: int = 0, where: str = "",
                 reserved: Mapping[str, str] = {}) -> Tuple[str, ...]:
-    """Comma-separated distinct variable names; `where` ends each message.
+    """Comma-separated distinct variable names, checked by `read_names`."""
+    return read_names(split_list(text), line, col_offset, where, reserved)
+
+
+def read_names(pieces: Sequence[Tuple[str, int]], line: int = 1, col_offset: int = 0,
+               where: str = "", reserved: Mapping[str, str] = {}) -> Tuple[str, ...]:
+    """Distinct variable names from (piece, offset) pairs; `where` ends each message.
 
     A name is what a polynomial reads as one.  `reserved` maps a name to the
     error it raises at the name's column.
     """
-    pieces = split_list(text)
     names = tuple(piece.strip() for piece, _ in pieces)
     if not all(names):
         raise ParseError(f"empty variable name{where}", line, col_offset + 1)

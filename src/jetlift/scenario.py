@@ -31,7 +31,7 @@ from .cech import CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas
 from .errors import LiftError, ParseError
 from .lifting import LiftScenario
 from .parsing import (parse_integer, parse_names, parse_poly, parse_window,
-                      split_list)
+                      read_names, split_list)
 from .vectorfields import VectorField, graph_embed
 
 __all__ = ["parse_scenario", "parse_scenario_file"]
@@ -207,7 +207,9 @@ def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
                 raise clause.error("duplicate charts clause")
             if len(words) != 3:
                 raise clause.error("charts clause needs two parameter names")
-            z_name, w_name = words[1], words[2]
+            rest = clause.after(len(words[0]))
+            pieces = [(m.group(), m.start()) for m in re.finditer(r"\S+", rest.text)]
+            z_name, w_name = read_names(pieces, rest.line, rest.col)
             saw_charts = True
         elif words[0] == "transition":
             if "".join(words[1:]) != f"{w_name}=1/{z_name}":

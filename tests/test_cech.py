@@ -31,25 +31,19 @@ def laurent_polys(lo=-3, hi=3, max_terms=4):
 
 class TestRestrict:
     def test_chart0_identity(self):
-        out = restrict_section(TRIVIAL, 0, [uni({1: 1, 0: 1})], W)
+        out = restrict_section(TRIVIAL, 0, [uni({1: 1, 0: 1})])
         assert out[0] == uni({1: 1, 0: 1})
 
     def test_chart1_substitution(self):
-        out = restrict_section(TRIVIAL, 1, [uni_x(1)], W)
+        out = restrict_section(TRIVIAL, 1, [uni_x(1)])
         assert out[0] == uni_x(-1)
 
     def test_tangent_sheaf_rule(self):
         # d/dz = -w^2 d/dw: transition factor -z^2, so the chart-1 coefficient
         # -w (the field -w d/dw) restricts to chart 0 as z (the field z d/dz)
         sheaf = PresentedSheaf.line_bundle(uni({2: -1}))
-        out = restrict_section(sheaf, 1, [uni({1: -1})], W)
+        out = restrict_section(sheaf, 1, [uni({1: -1})])
         assert out[0] == uni_x(1)
-
-    def test_window_overflow(self):
-        sheaf = PresentedSheaf.line_bundle(uni_x(-2))
-        with pytest.raises(WindowOverflowError) as err:
-            restrict_section(sheaf, 1, [uni({4: 1})], (-4, 4))
-        assert err.value.required_window == (-6, 4)
 
 
 class TestCoboundary:
@@ -66,6 +60,15 @@ class TestCoboundary:
         c = uni({0: Fraction(5, 3)})
         lam = Cochain0(TRIVIAL, [c], [c], W)
         assert coboundary(lam).is_zero()
+
+    def test_window_overflow(self):
+        # lambda_1 = w^4 restricts to z^-6, outside the window that bounds lambda
+        sheaf = PresentedSheaf.line_bundle(uni_x(-2))
+        lam = Cochain0(sheaf, [Poly.zero(1)], [uni({4: 1})], (-4, 4))
+        with pytest.raises(WindowOverflowError) as err:
+            coboundary(lam)
+        assert err.value.required_window == (-6, 4)
+        assert str(err.value) == "1-cochain needs window [-6, 4], declared [-4, 4]"
 
 
 class TestSolveCoboundary:

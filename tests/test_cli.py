@@ -129,6 +129,22 @@ class TestCommands:
         assert code == 1
         assert "LIFT OBSTRUCTED" in out and "cokernel dimension 1" in out
 
+    def test_lift_sigma_not_global_exit_code(self, capsys, tmp_path):
+        # the sheaf's transition is -z^12, so sigma_1 = 1 restricts to -z^12,
+        # not sigma_0 = 1; the comparison needs no window, so none can overflow
+        path = tmp_path / "sigma.scn"
+        path.write_text("[y] charts z w ; transition w = 1/z\n"
+                        "[x] vars x ; charts 2 ; transition x -> 1/x\n"
+                        "[f] chart0: x = z^6 ; chart1: x = w^6\n"
+                        "[sheaf] gen chart0: 1 ; gen chart1: 1\n"
+                        "[sigma] chart0: 1 ; chart1: 1\n"
+                        "[order] 2\n", encoding="utf-8")
+        code = main(["lift", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: sigma is not a global section of the "
+                                "presented sheaf\n")
+
     def test_parse_error_exit_code(self, capsys):
         code = main(["rank", "--vars", "x,y", "--gens", "x,0; 0,q",
                      "--point", "0,0"])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlift import lifting
+from jetlift import cli, lifting
 from jetlift.algebra import Poly, monomial_inverse
 from jetlift.cech import (OverlapJets, TargetAtlas, field_to_chart0,
                           field_to_chart1, negate_exponents, transition_jet_section,
@@ -22,7 +22,7 @@ from jetlift.cech import (OverlapJets, TargetAtlas, field_to_chart0,
 from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
                             LiftObstructedError, PreconditionError)
 from jetlift.lifting import (defect_cochain, initial_state, lift_step,
-                             lift_to_order, local_jet_section, project_section)
+                             lift_to_order, local_jet_section)
 from jetlift.scenario import parse_scenario
 from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
                                   time_component_class)
@@ -68,6 +68,11 @@ EMBEDDED = """
 
 def jets_of(result, chart, coord):
     return tuple(result.state.sections[chart][coord])
+
+
+def rows_up_to(section, order):
+    """Rows <= order of a jet section: the tower projection."""
+    return tuple(coord[:order + 1] for coord in section)
 
 
 class TestLocalJetSection:
@@ -234,7 +239,7 @@ class TestPerturbedFlagship:
         for n in range(1, 4):
             partial = lift_to_order(parse_scenario(PERTURBED), n)
             for chart in (0, 1):
-                assert project_section(full.state.sections[chart], n) == \
+                assert rows_up_to(full.state.sections[chart], n) == \
                     partial.state.sections[chart]
 
 
@@ -496,6 +501,35 @@ class TestFinalRecomputation:
         monkeypatch.setattr(lifting, "initial_state", skewed)
         with pytest.raises(InternalCheckError, match="carried overlap crossing"):
             lift_to_order(parse_scenario(PERTURBED), 1)
+
+    @staticmethod
+    def _move_a_carried_row(monkeypatch):
+        # after the corrected step 1 -> 2, chart 0's field gains the t-free
+        # term x^2 d/dx, which moves row 1; the step's sections stay as carried
+        step = lifting.lift_step
+
+        def moved(state):
+            new_state, record = step(state)
+            assert record.corrections[0] is not None
+            extra = VectorField([Poly.monomial(2, (2, 0), 1), Poly.zero(2)])
+            fields = (new_state.fields[0] + extra, new_state.fields[1])
+            return dataclasses.replace(new_state, fields=fields), record
+        monkeypatch.setattr(lifting, "lift_step", moved)
+
+    def test_corrected_field_that_moves_a_carried_row_is_caught(self, monkeypatch):
+        self._move_a_carried_row(monkeypatch)
+        with pytest.raises(InternalCheckError, match="carried jet sections"):
+            lift_to_order(parse_scenario(PERTURBED), 2)
+
+    def test_moved_carried_row_exits_3(self, monkeypatch, capsys, tmp_path):
+        self._move_a_carried_row(monkeypatch)
+        path = tmp_path / "perturbed.scn"
+        path.write_text(PERTURBED, encoding="utf-8")
+        code = cli.main(["lift", "--scenario", str(path), "--order", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("internal check failed: carried jet sections "
+                                "differ from a recomputation\n")
 
     def test_obstructed_lift_is_rechecked_first(self, monkeypatch):
         # the defect reads chart 1 through the crossing, so only the final

@@ -240,10 +240,14 @@ class TestScenarioParsing:
         ("[window]   -8 8", "[window]   -8 +8", "window needs two integers", 12),
         ("vars x ;", "vars x y ;", "invalid variable name 'x y'", 17),
         ("vars x ;", "vars x, t ;", "the coordinate name 't' is reserved for time", 20),
+        ("charts z w ; transition w = 1/z", "charts z^2 w ; transition w = 1/z^2",
+         "invalid variable name 'z^2'", 19),
+        ("charts z w ; transition w = 1/z", "charts z z ; transition z = 1/z",
+         "duplicate variable name 'z'", 19),
     ], ids=["assignment", "transition", "undeclared-transition", "jacobian",
             "vars", "x-charts", "y-charts", "charts-plus", "charts-arabic-indic",
             "order-plus", "order-underscore", "order-arabic-indic", "window-plus",
-            "vars-blank-inside", "vars-time"])
+            "vars-blank-inside", "vars-time", "y-charts-power", "y-charts-duplicate"])
     def test_repeated_or_undeclared_clause_rejected(self, old, new, message,
                                                     column):
         text = GOOD.replace(old, new)
