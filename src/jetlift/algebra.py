@@ -10,7 +10,7 @@ count, same term dict.
 The truncated-series helpers (`series_mul`, `series_compose`) work over any
 exact commutative ring that supports + and *; `Poly.compose_series` runs them on
 Fractions, and `series_compose` takes non-negative exponents only.  The chart
-crossing of jet sections, with its inverse of a series, lives in `cech`.
+crossing of jet sections is read in `cech` and run by the jet engine in `lifting`.
 """
 
 from __future__ import annotations

@@ -6,24 +6,23 @@ cohomology is the cokernel of an exact linear map between finite Laurent windows
 Sections of the presented sheaf are generator-coefficient vectors; crossing the
 overlap substitutes the parameter and multiplies by a transition matrix T.  Every
 target is two charts glued by a monomial map (one chart: the identity), and every
-crossing of its overlap lives here, on the atlas's one reading of each component
-as c * x_j^(+-1): a field is pushed by one Jacobian entry per row, and a jet
-section's rows of coordinate j are scaled by c, after the divided-power inverse
-of those rows when the exponent is -1.  `OverlapJets` carries that crossing one
-order at a time, and `transition_jet_section` is the same crossing folded up
-from order 0.  T writes the pushed chart-1 generators, read along the curve, in
-the chart-0 generators.
+crossing of its overlap is read here, on the atlas's one reading of each
+component as c * x_j^(+-1): a field is pushed by one Jacobian entry per row.  A
+jet section crosses with nothing inverted: chart 1's jet run also starts from
+x_j^-1 for each coordinate that chart 0 reads with exponent -1
+(`crossing_starts`), and chart-0 coordinate k is c times the row of x_j^(+-1),
+read at w = 1/z (`cross_row`); `lifting` runs the engine.  T writes the pushed
+chart-1 generators, read along the curve, in the chart-0 generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Poly, monomial_inverse, poly_det
+from .algebra import Poly, poly_det
 from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
 from .limits import MAX_WINDOW_SPAN, check_limit
 from .vectorfields import VectorField
@@ -38,8 +37,8 @@ __all__ = [
     "Obstruction",
     "field_to_chart0",
     "field_to_chart1",
-    "OverlapJets",
-    "transition_jet_section",
+    "crossing_starts",
+    "cross_row",
     "restrict_section",
     "solve_section_coordinates",
     "coboundary",
@@ -238,81 +237,35 @@ def _push_field(atlas: TargetAtlas, field: VectorField, chart: int) -> VectorFie
     return VectorField([c.substitute(values) for c in comps])
 
 
-class OverlapJets:
-    """A chart-1 jet section read in chart 0, carried one order at a time.
+def crossing_starts(atlas: TargetAtlas) -> Tuple[Tuple[int, ...], ...]:
+    """Start monomials of the chart-1 jet run that also yields the crossing.
 
-    `rows` holds the chart-1 rows read at w = 1/z, [coordinate][order].  A jet
-    section stores derivative rows h_i = D^i x, so a coordinate that chart 0
-    reads with exponent -1 needs the rows of its inverse; in this divided-power
-    (Hurwitz) form they are h'_0 = 1/h_0 and
-
-        h'_n = -h'_0 * sum_{k=1..n} C(n, k) * h_k * h'_(n-k),
-
-    kept in `inverses` for every such coordinate (None for the others).  `image`
-    is the chart-0 reading: coordinate k is c * h_j or c * h'_j, time is
-    untouched.  `extend` adds the rows of the next order and computes one new
-    inverse row per inverted coordinate; the rows below stay as they are.
+    Chart 1's q space coordinates and time, then x_j^-1 for every coordinate j
+    that chart 0 reads with exponent -1, in the order of `atlas.reading[0]`.
+    Every start is a chart-1 coordinate or its inverse, of t-weight 0 or 1.
     """
+    q = atlas.num_coords
 
-    __slots__ = ("atlas", "rows", "inverses", "image")
+    def unit(j: int, e: int = 1) -> Tuple[int, ...]:
+        return tuple(e if i == j else 0 for i in range(q + 1))
 
-    def __init__(self, atlas: TargetAtlas, rows: JetSection,
-                 inverses: Tuple[Optional[Tuple[Poly, ...]], ...], image: JetSection):
-        object.__setattr__(self, "atlas", atlas)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "inverses", inverses)
-        object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OverlapJets is immutable")
-
-    @classmethod
-    def of(cls, atlas: TargetAtlas, section: JetSection, order: int) -> "OverlapJets":
-        """The rows <= order of a chart-1 section, extended one by one from order 0."""
-        q = atlas.num_coords
-        empty = ((),) * (q + 1)
-        inverted = {m.source for m in atlas.reading[0] if m.exponent < 0}
-        inverses = tuple(() if j in inverted else None for j in range(q))
-        carried = cls(atlas, empty, inverses, empty)
-        for i in range(order + 1):
-            carried = carried.extend([coord[i] for coord in section])
-        return carried
-
-    def extend(self, row: Sequence[Poly]) -> "OverlapJets":
-        """Carry one more order: `row[k]` is the chart-1 row of coordinate k."""
-        n = len(self.rows[0])
-        rows = tuple(r + (negate_exponents(p),) for r, p in zip(self.rows, row))
-        inverses = tuple(None if inv is None else inv + (_inverse_row(rows[j], inv, n),)
-                         for j, inv in enumerate(self.inverses))
-        top = [m.coefficient * (inverses[m.source] if m.exponent < 0
-                                else rows[m.source])[n]
-               for m in self.atlas.reading[0]]
-        top.append(rows[-1][n])  # time is untouched by the target transition
-        image = tuple(r + (p,) for r, p in zip(self.image, top))
-        return OverlapJets(self.atlas, rows, inverses, image)
+    return (tuple(unit(j) for j in range(q + 1))
+            + tuple(unit(m.source, -1) for m in atlas.reading[0] if m.exponent < 0))
 
 
-def _inverse_row(h: Sequence[Poly], inv: Sequence[Poly], n: int) -> Poly:
-    """Row n of the Hurwitz inverse of the rows h, from its rows below n."""
-    if n == 0:
-        return monomial_inverse(h[0])
-    s = Poly.zero(1)
-    for k in range(1, n + 1):
-        if h[k]:
-            s = s + h[k] * inv[n - k] * comb(n, k)
-    return -(inv[0] * s)
+def cross_row(atlas: TargetAtlas, row: Sequence[Poly]) -> Tuple[Poly, ...]:
+    """Chart 0's reading of one chart-1 jet row taken over `crossing_starts`.
 
-
-def transition_jet_section(atlas: TargetAtlas, section: JetSection,
-                           order: int) -> JetSection:
-    """Re-express the rows <= order of a chart-1 jet section in chart-0 data.
-
-    Substitutes w = 1/z in all coefficients; chart-0 coordinate k is then the
-    rows of chart-1 coordinate j scaled by c, inverted first when the exponent
-    is -1 (which needs a monomial leading coefficient).  This is `OverlapJets`
-    extended from order 0, so every crossing of a jet section runs one routine.
+    `row[s]` is the row of start s along the curve in w.  Chart-0 coordinate k
+    reads c * x_j^(+-1), so its row is c times the row of x_j or of x_j^-1;
+    time is untouched, and every entry is read at w = 1/z.
     """
-    return OverlapJets.of(atlas, section, order).image
+    q = atlas.num_coords
+    inverted = iter(row[q + 1:])
+    read = [m.coefficient * (next(inverted) if m.exponent < 0 else row[m.source])
+            for m in atlas.reading[0]]
+    read.append(row[q])
+    return tuple(negate_exponents(p) for p in read)
 
 
 # -- presented sheaves ---------------------------------------------------------
@@ -511,6 +464,7 @@ class Cochain1:
     def __setattr__(self, name, value):
         raise AttributeError("Cochain1 is immutable")
 
+    # an alias of the constructor, kept while perfbench/workloads.py calls it
     @classmethod
     def from_nu01(cls, sheaf: PresentedSheaf, nu01: Sequence[Poly],
                   window: Window) -> "Cochain1":
@@ -556,7 +510,7 @@ def coboundary(cochain: Cochain0) -> Cochain1:
     r0 = restrict_section(cochain.sheaf, 0, cochain.chart0)
     r1 = restrict_section(cochain.sheaf, 1, cochain.chart1)
     nu01 = tuple(a - b for a, b in zip(r0, r1))
-    return Cochain1.from_nu01(cochain.sheaf, nu01, cochain.window)
+    return Cochain1(cochain.sheaf, nu01, cochain.window)
 
 
 @dataclass(frozen=True)

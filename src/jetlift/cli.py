@@ -152,7 +152,7 @@ def _cmd_cohomology(args) -> int:
     window = parse_window(args.window)
     nu = parse_poly(args.nu, [zname], allow_laurent=True)
     sheaf = PresentedSheaf.line_bundle(transition)
-    cochain = Cochain1.from_nu01(sheaf, [nu], window)
+    cochain = Cochain1(sheaf, [nu], window)
     result = solve_coboundary(cochain)
     if isinstance(result, Obstruction):
         print(result.render(zname))

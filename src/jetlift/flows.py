@@ -17,7 +17,7 @@ series, and every round runs on Python ints.  It rescales the curve to
 y = q * x and the time to s = t / R, with q the lcm of the point's denominators
 and R = L * q^(d-1) for L the lcm of the field's coefficient denominators and d
 its top degree, so the rescaled field has integer coefficients.  It carries y
-as a divided-power (Hurwitz) series h_j = j! * [s^j] y: products are binomial
+as a divided-power series h_j = j! * [s^j] y: products are binomial
 convolutions and integration is an index shift, so no round divides.  It never
 calls `derivation_powers` or the term kernels; its only inputs are the field's
 term dicts, so the two evaluations of a flow jet share no code and certify each

@@ -1,20 +1,19 @@
 """Order-by-order lifting of infinitesimal deformations along a presented subsheaf.
 
 State at order n holds, per chart, a constant-flow witness field and the jet section
-it induces along the curve, and the chart-1 section read in chart 0 (a carried
-`cech.OverlapJets`).  Rows <= n of all three are fixed from then on, so one step
-computes only row n + 1 of each candidate and one more row of the crossing.  It
-measures the overlap defect as an affine jet difference (cross-checked against the
-iterated Lie bracket of the witness fields, built graded by t alone so that only the
-terms that reach t^0 on the curve are formed), splits the defect cochain, extends
-each chart's correction to a vector field, and replaces D with D - (t^n/n!) E.
-Every new row, corrected or not, is the top row of the chart's current field;
-the crossing takes chart 1's, and on every step the two charts must then glue
-exactly.  The carried rows <= n are not re-derived during the loop: before
-`lift_to_order` returns, or reports an obstruction, both sections and the
-crossing are rebuilt from scratch at the order reached and must equal the
-carried ones, so a correction that moved a carried row ends in
-`InternalCheckError`.
+it induces along the curve, and the chart-1 section read in chart 0 (the
+crossing, itself a jet section).  Rows <= n of all three are fixed from then on,
+so one step computes only row n + 1 of each.  It measures the overlap defect as
+an affine jet difference (cross-checked against the iterated Lie bracket of the
+witness fields, built graded by t alone so that only the terms that reach t^0 on
+the curve are formed), splits the defect cochain, extends each chart's
+correction to a vector field, and replaces D with D - (t^n/n!) E.  Every new
+row, corrected or not, is the top row of the chart's current field, and on
+every step the two charts must then glue exactly.  The carried rows <= n are
+not re-derived during the loop: before `lift_to_order` returns, or reports an
+obstruction, both sections and the crossing are rebuilt from scratch at the
+order reached and must equal the carried ones, so a correction that moved a
+carried row ends in `InternalCheckError`.
 
 A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
 comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
@@ -22,9 +21,13 @@ by t alone: after the i-th of n derivations a term of t-degree above n - i can
 never reach t^0, so it is dropped, and each row is restricted to the curve by
 keeping its t^0 terms.  The engine runs on Python ints: with L the lcm of the
 witness field's coefficient denominators, it builds (L*D)^i and divides row i
-by L^i once, so the rows it returns are the exact rational D^i.  This module
-holds the loop only: every crossing of the target overlap (pushing fields,
-re-expressing jet sections) comes from `cech`, next to the atlas it reads.
+by L^i once, so the rows it returns are the exact rational D^i.  Chart 1's run
+also yields the crossing: it starts from chart 1's coordinates and from the
+inverses x_j^-1 that chart 0 reads (`cech.crossing_starts`), so each of its
+rows is one row of chart 1's section and, read by `cech.cross_row`, one row of
+the crossing; nothing is inverted.  Every reading of the target overlap
+(pushing fields, which starts chart 0 reads, c * row) comes from `cech`, next
+to the atlas it reads; this module runs the engine and the loop.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Poly
 from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
-                   Obstruction, OverlapJets, PresentedSheaf, TargetAtlas,
-                   evaluate_along_curve, field_to_chart0, field_to_chart1,
-                   restrict_section, solve_coboundary, solve_section_coordinates,
-                   transition_jet_section)
+                   Obstruction, PresentedSheaf, TargetAtlas, cross_row,
+                   crossing_starts, evaluate_along_curve, field_to_chart0,
+                   field_to_chart1, restrict_section, solve_coboundary,
+                   solve_section_coordinates)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
                      PreconditionError)
@@ -53,6 +56,7 @@ __all__ = [
     "LiftStep",
     "LiftResult",
     "local_jet_section",
+    "transition_jet_section",
     "defect_cochain",
     "lift_step",
     "lift_to_order",
@@ -84,7 +88,7 @@ class LiftState:
     fields: Tuple[VectorField, VectorField]
     sections: Tuple[JetSection, JetSection]
     window: Tuple[int, int]
-    crossing: OverlapJets      # sections[1] read in chart 0, carried by order
+    crossing: JetSection       # sections[1] read in chart 0, z-rows like sections[0]
 
 
 @dataclass(frozen=True)
@@ -161,14 +165,34 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
                  for k in range(field.num_vars))
 
 
-def _top_jet_row(field: VectorField, morphism: Sequence[Poly],
-                 order: int) -> Tuple[Poly, ...]:
-    """Row `order` of `local_jet_section` alone, one entry per coordinate."""
-    top = _derivation_rows(field, morphism, order)[order]
+def transition_jet_section(atlas: TargetAtlas, field: VectorField,
+                           morphism: Sequence[Poly],
+                           order: int) -> Tuple[JetSection, JetSection]:
+    """Chart 1's jet section and its crossing into chart 0, from one engine run.
+
+    `field` and `morphism` are chart 1's.  The run starts from
+    `cech.crossing_starts`, so entry [k][i] of the section is that of
+    `local_jet_section`, and row i of the crossing is `cech.cross_row` of
+    the run's row i.
+    """
+    rows = [tuple(evaluate_along_curve(p, morphism) for p in row)
+            for row in _derivation_rows(field, morphism, order,
+                                        crossing_starts(atlas))]
+    section = tuple(zip(*(row[:field.num_vars] for row in rows)))
+    crossing = tuple(zip(*(cross_row(atlas, row) for row in rows)))
+    return section, crossing
+
+
+def _top_jet_row(field: VectorField, morphism: Sequence[Poly], order: int,
+                 starts: Optional[Sequence[Tuple[int, ...]]] = None
+                 ) -> Tuple[Poly, ...]:
+    """Row `order` of the engine run alone, restricted to the curve, per start."""
+    top = _derivation_rows(field, morphism, order, starts)[order]
     return tuple(evaluate_along_curve(p, morphism) for p in top)
 
 
-def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int):
+def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int,
+                     starts: Optional[Sequence[Tuple[int, ...]]] = None):
     if time_component_class(field) is not TimeClass.CONSTANT_FLOW:
         raise ClassificationError(
             "jet sections require a field with constant flow in time")
@@ -176,7 +200,7 @@ def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int):
     if len(morphism) != n_coords - 1:
         raise DimensionError("morphism must cover every space coordinate")
     weights = (0,) * (n_coords - 1) + (1,)
-    return derivation_powers(field.components, order, weights)
+    return derivation_powers(field.components, order, weights, starts)
 
 
 # -- defects --------------------------------------------------------------------
@@ -187,8 +211,8 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
     """Affine difference of order-(order) candidates on the overlap, as a cochain.
 
     Both candidates come in chart-0 data: chart 0's own, and chart 1's read
-    across the overlap (`transition_jet_section` or a carried `OverlapJets`).
-    They must agree below top order (checked exactly).  The tangential
+    across the overlap (the crossing of `transition_jet_section`, or a carried
+    one).  They must agree below top order (checked exactly).  The tangential
     difference is re-expressed in generator coefficients and cross-checked
     against the iterated Lie bracket of the witness fields; the matching
     orientation is reported.
@@ -212,7 +236,7 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
         raise LiftError(
             "defect is not a generator combination within the window; "
             "the scenario does not deform along the presented sheaf")
-    nu = Cochain1.from_nu01(sheaf, coeffs, window)
+    nu = Cochain1(sheaf, coeffs, window)
     return nu, _bracket_orientation(sheaf, fields, tangent, order)
 
 
@@ -281,22 +305,26 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
 
     Rows <= n of both sections and of the crossing are carried over.  Row n + 1
     of each chart is the top jet row of that chart's field: the candidate's,
-    or D - (t^n/n!) E when the splitting corrects the chart.  The crossing is
-    extended by chart 1's row, and the two charts must then glue exactly.
+    or D - (t^n/n!) E when the splitting corrects the chart.  Chart 1's run
+    starts from `crossing_starts`, so its top row also gives the crossing's,
+    and the two charts must then glue exactly.
     """
     scenario = state.scenario
     sheaf = scenario.sheaf
+    atlas = sheaf.atlas
     n = state.order
     window = state.window
+    starts = (None, crossing_starts(atlas))
 
     def top_row(chart, field):
-        return _top_jet_row(field, sheaf.morphism.components(chart), n + 1)
+        return _top_jet_row(field, sheaf.morphism.components(chart), n + 1,
+                            starts[chart])
 
     fields = list(state.fields)
     rows = [top_row(chart, fields[chart]) for chart in (0, 1)]
-    crossing = state.crossing.extend(rows[1])
     nu, orientation = defect_cochain(
-        sheaf, (_with_row(state.sections[0], rows[0]), crossing.image), n + 1,
+        sheaf, (_with_row(state.sections[0], rows[0]),
+                _with_row(state.crossing, cross_row(atlas, rows[1]))), n + 1,
         window, fields=state.fields)
 
     lam = None
@@ -321,11 +349,11 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
             if time_component_class(fields[chart]) is not TimeClass.CONSTANT_FLOW:
                 raise InternalCheckError("correction broke the constant-flow class")
             rows[chart] = top_row(chart, fields[chart])
-        if corrections[1] is not None:
-            crossing = state.crossing.extend(rows[1])
-    sections = tuple(_with_row(state.sections[chart], rows[chart]) for chart in (0, 1))
+    sections = (_with_row(state.sections[0], rows[0]),
+                _with_row(state.sections[1], rows[1][:atlas.num_coords + 1]))
+    crossing = _with_row(state.crossing, cross_row(atlas, rows[1]))
     # glued: equal at every order <= n + 1 on the overlap
-    if crossing.image != sections[0]:
+    if crossing != sections[0]:
         raise InternalCheckError("corrected candidates still have a nonzero defect")
 
     grown = _window_growth(scenario)
@@ -365,17 +393,17 @@ def initial_state(scenario: LiftScenario) -> LiftState:
         comps = list(space.components)
         comps[q] = Poly.one(q + 1)
         fields.append(VectorField(comps))
-    sections = [local_jet_section(fields[chart], sheaf.morphism.components(chart), 1)
-                for chart in (0, 1)]
-    crossing = OverlapJets.of(atlas, sections[1], 1)
+    section0 = local_jet_section(fields[0], sheaf.morphism.components(0), 1)
+    section1, crossing = transition_jet_section(
+        atlas, fields[1], sheaf.morphism.components(1), 1)
     # the first-order data must already glue; anything else is a bad scenario
     for i in range(2):
         for k in range(q + 1):
-            if sections[0][k][i] != crossing.image[k][i]:
+            if section0[k][i] != crossing[k][i]:
                 raise LiftError(
                     f"first-order deformation does not glue at order {i}, "
                     f"coordinate {k}")
-    return LiftState(scenario, 1, tuple(fields), tuple(sections),
+    return LiftState(scenario, 1, tuple(fields), (section0, section1),
                      scenario.window, crossing)
 
 
@@ -422,11 +450,11 @@ def lift_to_order(scenario: LiftScenario, order: Optional[int] = None) -> LiftRe
 def _recompute(state: LiftState):
     """Rebuild the carried sections and crossing from scratch; they must agree."""
     sheaf = state.scenario.sheaf
-    fresh = tuple(local_jet_section(state.fields[chart],
-                                    sheaf.morphism.components(chart), state.order)
-                  for chart in (0, 1))
-    if fresh != state.sections:
+    fresh0 = local_jet_section(state.fields[0], sheaf.morphism.components(0),
+                               state.order)
+    fresh1, crossed = transition_jet_section(
+        sheaf.atlas, state.fields[1], sheaf.morphism.components(1), state.order)
+    if (fresh0, fresh1) != state.sections:
         raise InternalCheckError("carried jet sections differ from a recomputation")
-    crossed = transition_jet_section(sheaf.atlas, fresh[1], state.order)
-    if crossed != state.crossing.image:
+    if crossed != state.crossing:
         raise InternalCheckError("carried overlap crossing differs from a recomputation")

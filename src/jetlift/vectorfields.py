@@ -132,15 +132,21 @@ def apply_derivation(field: VectorField, f: Poly) -> Poly:
 
 
 def derivation_powers(components: Sequence[Poly], order: int,
-                      weights: Sequence[int]) -> List[List[Poly]]:
+                      weights: Sequence[int],
+                      starts: Optional[Sequence[Tuple[int, ...]]] = None
+                      ) -> List[List[Poly]]:
     """Truncated powers of D = sum_k components[k] d/dx_k.
 
-    powers[i][k] is D^i x_k with every term of weighted degree above order - i
-    dropped (and no other term lost), where x^e has weighted degree sum_k weights[k] * e_k, each weight is
-    0 or 1, and weighted exponents are non-negative.  d/dx_k lowers weighted
-    degree by weights[k] <= 1 and a component never lowers it, so a dropped term
-    can never reach weighted degree 0 in the remaining applications: the
-    weighted-degree-0 part of every power is exact.
+    powers[i][s] is D^i of the start monomial x^starts[s] (by default the
+    coordinates, so powers[i][k] is D^i x_k) with every term of weighted degree
+    above order - i dropped (and no other term lost), where x^e has weighted
+    degree sum_k weights[k] * e_k, each weight is 0 or 1, and weighted exponents
+    are non-negative.  d/dx_k lowers weighted degree by weights[k] <= 1 and a
+    component never lowers it, so a dropped term can never reach weighted degree
+    0 in the remaining applications: the weighted-degree-0 part of every power
+    is exact.  A start monomial, like a component, may carry negative exponents
+    on weight-0 variables only (e.g. x^-1 with x of weight 0): there they leave
+    every weighted degree as it was, so the same truncation holds.
 
     The powers are computed fraction-free, on Python ints.  With L the lcm of
     the components' coefficient denominators (1 for integer or zero
@@ -172,8 +178,9 @@ def derivation_powers(components: Sequence[Poly], order: int,
                 c = c.numerator * (scale // c.denominator)
                 for level in levels[g + 1 - weights[k]:]:
                     level[k][e] = c
-    row = [{tuple(int(j == k) for j in range(m)): 1} if weights[k] <= order else {}
-           for k in range(m)]
+    if starts is None:
+        starts = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+    row = [{e: 1} if grade(e) <= order else {} for e in starts]
     rows = [row]
     for i in range(1, order + 1):
         cap = order - i

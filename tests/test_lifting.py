@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from jetlift import cli, lifting
 from jetlift.algebra import Poly, monomial_inverse
-from jetlift.cech import (OverlapJets, TargetAtlas, field_to_chart0,
-                          field_to_chart1, negate_exponents, transition_jet_section,
-                          uni, uni_x)
+from jetlift.cech import (TargetAtlas, field_to_chart0, field_to_chart1,
+                          negate_exponents, uni, uni_x)
 from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
                             LiftObstructedError, PreconditionError)
 from jetlift.lifting import (defect_cochain, initial_state, lift_step,
-                             lift_to_order, local_jet_section)
+                             lift_to_order, local_jet_section,
+                             transition_jet_section)
 from jetlift.scenario import parse_scenario
 from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
                                   time_component_class)
@@ -303,7 +303,8 @@ class TestDefectCochain:
         sec = [list(row) for row in good[0]]
         sec[0][1] = sec[0][1] + Poly.one(1)
         broken[0] = tuple(tuple(row) for row in sec)
-        crossed = [broken[0], transition_jet_section(scenario.atlas, broken[1], 2)]
+        crossed = [broken[0],
+                   reference_transition_jet_section(scenario.atlas, broken[1], 2)]
         with pytest.raises(PreconditionError):
             defect_cochain(scenario.sheaf, crossed, 2, state.window,
                            fields=state.fields)
@@ -325,7 +326,7 @@ class TestDefectCochain:
                                         scenario.sheaf.morphism.components(c), 2)
                       for c in (0, 1)]
         crossed = [candidates[0],
-                   transition_jet_section(scenario.atlas, candidates[1], 2)]
+                   reference_transition_jet_section(scenario.atlas, candidates[1], 2)]
         nu, orientation = defect_cochain(scenario.sheaf, crossed, 2,
                                          state.window, fields=state.fields)
         assert nu.is_zero() and orientation == "zero defect"
@@ -358,11 +359,11 @@ def laurent_monomials(num_vars):
 
 @st.composite
 def overlap_cases(draw):
-    """A monomial atlas, a field on both charts' variables and a chart-1 section.
+    """A monomial atlas, a field on both charts' variables and a chart-1 curve.
 
     Chart-0 coordinate k is c_k * x_(j_k)^(+-1) for a random permutation j of
-    q = 1-2 coordinates and nonzero c_k.  Every space coordinate of the section
-    leads with a Laurent monomial, so any of them can be inverted.
+    q = 1-2 coordinates and nonzero c_k.  Every space coordinate of the curve
+    is a Laurent monomial, so any of them can be inverted.
     """
     q = draw(st.integers(min_value=1, max_value=2))
     perm = draw(st.permutations(range(q)))
@@ -377,11 +378,8 @@ def overlap_cases(draw):
     field = VectorField([draw(laurent_polys(q + 1, exponents, 3))
                          for _ in range(q + 1)])
     order = draw(st.integers(min_value=0, max_value=4))
-    coefficients = laurent_polys(1, [st.integers(-3, 3)], 2)
-    section = [[draw(laurent_monomials(1))] + [draw(coefficients) for _ in range(order)]
-               for _ in range(q)]
-    section.append([draw(coefficients) for _ in range(order + 1)])
-    return atlas, field, tuple(tuple(coord) for coord in section), order
+    morphism = tuple(draw(laurent_monomials(1)) for _ in range(q))
+    return atlas, field, morphism, order
 
 
 def reference_transition_jet_section(atlas, section, order):
@@ -400,13 +398,18 @@ def reference_transition_jet_section(atlas, section, order):
 @settings(max_examples=150, deadline=None)
 @given(overlap_cases())
 def test_overlap_crossing_matches_general_transition(case):
-    atlas, field, section, order = case
+    # the engine's crossing of chart 1's flow is the general composition of
+    # the transition with chart 1's jet section
+    atlas, field, morphism, order = case
     assert field_to_chart0(atlas, field_to_chart1(atlas, field)) == field
     assert field_to_chart1(atlas, field_to_chart0(atlas, field)) == field
     assert (field_to_chart0(atlas, field)
             == reference_push(atlas.transition, atlas.inverse, field))
-    assert (transition_jet_section(atlas, section, order)
-            == reference_transition_jet_section(atlas, section, order))
+    q = atlas.num_coords
+    flow = VectorField(field.components[:q] + (Poly.one(q + 1),))
+    section, crossing = transition_jet_section(atlas, flow, morphism, order)
+    assert section == local_jet_section(flow, morphism, order)
+    assert crossing == reference_transition_jet_section(atlas, section, order)
 
 
 PERMUTED = """
@@ -451,7 +454,7 @@ def assert_carried_state_is_recomputed(state):
     for chart in (0, 1):
         assert state.sections[chart] == local_jet_section(
             state.fields[chart], scenario.morphism.components(chart), state.order)
-    assert state.crossing.image == reference_transition_jet_section(
+    assert state.crossing == reference_transition_jet_section(
         scenario.atlas, state.sections[1], state.order)
 
 
@@ -494,10 +497,8 @@ class TestFinalRecomputation:
 
         def skewed(scenario):
             state = start(scenario)
-            crossing = state.crossing
-            return dataclasses.replace(state, crossing=OverlapJets(
-                crossing.atlas, crossing.rows, crossing.inverses,
-                _with_wrong_top_row(state, 0).sections[0]))
+            return dataclasses.replace(
+                state, crossing=_with_wrong_top_row(state, 0).sections[0])
         monkeypatch.setattr(lifting, "initial_state", skewed)
         with pytest.raises(InternalCheckError, match="carried overlap crossing"):
             lift_to_order(parse_scenario(PERTURBED), 1)
@@ -539,6 +540,45 @@ class TestFinalRecomputation:
                             lambda scenario: _with_wrong_top_row(start(scenario), 1))
         with pytest.raises(InternalCheckError, match="carried jet sections"):
             lift_to_order(parse_scenario(OBSTRUCTED), 3)
+
+
+CHART0_T = FLAGSHIP.replace("[window]", "[perturb]  chart0: t\n[window]")
+
+
+class TestChartOneCorrection:
+    """The flagship perturbed by t in chart 0: step 1 -> 2 corrects chart 1 alone."""
+
+    def test_crossing_follows_the_correction(self):
+        state = initial_state(parse_scenario(CHART0_T))
+        records = []
+        while state.order < 4:
+            state, record = lift_step(state)
+            records.append(record)
+            assert_carried_state_is_recomputed(state)
+        assert records[0].corrections == (
+            None, VectorField([Poly.monomial(2, (2, 0), 1), Poly.zero(2)]))
+        assert records[0].lam.chart1 == (uni({1: -1}),)
+        assert [r.nu.is_zero() for r in records] == [False, True, True]
+
+    def test_crossing_row_from_before_the_correction_is_caught(self, monkeypatch):
+        # the corrected step keeps the crossing row of chart 1's candidate
+        step = lifting.lift_step
+
+        def stale(state):
+            new_state, record = step(state)
+            assert record.corrections[1] is not None
+            n = new_state.order
+            candidate = local_jet_section(
+                state.fields[1], state.scenario.morphism.components(1), n)
+            row = tuple(coord[n] for coord in reference_transition_jet_section(
+                state.scenario.atlas, candidate, n))
+            assert row != tuple(coord[n] for coord in new_state.crossing)
+            crossing = tuple(coord[:n] + (p,)
+                             for coord, p in zip(new_state.crossing, row))
+            return dataclasses.replace(new_state, crossing=crossing), record
+        monkeypatch.setattr(lifting, "lift_step", stale)
+        with pytest.raises(InternalCheckError, match="carried overlap crossing"):
+            lift_to_order(parse_scenario(CHART0_T), 2)
 
 
 class TestScenarioValidation:

@@ -1,6 +1,7 @@
 """Derivations, brackets, time classification, and the graph embedding."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,31 @@ def test_derivation_powers_are_weighted_truncations(case):
                                 if sum(w * x for w, x in zip(weights, e)) <= cap})
                        for p in full]
         full = [apply_derivation(d, p) for p in full]
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_laurent_start_propagates_the_inverse(order):
+    # D = x^2 d/dx flows x(t) = x / (1 - t*x), so 1/x(t) = 1/x - t: the rows of
+    # x are i! * x^(i+1) and those of 1/x are 1/x, -1, 0, 0, ...
+    x = Poly.variable(1, 0)
+    powers = derivation_powers([x ** 2], order, (0,), starts=[(1,), (-1,)])
+    assert [row[0] for row in powers] == [Poly.monomial(1, (i + 1,), factorial(i))
+                                          for i in range(order + 1)]
+    inverse = [Poly(1, {(-1,): 1}, laurent=True), Poly.constant(1, -1)]
+    assert [row[1] for row in powers] == (inverse + [Poly.zero(1)] * order)[:order + 1]
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_laurent_start_graded_by_time(order):
+    # the same flow on (x, t) with D = x^2 d/dx + d/dt, graded by t alone: x^-1
+    # has weight 0, so its rows are cut by nothing, and t has weight 1
+    powers = derivation_powers([X ** 2, ONE2], order, (0, 1),
+                               starts=[(-1, 0), (0, 1)])
+    inverse = [Poly(2, {(-1, 0): 1}, laurent=True), Poly.constant(2, -1)]
+    assert [row[0] for row in powers] == (inverse + [ZERO2] * order)[:order + 1]
+    t = Poly.variable(2, 1)
+    time = [t if order else ZERO2, ONE2]
+    assert [row[1] for row in powers] == (time + [ZERO2] * order)[:order + 1]
 
 
 def _repeated_bracket(d1, d2, n):
