@@ -16,7 +16,6 @@ crossing of jet sections is read in `cech` and run by the jet engine in `lifting
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from ._backend import kernel as _k
@@ -502,10 +501,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries(dim={self.dim}, order={self.order}, coeffs={self.coeffs})"
-
-
-def factorial_fraction(i: int) -> Fraction:
-    return Fraction(factorial(i))
 
 
 def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:

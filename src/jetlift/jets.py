@@ -9,9 +9,10 @@ the top coordinate only.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
-from .algebra import Scalar, TruncSeries, as_fraction, factorial_fraction
+from .algebra import Scalar, TruncSeries, as_fraction
 from .errors import DimensionError, PreconditionError
 
 __all__ = [
@@ -158,13 +159,13 @@ def jet_translate(j: Jet, v: TangentVector) -> Jet:
 
 def jet_to_series(j: Jet) -> TruncSeries:
     """Taylor coefficients v_i = x_i / i!."""
-    rows = [tuple(c / factorial_fraction(i) for c in row)
+    rows = [tuple(c / factorial(i) for c in row)
             for i, row in enumerate(j.coords)]
     return TruncSeries(j.dim, j.order, rows)
 
 
 def jet_from_series(s: TruncSeries) -> Jet:
     """Derivative coordinates x_i = i! * v_i."""
-    rows = [tuple(c * factorial_fraction(i) for c in row)
+    rows = [tuple(c * factorial(i) for c in row)
             for i, row in enumerate(s.coeffs)]
     return Jet(s.dim, s.order, rows)

@@ -10,10 +10,10 @@ the curve are formed), splits the defect cochain, extends each chart's
 correction to a vector field, and replaces D with D - (t^n/n!) E.  Every new
 row, corrected or not, is the top row of the chart's current field, and on
 every step the two charts must then glue exactly.  The carried rows <= n are
-not re-derived during the loop: before `lift_to_order` returns, or reports an
-obstruction, both sections and the crossing are rebuilt from scratch at the
-order reached and must equal the carried ones, so a correction that moved a
-carried row ends in `InternalCheckError`.
+never re-derived.  A field changes only by a correction, and the step that
+corrects a chart checks that the corrected run keeps the t^0 part of every row
+<= n, for every start, as the candidate run had it: a correction that moves a
+carried row raises `InternalCheckError` where it is made.
 
 A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
 comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
@@ -160,9 +160,8 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
     Row i is read off `derivation_powers` graded by t alone: only its t^0 terms
     survive the restriction to the curve.
     """
-    powers = _derivation_rows(field, morphism, order)
-    return tuple(tuple(evaluate_along_curve(row[k], morphism) for row in powers)
-                 for k in range(field.num_vars))
+    rows = [_on_curve(row, morphism) for row in _chart_run(field, morphism, order)]
+    return tuple(zip(*rows))
 
 
 def transition_jet_section(atlas: TargetAtlas, field: VectorField,
@@ -175,24 +174,16 @@ def transition_jet_section(atlas: TargetAtlas, field: VectorField,
     `local_jet_section`, and row i of the crossing is `cech.cross_row` of
     the run's row i.
     """
-    rows = [tuple(evaluate_along_curve(p, morphism) for p in row)
-            for row in _derivation_rows(field, morphism, order,
-                                        crossing_starts(atlas))]
+    rows = [_on_curve(row, morphism)
+            for row in _chart_run(field, morphism, order, atlas)]
     section = tuple(zip(*(row[:field.num_vars] for row in rows)))
     crossing = tuple(zip(*(cross_row(atlas, row) for row in rows)))
     return section, crossing
 
 
-def _top_jet_row(field: VectorField, morphism: Sequence[Poly], order: int,
-                 starts: Optional[Sequence[Tuple[int, ...]]] = None
-                 ) -> Tuple[Poly, ...]:
-    """Row `order` of the engine run alone, restricted to the curve, per start."""
-    top = _derivation_rows(field, morphism, order, starts)[order]
-    return tuple(evaluate_along_curve(p, morphism) for p in top)
-
-
-def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int,
-                     starts: Optional[Sequence[Tuple[int, ...]]] = None):
+def _chart_run(field: VectorField, morphism: Sequence[Poly], order: int,
+               atlas: Optional[TargetAtlas] = None) -> List[List[Poly]]:
+    """Rows D^i of the coordinates, or with `atlas` of `cech.crossing_starts`."""
     if time_component_class(field) is not TimeClass.CONSTANT_FLOW:
         raise ClassificationError(
             "jet sections require a field with constant flow in time")
@@ -200,7 +191,18 @@ def _derivation_rows(field: VectorField, morphism: Sequence[Poly], order: int,
     if len(morphism) != n_coords - 1:
         raise DimensionError("morphism must cover every space coordinate")
     weights = (0,) * (n_coords - 1) + (1,)
+    starts = None if atlas is None else crossing_starts(atlas)
     return derivation_powers(field.components, order, weights, starts)
+
+
+def _on_curve(row: Sequence[Poly], morphism: Sequence[Poly]) -> Tuple[Poly, ...]:
+    return tuple(evaluate_along_curve(p, morphism) for p in row)
+
+
+def _at_t0(rows: Sequence[Sequence[Poly]]) -> List[List[dict]]:
+    """The t^0 terms of engine rows, all that their restriction to the curve reads."""
+    return [[{e: c for e, c in p.terms.items() if not e[-1]} for p in row]
+            for row in rows]
 
 
 # -- defects --------------------------------------------------------------------
@@ -224,7 +226,8 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
             if tau0[k][i] != tau1_in_0[k][i]:
                 raise PreconditionError(
                     f"candidate sections disagree at order {i} "
-                    f"(coordinate {k}): {tau0[k][i]} != {tau1_in_0[k][i]}")
+                    f"(coordinate {k}): {tau0[k][i].render(['z'])} != "
+                    f"{tau1_in_0[k][i].render(['z'])}")
     diff = [tau0[k][order] - tau1_in_0[k][order]
             for k in range(atlas.num_coords + 1)]
     if not diff[-1].is_zero():
@@ -304,24 +307,27 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     """One lifting step: candidates, defect, splitting, correction, glue check.
 
     Rows <= n of both sections and of the crossing are carried over.  Row n + 1
-    of each chart is the top jet row of that chart's field: the candidate's,
-    or D - (t^n/n!) E when the splitting corrects the chart.  Chart 1's run
-    starts from `crossing_starts`, so its top row also gives the crossing's,
-    and the two charts must then glue exactly.
+    of each chart is the top row of that chart's engine run to n + 1: the
+    candidate's, or that of D - (t^n/n!) E when the splitting corrects the
+    chart, and then every row <= n must keep its t^0 part, for every start.
+    Chart 1's run starts from `crossing_starts`, so its top row also gives the
+    crossing's, and the two charts must then glue exactly.
     """
     scenario = state.scenario
     sheaf = scenario.sheaf
     atlas = sheaf.atlas
     n = state.order
     window = state.window
-    starts = (None, crossing_starts(atlas))
-
-    def top_row(chart, field):
-        return _top_jet_row(field, sheaf.morphism.components(chart), n + 1,
-                            starts[chart])
 
     fields = list(state.fields)
-    rows = [top_row(chart, fields[chart]) for chart in (0, 1)]
+    morphisms = [sheaf.morphism.components(chart) for chart in (0, 1)]
+
+    def run(chart):
+        return _chart_run(fields[chart], morphisms[chart], n + 1,
+                          atlas if chart else None)
+
+    runs = [run(chart) for chart in (0, 1)]
+    rows = [_on_curve(runs[chart][n + 1], morphisms[chart]) for chart in (0, 1)]
     nu, orientation = defect_cochain(
         sheaf, (_with_row(state.sections[0], rows[0]),
                 _with_row(state.crossing, cross_row(atlas, rows[1]))), n + 1,
@@ -348,7 +354,11 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
             fields[chart] = fields[chart] - e_field.scale(scale)
             if time_component_class(fields[chart]) is not TimeClass.CONSTANT_FLOW:
                 raise InternalCheckError("correction broke the constant-flow class")
-            rows[chart] = top_row(chart, fields[chart])
+            corrected = run(chart)
+            if _at_t0(corrected[:n + 1]) != _at_t0(runs[chart][:n + 1]):
+                raise InternalCheckError(
+                    "carried jet sections differ from a recomputation")
+            rows[chart] = _on_curve(corrected[n + 1], morphisms[chart])
     sections = (_with_row(state.sections[0], rows[0]),
                 _with_row(state.sections[1], rows[1][:atlas.num_coords + 1]))
     crossing = _with_row(state.crossing, cross_row(atlas, rows[1]))
@@ -428,33 +438,15 @@ def _validate_perturbation(field: VectorField):
 
 
 def lift_to_order(scenario: LiftScenario, order: Optional[int] = None) -> LiftResult:
-    """Iterate lift_step from the first-order data up to the requested order."""
+    """Iterate lift_step, which checks the rows it carries, to the requested order."""
     target = scenario.order if order is None else order
     if target < 1:
         raise OrderError("lift order must be >= 1")
     check_limit("lift order", target, "MAX_ORDER", MAX_ORDER)
     state = initial_state(scenario)
     result = LiftResult(scenario, state)
-    try:
-        while state.order < target:
-            state, step = lift_step(state)
-            result.steps.append(step)
-            result.state = state
-    except LiftObstructedError:
-        _recompute(state)
-        raise
-    _recompute(state)
+    while state.order < target:
+        state, step = lift_step(state)
+        result.steps.append(step)
+        result.state = state
     return result
-
-
-def _recompute(state: LiftState):
-    """Rebuild the carried sections and crossing from scratch; they must agree."""
-    sheaf = state.scenario.sheaf
-    fresh0 = local_jet_section(state.fields[0], sheaf.morphism.components(0),
-                               state.order)
-    fresh1, crossed = transition_jet_section(
-        sheaf.atlas, state.fields[1], sheaf.morphism.components(1), state.order)
-    if (fresh0, fresh1) != state.sections:
-        raise InternalCheckError("carried jet sections differ from a recomputation")
-    if crossed != state.crossing:
-        raise InternalCheckError("carried overlap crossing differs from a recomputation")

@@ -6,7 +6,6 @@ corrected perturbed field is (x + t*x^2) d/dx + d/dt, whose derivative coordinat
 at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by order).
 """
 
-import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -16,8 +15,8 @@ from hypothesis import strategies as st
 
 from jetlift import cli, lifting
 from jetlift.algebra import Poly, monomial_inverse
-from jetlift.cech import (TargetAtlas, field_to_chart0, field_to_chart1,
-                          negate_exponents, uni, uni_x)
+from jetlift.cech import (TargetAtlas, cross_row, field_to_chart0,
+                          field_to_chart1, negate_exponents, uni, uni_x)
 from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
                             LiftObstructedError, PreconditionError)
 from jetlift.lifting import (defect_cochain, initial_state, lift_step,
@@ -305,7 +304,8 @@ class TestDefectCochain:
         broken[0] = tuple(tuple(row) for row in sec)
         crossed = [broken[0],
                    reference_transition_jet_section(scenario.atlas, broken[1], 2)]
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"candidate sections "
+                           r"disagree at order 1 \(coordinate 0\): z \+ 1 != z$"):
             defect_cochain(scenario.sheaf, crossed, 2, state.window,
                            fields=state.fields)
 
@@ -474,72 +474,46 @@ def test_carried_tower_matches_recomputation(case):
         assert_carried_state_is_recomputed(state)
 
 
-def _with_wrong_top_row(state, chart):
-    sections = list(state.sections)
-    sections[chart] = tuple(coord[:-1] + (coord[-1] + Poly.one(1),)
-                            for coord in sections[chart])
-    return dataclasses.replace(state, sections=tuple(sections))
+def _move_carried_rows(monkeypatch):
+    """From the first step on, every nonzero correction E gains t^-1 x^2 d/dx.
+
+    At n = 1 the t^n/n! scale leaves that term t-free, so the corrected field
+    moves row 1 of its chart while the step is made.
+    """
+    start, extend = lifting.initial_state, lifting._extend_to_field
+    extra = VectorField([Poly(2, {(2, -1): 1}, laurent=True), Poly.zero(2)])
+
+    def faulty(sheaf, chart, coefficients):
+        e_field = extend(sheaf, chart, coefficients)
+        return e_field if e_field.is_zero() else e_field + extra
+
+    def start_then_fault(scenario):
+        state = start(scenario)
+        monkeypatch.setattr(lifting, "_extend_to_field", faulty)
+        return state
+    monkeypatch.setattr(lifting, "initial_state", start_then_fault)
 
 
 class TestFinalRecomputation:
-    def test_wrong_carried_section_is_caught(self, monkeypatch):
-        step = lifting.lift_step
-
-        def skewed(state):
-            new_state, record = step(state)
-            return _with_wrong_top_row(new_state, 1), record
-        monkeypatch.setattr(lifting, "lift_step", skewed)
-        with pytest.raises(InternalCheckError, match="carried jet sections"):
-            lift_to_order(parse_scenario(PERTURBED), 2)
-
-    def test_wrong_carried_crossing_is_caught(self, monkeypatch):
-        start = lifting.initial_state
-
-        def skewed(scenario):
-            state = start(scenario)
-            return dataclasses.replace(
-                state, crossing=_with_wrong_top_row(state, 0).sections[0])
-        monkeypatch.setattr(lifting, "initial_state", skewed)
-        with pytest.raises(InternalCheckError, match="carried overlap crossing"):
-            lift_to_order(parse_scenario(PERTURBED), 1)
-
-    @staticmethod
-    def _move_a_carried_row(monkeypatch):
-        # after the corrected step 1 -> 2, chart 0's field gains the t-free
-        # term x^2 d/dx, which moves row 1; the step's sections stay as carried
-        step = lifting.lift_step
-
-        def moved(state):
-            new_state, record = step(state)
-            assert record.corrections[0] is not None
-            extra = VectorField([Poly.monomial(2, (2, 0), 1), Poly.zero(2)])
-            fields = (new_state.fields[0] + extra, new_state.fields[1])
-            return dataclasses.replace(new_state, fields=fields), record
-        monkeypatch.setattr(lifting, "lift_step", moved)
+    """The correcting step itself catches a correction that moves a carried row."""
 
     def test_corrected_field_that_moves_a_carried_row_is_caught(self, monkeypatch):
-        self._move_a_carried_row(monkeypatch)
+        _move_carried_rows(monkeypatch)
         with pytest.raises(InternalCheckError, match="carried jet sections"):
             lift_to_order(parse_scenario(PERTURBED), 2)
 
     def test_moved_carried_row_exits_3(self, monkeypatch, capsys, tmp_path):
-        self._move_a_carried_row(monkeypatch)
+        # the same fault ends the lift at every order past the faulty step
         path = tmp_path / "perturbed.scn"
         path.write_text(PERTURBED, encoding="utf-8")
-        code = cli.main(["lift", "--scenario", str(path), "--order", "2"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert captured.err == ("internal check failed: carried jet sections "
-                                "differ from a recomputation\n")
-
-    def test_obstructed_lift_is_rechecked_first(self, monkeypatch):
-        # the defect reads chart 1 through the crossing, so only the final
-        # recomputation sees its section
-        start = lifting.initial_state
-        monkeypatch.setattr(lifting, "initial_state",
-                            lambda scenario: _with_wrong_top_row(start(scenario), 1))
-        with pytest.raises(InternalCheckError, match="carried jet sections"):
-            lift_to_order(parse_scenario(OBSTRUCTED), 3)
+        for order in ("2", "3"):
+            with monkeypatch.context() as patch:
+                _move_carried_rows(patch)
+                code = cli.main(["lift", "--scenario", str(path), "--order", order])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert captured.err == ("internal check failed: carried jet sections "
+                                    "differ from a recomputation\n")
 
 
 CHART0_T = FLAGSHIP.replace("[window]", "[perturb]  chart0: t\n[window]")
@@ -561,24 +535,24 @@ class TestChartOneCorrection:
         assert [r.nu.is_zero() for r in records] == [False, True, True]
 
     def test_crossing_row_from_before_the_correction_is_caught(self, monkeypatch):
-        # the corrected step keeps the crossing row of chart 1's candidate
-        step = lifting.lift_step
+        # the corrected step reads chart 1's candidate row across the overlap
+        state = initial_state(parse_scenario(CHART0_T))
+        read = []
 
-        def stale(state):
-            new_state, record = step(state)
-            assert record.corrections[1] is not None
-            n = new_state.order
-            candidate = local_jet_section(
-                state.fields[1], state.scenario.morphism.components(1), n)
-            row = tuple(coord[n] for coord in reference_transition_jet_section(
-                state.scenario.atlas, candidate, n))
-            assert row != tuple(coord[n] for coord in new_state.crossing)
-            crossing = tuple(coord[:n] + (p,)
-                             for coord, p in zip(new_state.crossing, row))
-            return dataclasses.replace(new_state, crossing=crossing), record
-        monkeypatch.setattr(lifting, "lift_step", stale)
-        with pytest.raises(InternalCheckError, match="carried overlap crossing"):
-            lift_to_order(parse_scenario(CHART0_T), 2)
+        def stale(atlas, row):
+            read.append(cross_row(atlas, row))
+            return read[0]
+        monkeypatch.setattr(lifting, "cross_row", stale)
+        with pytest.raises(InternalCheckError, match="nonzero defect"):
+            lift_step(state)
+        assert len(read) == 2 and read[0] != read[1]
+
+    def test_correction_that_moves_a_carried_row_is_caught(self, monkeypatch):
+        # chart 1's run starts from x^-1 too, so its check also covers the
+        # crossing rows
+        _move_carried_rows(monkeypatch)
+        with pytest.raises(InternalCheckError, match="carried jet sections"):
+            lift_to_order(parse_scenario(CHART0_T), 3)
 
 
 class TestScenarioValidation:

@@ -1,13 +1,17 @@
 """The scenario files shipped in scenarios/ behave as their comments claim."""
 
 import pathlib
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from jetlift.cech import uni_x
+from jetlift.algebra import Poly, series_mul
+from jetlift.cech import uni, uni_x
 from jetlift.errors import LiftObstructedError
 from jetlift.lifting import lift_to_order
 from jetlift.scenario import parse_scenario_file
+from jetlift.vectorfields import VectorField
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -39,3 +43,30 @@ def test_graph_embedded():
         parse_scenario_file(str(SCENARIOS / "graph_embedded.scn")))
     assert result.scenario.atlas.names == ("y", "x")
     assert [s.nu.is_zero() for s in result.steps] == [False, True]
+
+
+def test_log_chart1_correction():
+    result = lift_to_order(
+        parse_scenario_file(str(SCENARIOS / "log_chart1_correction.scn")))
+    order = result.state.order
+    # chart 0 flows x' = x + t from (z, 0): x(t) = (z+1) e^t - t - 1
+    z = uni_x(1)
+    assert result.state.sections[0][0] == (z, z) + (z + 1,) * (order - 1)
+    # chart 1 reads 1/x(t) at z = 1/w.  There x = g(t)/w with
+    # g = 1 - h, h = -t - (1+w) * sum_{k>=2} t^k/k!, so 1/x = w * sum_j h^j.
+    w, zero = uni_x(1), Poly.zero(1)
+    h = [zero, -Poly.one(1)] + [(w + 1) * Fraction(-1, factorial(k))
+                                for k in range(2, order + 1)]
+    power, inverse = [Poly.one(1)] + [zero] * order, [zero] * (order + 1)
+    for _ in range(order + 1):
+        inverse = [a + b for a, b in zip(inverse, power)]
+        power = series_mul(power, h, order, zero)
+    section1 = tuple(w * c * factorial(k) for k, c in enumerate(inverse))
+    assert section1[1] == -w
+    assert result.state.sections[1][0] == section1
+    # step 1 -> 2 corrects chart 1 alone, with E = x^2 d/dx and lambda1 = -w
+    first = result.steps[0]
+    assert first.corrections == (
+        None, VectorField([Poly.monomial(2, (2, 0), 1), Poly.zero(2)]))
+    assert first.lam.chart1 == (uni({1: -1}),)
+    assert [s.nu.is_zero() for s in result.steps] == [False, True, True]
