@@ -7,10 +7,13 @@ through a `laurent=True` constructor, in which case negative exponents are allow
 (used by the two-chart Čech machinery).  Equality is purely structural: same variable
 count, same term dict.
 
-The truncated-series helpers (`series_mul`, `series_compose`) work over any
-exact commutative ring that supports + and *; `Poly.compose_series` runs them on
-Fractions, and `series_compose` takes non-negative exponents only.  The chart
-crossing of jet sections is read in `cech` and run by the jet engine in `lifting`.
+The truncated-series helpers work over any exact commutative ring that supports
++ and *.  `series_compose`, the one composer of polynomials with truncated
+series, takes non-negative exponents and the truncated product as an argument:
+`Poly.compose_series` runs it on Fractions with the Cauchy product `series_mul`,
+and the Picard oracle in `flows` on ints with the divided-power product.  The
+chart crossing of jet sections is read in `cech` and run by the jet engine in
+`lifting`.
 """
 
 from __future__ import annotations
@@ -260,7 +263,7 @@ class Poly:
             raise DimensionError(
                 f"series has dim {gamma.dim}, polynomial has {self.num_vars} variables")
         series = [gamma.component(k) for k in range(self.num_vars)]
-        acc = series_compose(self.terms, series, gamma.order, Fraction(0))
+        (acc,) = series_compose([self.terms], series, gamma.order, Fraction(0))
         return TruncSeries(1, gamma.order, [(v,) for v in acc])
 
     def reindex(self, num_vars: int, positions: Sequence[int]) -> "Poly":
@@ -405,7 +408,7 @@ def monomial_inverse(p: Poly) -> Poly:
 # -- generic truncated-series helpers ---------------------------------------
 #
 # Coefficient sequences are plain lists over any exact commutative ring that
-# supports + and * (Fraction or Poly); all products truncate at `order`.
+# supports + and * (int, Fraction or Poly); all products truncate at `order`.
 
 def series_mul(a: Sequence, b: Sequence, order: int, zero) -> list:
     out = [zero] * (order + 1)
@@ -417,42 +420,42 @@ def series_mul(a: Sequence, b: Sequence, order: int, zero) -> list:
     return out
 
 
-def series_compose(terms: Mapping[Tuple[int, ...], Scalar], series: Sequence[Sequence],
-                   order: int, zero) -> list:
-    """Truncation of g(series) to `order`, g given by its term dict.
+def series_compose(term_dicts: Sequence[Mapping[Tuple[int, ...], Scalar]],
+                   series: Sequence[Sequence], order: int, zero,
+                   mul=None) -> List[list]:
+    """Truncations of g(series) to `order`, one for each term dict g.
 
-    series[k] is the coefficient sequence substituted for variable k.  Powers of
-    each series are built once, by repeated `series_mul`.  Every exponent must be
-    non-negative.
+    series[k] is the coefficient sequence substituted for variable k.  The
+    powers of each series are shared by all the term dicts and built as far as
+    an exponent needs them, by repeated products `mul(a, b, order, zero)`:
+    `series_mul` unless another truncated product is given (looked up per call,
+    so a replaced `series_mul` is used).  Every exponent must be non-negative.
     """
-    hi = [0] * len(series)
-    for e in terms:
-        for k, ek in enumerate(e):
-            if ek < 0:
-                raise ValueError("series composition needs non-negative exponents")
-            if ek > hi[k]:
-                hi[k] = ek
-    # powers[k][e] = series[k] ** e for every exponent e > 0 that occurs
-    powers: List[dict] = []
-    for k, base in enumerate(series):
-        table = {1: base}
-        for e in range(2, hi[k] + 1):
-            table[e] = series_mul(table[e - 1], base, order, zero)
-        powers.append(table)
-    acc = [zero] * (order + 1)
-    for e, c in terms.items():
-        term = None
-        for k, ek in enumerate(e):
-            if ek:
-                p = powers[k][ek]
-                term = p if term is None else series_mul(term, p, order, zero)
-        if term is None:
-            acc[0] = acc[0] + c
-            continue
-        for j, v in enumerate(term):
-            if v:
-                acc[j] = acc[j] + c * v
-    return acc
+    mul = mul or series_mul
+    powers = [[None, base] for base in series]   # powers[k][e] = series[k] ** e
+    out = []
+    for terms in term_dicts:
+        acc = [zero] * (order + 1)
+        for e, c in terms.items():
+            term = None
+            for k, ek in enumerate(e):
+                if ek:
+                    if ek < 0:
+                        raise ValueError(
+                            "series composition needs non-negative exponents")
+                    table = powers[k]
+                    while len(table) <= ek:
+                        table.append(mul(table[-1], table[1], order, zero))
+                    p = table[ek]
+                    term = p if term is None else mul(term, p, order, zero)
+            if term is None:
+                acc[0] = acc[0] + c
+                continue
+            for j, v in enumerate(term):
+                if v:
+                    acc[j] = acc[j] + c * v
+        out.append(acc)
+    return out
 
 
 class TruncSeries:

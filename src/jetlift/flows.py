@@ -18,7 +18,9 @@ y = q * x and the time to s = t / R, with q the lcm of the point's denominators
 and R = L * q^(d-1) for L the lcm of the field's coefficient denominators and d
 its top degree, so the rescaled field has integer coefficients.  It carries y
 as a divided-power series h_j = j! * [s^j] y: products are binomial
-convolutions and integration is an index shift, so no round divides.  It never
+convolutions and integration is an index shift, so no round divides.  A round
+is one `algebra.series_compose` over that product, the composer that
+`Poly.compose_series` runs on Fractions with the Cauchy product.  It never
 calls `derivation_powers` or the term kernels; its only inputs are the field's
 term dicts, so the two evaluations of a flow jet share no code and certify each
 other.
@@ -38,13 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import Poly, Scalar, TruncSeries, as_fraction, poly_det
+from .algebra import (Poly, Scalar, TruncSeries, as_fraction, poly_det,
+                      series_compose)
 from .errors import (DimensionError, InternalCheckError, OrderError,
                      PreconditionError)
+from .frobenius import rank_at
 from .jets import Jet, TangentVector, jet_difference, jet_from_series
 from .limits import MAX_ORDER, check_limit
 from .vectorfields import VectorField, derivation_powers, iterated_bracket
@@ -144,13 +149,13 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
     rhs = [{e: c.numerator * (big_l // c.denominator) * q ** (d - sum(e))
             for e, c in comp.terms.items()} for comp in components]
     y0 = [c.numerator * (q // c.denominator) for c in pt]
-    top = [max((e[k] for h in rhs for e in h), default=0) for k in range(len(pt))]
     binom = [[comb(n, i) for i in range(n + 1)] for n in range(order + 1)]
+    mul = partial(_hurwitz_mul, binom)
 
     y = [[v] for v in y0]       # y[k][j] = h_j of y_k
     for _ in range(order):
-        y = _hurwitz_round(rhs, top, y0, [col + [0] for col in y], binom)
-    if _hurwitz_round(rhs, top, y0, y, binom) != y:
+        y = _hurwitz_round(rhs, y0, [col + [0] for col in y], mul)
+    if _hurwitz_round(rhs, y0, y, mul) != y:
         raise InternalCheckError("Picard iteration failed to stabilize")
     rows = []
     scale = q
@@ -161,44 +166,21 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
     return TruncSeries(len(pt), order, rows)
 
 
-def _hurwitz_mul(a, b, binom):
-    """Divided-power product (a*b)_n = sum_i C(n, i) a_i b_(n-i), to len(a) terms."""
-    n = len(a)
-    out = [0] * n
+def _hurwitz_mul(binom, a, b, order, zero):
+    """Divided-power product (a*b)_n = sum_i C(n, i) a_i b_(n-i), to `order`."""
+    out = [zero] * (order + 1)
     for i, ai in enumerate(a):
         if ai:
-            for j in range(n - i):
+            for j in range(order + 1 - i):
                 if b[j]:
                     out[i + j] += binom[i + j][i] * ai * b[j]
     return out
 
 
-def _hurwitz_round(rhs, top, y0, y, binom):
+def _hurwitz_round(rhs, y0, y, mul):
     """One Picard round on divided-power series: y0 + the integral of H(y)."""
-    powers = []
-    for col, e_max in zip(y, top):
-        table = [None, col]
-        for _ in range(1, e_max):
-            table.append(_hurwitz_mul(table[-1], col, binom))
-        powers.append(table)
-    n = len(y[0])
-    out = []
-    for h, start in zip(rhs, y0):
-        acc = [0] * n
-        for e, c in h.items():
-            term = None
-            for table, ek in zip(powers, e):
-                if ek:
-                    p = table[ek]
-                    term = p if term is None else _hurwitz_mul(term, p, binom)
-            if term is None:
-                acc[0] += c
-                continue
-            for j, v in enumerate(term):
-                if v:
-                    acc[j] += c * v
-        out.append([start] + acc[:-1])
-    return out
+    images = series_compose(rhs, y, len(y[0]) - 1, 0, mul)
+    return [[start] + h[:-1] for start, h in zip(y0, images)]
 
 
 def _first_jet_disagreement(j1: Jet, j2: Jet, order: int) -> Optional[int]:
@@ -334,8 +316,8 @@ def stratum_invariance_check(distribution, combo: Sequence[Poly],
     starting point, every (r+1)x(r+1) minor of the generator component matrix is
     composed with the order-N Picard flow of D and must vanish identically.
     """
-    from .frobenius import rank_at  # local import to avoid a module cycle
-
+    if order < 0:
+        raise OrderError("order must be >= 0")
     check_limit("invariance order", order, "MAX_ORDER", MAX_ORDER)
     m = distribution.num_vars
     gens = distribution.gens

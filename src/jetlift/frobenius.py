@@ -13,12 +13,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Poly, Scalar, as_fraction
 from .errors import DimensionError, InternalCheckError, OrderError
-from .limits import MAX_GRID_POINTS, MAX_SEARCH_VARS, check_limit
+from .limits import (MAX_CERTIFICATE_UNKNOWNS, MAX_GRID_POINTS, MAX_SEARCH_VARS,
+                     check_limit)
 from .vectorfields import VectorField, lie_bracket
 
 __all__ = [
@@ -143,7 +145,9 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int):
     """Certificate, definitive counterexample point, or an explicit inconclusive."""
     if degree_bound < 0:
         raise OrderError("degree bound must be >= 0")
-    gens = distribution.gens
+    gens, m = distribution.gens, distribution.num_vars
+    check_limit("certificate unknown count", len(gens) * comb(degree_bound + m, m),
+                "MAX_CERTIFICATE_UNKNOWNS", MAX_CERTIFICATE_UNKNOWNS)
     pairs: Dict[Tuple[int, int], Tuple[Poly, ...]] = {}
     failed_pairs = []
     for i in range(len(gens)):

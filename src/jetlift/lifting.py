@@ -1,13 +1,13 @@
 """Order-by-order lifting of infinitesimal deformations along a presented subsheaf.
 
 State at order n holds, per chart, a constant-flow witness field and the jet section
-it induces along the curve, and the chart-1 section read in chart 0 (the
-crossing, itself a jet section).  Rows <= n of all three are fixed from then on,
-so one step computes only row n + 1 of each.  It measures the overlap defect as
-an affine jet difference (cross-checked against the iterated Lie bracket of the
-witness fields, built graded by t alone so that only the terms that reach t^0 on
-the curve are formed), splits the defect cochain, extends each chart's
-correction to a vector field, and replaces D with D - (t^n/n!) E.  Every new
+it induces along the curve; they glue, so chart 1's section read in chart 0 (the
+crossing) is chart 0's.  Rows <= n of both are fixed from then on, so one step
+computes only row n + 1 of each.  It measures the overlap defect as an affine
+jet difference (cross-checked against the iterated Lie bracket of the witness
+fields, built graded by t alone so that only the terms that reach t^0 on the
+curve are formed), splits the defect cochain, extends each chart's correction
+to a vector field, and replaces D with D - (t^n/n!) E.  Every new
 row, corrected or not, is the top row of the chart's current field, and on
 every step the two charts must then glue exactly.  The carried rows <= n are
 never re-derived.  A field changes only by a correction, and the step that
@@ -88,7 +88,6 @@ class LiftState:
     fields: Tuple[VectorField, VectorField]
     sections: Tuple[JetSection, JetSection]
     window: Tuple[int, int]
-    crossing: JetSection       # sections[1] read in chart 0, z-rows like sections[0]
 
 
 @dataclass(frozen=True)
@@ -213,11 +212,11 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
     """Affine difference of order-(order) candidates on the overlap, as a cochain.
 
     Both candidates come in chart-0 data: chart 0's own, and chart 1's read
-    across the overlap (the crossing of `transition_jet_section`, or a carried
-    one).  They must agree below top order (checked exactly).  The tangential
-    difference is re-expressed in generator coefficients and cross-checked
-    against the iterated Lie bracket of the witness fields; the matching
-    orientation is reported.
+    across the overlap (the crossing of `transition_jet_section`, or chart 0's
+    carried rows and chart 1's new row read across).  They must agree below top
+    order (checked exactly).  The tangential difference is re-expressed in
+    generator coefficients and cross-checked against the iterated Lie bracket
+    of the witness fields; the matching orientation is reported.
     """
     atlas = sheaf.atlas
     tau0, tau1_in_0 = candidates
@@ -306,12 +305,12 @@ def _with_row(section: JetSection, row: Sequence[Poly]) -> JetSection:
 def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     """One lifting step: candidates, defect, splitting, correction, glue check.
 
-    Rows <= n of both sections and of the crossing are carried over.  Row n + 1
-    of each chart is the top row of that chart's engine run to n + 1: the
-    candidate's, or that of D - (t^n/n!) E when the splitting corrects the
-    chart, and then every row <= n must keep its t^0 part, for every start.
-    Chart 1's run starts from `crossing_starts`, so its top row also gives the
-    crossing's, and the two charts must then glue exactly.
+    Rows <= n of both sections are carried over; below n + 1 the crossing is
+    chart 0's section.  Row n + 1 of each chart is the top row of that chart's
+    engine run to n + 1: the candidate's, or that of D - (t^n/n!) E when the
+    splitting corrects the chart, and then every row <= n must keep its t^0
+    part, for every start.  Chart 1's run starts from `crossing_starts`, so its
+    top row also gives the crossing's, which must then equal chart 0's row.
     """
     scenario = state.scenario
     sheaf = scenario.sheaf
@@ -330,7 +329,7 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     rows = [_on_curve(runs[chart][n + 1], morphisms[chart]) for chart in (0, 1)]
     nu, orientation = defect_cochain(
         sheaf, (_with_row(state.sections[0], rows[0]),
-                _with_row(state.crossing, cross_row(atlas, rows[1]))), n + 1,
+                _with_row(state.sections[0], cross_row(atlas, rows[1]))), n + 1,
         window, fields=state.fields)
 
     lam = None
@@ -359,17 +358,15 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
                 raise InternalCheckError(
                     "carried jet sections differ from a recomputation")
             rows[chart] = _on_curve(corrected[n + 1], morphisms[chart])
+    # glued: rows <= n already agree across the overlap, so row n + 1 must too
+    if cross_row(atlas, rows[1]) != rows[0]:
+        raise InternalCheckError("corrected candidates still have a nonzero defect")
     sections = (_with_row(state.sections[0], rows[0]),
                 _with_row(state.sections[1], rows[1][:atlas.num_coords + 1]))
-    crossing = _with_row(state.crossing, cross_row(atlas, rows[1]))
-    # glued: equal at every order <= n + 1 on the overlap
-    if crossing != sections[0]:
-        raise InternalCheckError("corrected candidates still have a nonzero defect")
 
     grown = _window_growth(scenario)
     new_window = (window[0] - grown, window[1] + grown)
-    new_state = LiftState(scenario, n + 1, tuple(fields), sections, new_window,
-                          crossing)
+    new_state = LiftState(scenario, n + 1, tuple(fields), sections, new_window)
     return new_state, LiftStep(n, nu, lam, orientation, tuple(corrections))
 
 
@@ -414,7 +411,7 @@ def initial_state(scenario: LiftScenario) -> LiftState:
                     f"first-order deformation does not glue at order {i}, "
                     f"coordinate {k}")
     return LiftState(scenario, 1, tuple(fields), (section0, section1),
-                     scenario.window, crossing)
+                     scenario.window)
 
 
 def _validate_sigma(scenario: LiftScenario):

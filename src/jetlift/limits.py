@@ -21,6 +21,9 @@ MAX_GRID_POINTS = 100_000
 MAX_SEARCH_VARS = 6
 """Variables of `frobenius.default_search_grid`, which has 7^m points."""
 
+MAX_CERTIFICATE_UNKNOWNS = 10_000
+"""Unknowns s * C(d + m, m) of an involutivity certificate of degree d."""
+
 
 def check_limit(what: str, value: int, name: str, limit: int) -> None:
     """Raise LimitError naming the limit when `value` exceeds it."""

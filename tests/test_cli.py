@@ -222,8 +222,11 @@ class TestCommands:
          "parse error: window needs two integers (line 1, column 1)\n"),
         (["flowjet", "--vars", "x^2", "--field", "1", "--point", "1", "--order", "2"],
          "parse error: invalid variable name 'x^2' in --vars (line 1, column 1)\n"),
+        (["invariance", "--vars", "x,y", "--gens", "x,0", "--combo", "1",
+          "--point", "1,1", "--order", "-5"],
+         "error: order must be >= 0\n"),
     ], ids=["negative-degree", "duplicate-vars", "stray-star", "window-underscore",
-            "power-as-name"])
+            "power-as-name", "negative-invariance-order"])
     def test_rejected_input_exit_code(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()
@@ -294,8 +297,11 @@ class TestCommands:
         (["iterbracket", "--vars", "x,y", "--f1", "y,x^2", "--f2", "x,y^2",
           "--n", "100000"],
          "iterated bracket n is 100000, above the limit MAX_ORDER = 64"),
+        (["involutive", "--vars", "x,y,z", "--gens", "1,0,y;0,1,0", "--degree", "40"],
+         "certificate unknown count is 24682, above the limit "
+         "MAX_CERTIFICATE_UNKNOWNS = 10000"),
     ], ids=["window", "flowjet", "verify-dj", "invariance", "strata", "search-grid",
-            "iterbracket"])
+            "iterbracket", "certificate"])
     def test_limit_exit_code(self, capsys, argv, message):
         start = time.perf_counter()
         code = main(argv)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, factorial
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlift import flows
-from jetlift.algebra import Poly, TruncSeries
+from jetlift.algebra import Poly, TruncSeries, series_compose
 from jetlift.errors import DimensionError, JetliftError, OrderError, PreconditionError
 from jetlift.flows import (flow_jet, flow_series_picard, jet_defect,
                            stratum_invariance_check, verify_dj)
@@ -182,6 +183,38 @@ def picard_cases(draw):
 def test_integer_oracle_matches_fraction_reference(case):
     d, pt, order = case
     assert flow_series_picard(d, pt, order) == reference_picard(d, pt, order)
+
+
+@st.composite
+def divided_power_cases(draw):
+    """Integer term dicts in 1-2 variables, one integer series per variable."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    order = draw(st.integers(min_value=0, max_value=6))
+    ints = st.integers(-9, 9)
+    term_dicts = draw(st.lists(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), ints, max_size=4),
+        min_size=1, max_size=3))
+    series = [draw(st.lists(ints, min_size=order + 1, max_size=order + 1))
+              for _ in range(n)]
+    return term_dicts, series, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(divided_power_cases())
+def test_divided_power_composition_matches_ordinary(case):
+    # h_i = i! * a_i turns the Cauchy product into the divided-power one, so
+    # composing the h with the Picard round's product gives j! times
+    # coefficient j of the ordinary composition of the a, and stays on ints
+    term_dicts, series, order = case
+    binom = [[comb(n, i) for i in range(n + 1)] for n in range(order + 1)]
+    divided = series_compose(term_dicts, series, order, 0,
+                             partial(flows._hurwitz_mul, binom))
+    ordinary = series_compose(
+        term_dicts, [[Fraction(h, factorial(i)) for i, h in enumerate(col)]
+                     for col in series], order, Fraction(0))
+    assert divided == [[factorial(j) * c for j, c in enumerate(acc)]
+                       for acc in ordinary]
+    assert all(type(v) is int for acc in divided for v in acc)
 
 
 @pytest.mark.parametrize("order", [0, 3])

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from jetlift import frobenius
 from jetlift.algebra import Poly
-from jetlift.errors import DimensionError, OrderError
+from jetlift.errors import DimensionError, LimitError, OrderError
 from jetlift.frobenius import (CounterexamplePoint, Distribution,
                                InvolutivityCertificate, NotFoundUpTo,
                                default_search_grid, grid_points,
@@ -55,6 +56,25 @@ class TestInvolutivity:
     def test_negative_degree_bound_rejected(self):
         with pytest.raises(OrderError):
             involutivity_certificate(Distribution(2, [D_X, X_DY]), -1)
+
+    def test_unknown_count_limit(self, monkeypatch):
+        # s * C(d + m, m) coefficient unknowns, counted before any monomial is
+        # listed
+        dist = Distribution(2, [D_X, X_DY])
+        listed = []
+        monomials = frobenius._monomials_up_to
+        monkeypatch.setattr(frobenius, "_monomials_up_to",
+                            lambda m, d: listed.append(d) or monomials(m, d))
+        with pytest.raises(LimitError, match=(
+                r"certificate unknown count is 10100, above the limit "
+                r"MAX_CERTIFICATE_UNKNOWNS = 10000")):
+            involutivity_certificate(dist, 99)
+        assert listed == []
+        monkeypatch.setattr(frobenius, "MAX_CERTIFICATE_UNKNOWNS", 12)
+        # 2 * C(2 + 2, 2) = 12 is at the limit, 2 * C(3 + 2, 2) = 20 above it
+        assert isinstance(involutivity_certificate(dist, 2), CounterexamplePoint)
+        with pytest.raises(LimitError, match="is 20, above"):
+            involutivity_certificate(dist, 3)
 
     def test_certificate_xdx_xdy(self):
         dist = Distribution(2, [X_DX, X_DY])

@@ -454,7 +454,7 @@ def assert_carried_state_is_recomputed(state):
     for chart in (0, 1):
         assert state.sections[chart] == local_jet_section(
             state.fields[chart], scenario.morphism.components(chart), state.order)
-    assert state.crossing == reference_transition_jet_section(
+    assert state.sections[0] == reference_transition_jet_section(
         scenario.atlas, state.sections[1], state.order)
 
 
