@@ -1,6 +1,6 @@
 """Kernel backend for Fraction arithmetic: the compiled extension when it is
 importable, else the pure-Python kernels.  Both implement the Fraction case of
-one contract (see `_kernel_py`).  The jet engine, `derivation_powers`, and the
+one contract (see `_kernel_py`).  The jet engine, `JetTower`, and the
 iterated bracket run on ints and always call the pure kernel, whichever backend
 this selects."""
 

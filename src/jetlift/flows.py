@@ -1,7 +1,7 @@
 """Jets of integral curves, the Picard oracle, and defect/invariance checks.
 
-`flow_jet` reads the jet off the truncated derivation powers of
-`vectorfields.derivation_powers`, the one jet engine that `lifting` shares.  The
+`flow_jet` reads the jet off the constant slices of a `vectorfields.JetTower`,
+the one jet engine that `lifting` shares, built to the order in one call.  The
 i-th derivative of coordinate k along the integral curve of D is (D^i x_k) at
 the basepoint.  `flow_jet` moves the field to the basepoint once
 (x -> x + point) and grades every variable with weight 1, so every row is a
@@ -21,7 +21,7 @@ as a divided-power series h_j = j! * [s^j] y: products are binomial
 convolutions and integration is an index shift, so no round divides.  A round
 is one `algebra.series_compose` over that product, the composer that
 `Poly.compose_series` runs on Fractions with the Cauchy product.  It never
-calls `derivation_powers` or the term kernels; its only inputs are the field's
+calls `JetTower` or the term kernels; its only inputs are the field's
 term dicts, so the two evaluations of a flow jet share no code and certify each
 other.
 
@@ -29,11 +29,12 @@ The defect machinery compares flows of two fields whose n-jets agree.  The first
 disagreement is a tangent vector equal to an iterated Lie bracket.  `verify_dj`
 computes it three independent ways: from the Picard oracle, from the truncated
 engine, and from the bracket.  The bracket is read at the point only: both
-fields are moved there by `Poly.substitute` of x + point, not by the binomial
-recentring of `flow_jet`, and `vectorfields.iterated_bracket` graded by total
-degree keeps only the terms that can reach the constant term.  That truncation
-is the bracket's own code, on its own integer scaling, so no part of the
-bracket check is shared with the Picard oracle or the jet engine.
+fields are moved there by a Taylor shift through `Poly.partial` and
+`Poly.eval` that stops at the total degree the bracket reads, not by the
+binomial recentring of `flow_jet`, and `vectorfields.iterated_bracket` graded
+by total degree keeps only the terms that can reach the constant term.  That
+truncation is the bracket's own code, on its own integer scaling, so no part
+of the bracket check is shared with the Picard oracle or the jet engine.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (DimensionError, InternalCheckError, OrderError,
 from .frobenius import rank_at
 from .jets import Jet, TangentVector, jet_difference, jet_from_series
 from .limits import MAX_ORDER, check_limit
-from .vectorfields import VectorField, derivation_powers, iterated_bracket
+from .vectorfields import JetTower, VectorField, iterated_bracket
 
 __all__ = [
     "flow_jet",
@@ -108,8 +109,9 @@ def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
     if any(pt):
         components = [Poly._raw(m, _recentre(c.terms, pt, order - 1))
                       for c in components]
-    powers = derivation_powers(components, order, (1,) * m)
-    rows = [pt] + [tuple(p.constant_term() for p in row) for row in powers[1:]]
+    tower = JetTower(components, (1,) * m).extended(order)
+    rows = [pt] + [tuple(p.constant_term() for p in tower.row(i, 0))
+                   for i in range(1, order + 1)]
     return Jet(m, order, rows)
 
 
@@ -133,7 +135,7 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
     certifies the result.
 
     The oracle reads only the field's term dicts.  It neither recentres the
-    field nor calls `derivation_powers` or the term kernels, so a fault in the
+    field nor calls `JetTower` or the term kernels, so a fault in the
     jet engine cannot hide in both `flow_jet` and this series.
     """
     pt = _check_point(field, point)
@@ -243,10 +245,12 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     (a) jet difference: the order-(n+1) Picard series of both fields, read as
     jets and subtracted.  (b) derivation powers: ((D2^{n+1} - D1^{n+1}) x_k) at
     the point, the top rows of the truncated jets.  (c) the iterated bracket
-    [d1, d2]^(n+1) at the point: both fields are moved to the point by
-    `Poly.substitute` of x + point, and `iterated_bracket` with every weight 1
-    builds only the terms that can reach the constant term, which is read off.
-    (c) neither calls `derivation_powers` nor `_recentre`, and its truncation
+    [d1, d2]^(n+1) at the point: both fields are moved to the point by a
+    Taylor shift (`_taylor_shift`, through `Poly.partial` and `Poly.eval`) that
+    keeps only the terms of total degree <= n, all the bracket reads, and
+    `iterated_bracket` with every weight 1 builds only the terms that can
+    reach the constant term, which is read off.
+    (c) neither calls `JetTower` nor `_recentre`, and its truncation
     and integer scaling are the bracket's own, so a fault in the jet engine or
     in the Picard oracle cannot hide in it.  The three share no jet code.
     """
@@ -265,12 +269,36 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     b = tuple(x2 - x1 for x1, x2 in zip(j1.coords[-1], j2.coords[-1]))
     m = len(pt)
     if any(pt):
-        shift = [Poly.variable(m, k) + Poly.constant(m, p) for k, p in enumerate(pt)]
-        d1, d2 = (VectorField([comp.substitute(shift) for comp in d.components])
+        d1, d2 = (VectorField([_taylor_shift(comp, pt, order) for comp in d.components])
                   for d in (d1, d2))
     bracket = iterated_bracket(d1, d2, order + 1, (1,) * m)
     c = tuple(comp.constant_term() for comp in bracket.components)
     return DefectReport(order, pt, a, b, c)
+
+
+def _taylor_shift(p: Poly, pt: Tuple[Fraction, ...], max_degree: int) -> Poly:
+    """Terms of p(x + pt) of total degree <= max_degree, by Taylor's formula.
+
+    The coefficient of x^a is (d^a p)(pt) / a!, read off `Poly.partial` and
+    `Poly.eval`.  Each multi-index a is reached once, differentiating in
+    non-decreasing variable order, and a zero derivative ends its branch.
+    """
+    m = p.num_vars
+    terms = {}
+    stack = [(p, (0,) * m, 0, 1)]      # (d^a p, a, first variable to differentiate, a!)
+    while stack:
+        q, a, first, a_factorial = stack.pop()
+        value = q.eval(pt)
+        if value:
+            terms[a] = value / a_factorial
+        if sum(a) == max_degree:
+            continue
+        for k in range(first, m):
+            dq = q.partial(k)
+            if not dq.is_zero():
+                b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                stack.append((dq, b, k, a_factorial * b[k]))
+    return Poly._raw(m, terms)
 
 
 # -- rank-stratum invariance along flows -------------------------------------

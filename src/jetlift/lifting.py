@@ -1,33 +1,37 @@
 """Order-by-order lifting of infinitesimal deformations along a presented subsheaf.
 
-State at order n holds, per chart, a constant-flow witness field and the jet section
-it induces along the curve; they glue, so chart 1's section read in chart 0 (the
-crossing) is chart 0's.  Rows <= n of both are fixed from then on, so one step
-computes only row n + 1 of each.  It measures the overlap defect as an affine
-jet difference (cross-checked against the iterated Lie bracket of the witness
-fields, built graded by t alone so that only the terms that reach t^0 on the
-curve are formed), splits the defect cochain, extends each chart's correction
-to a vector field, and replaces D with D - (t^n/n!) E.  Every new
-row, corrected or not, is the top row of the chart's current field, and on
-every step the two charts must then glue exactly.  The carried rows <= n are
-never re-derived.  A field changes only by a correction, and the step that
-corrects a chart checks that the corrected run keeps the t^0 part of every row
-<= n, for every start, as the candidate run had it: a correction that moves a
-carried row raises `InternalCheckError` where it is made.
+State at order n holds, per chart, a constant-flow witness field, its jet tower
+at level n and the jet section it induces along the curve; they glue, so chart
+1's section read in chart 0 (the crossing) is chart 0's.  Rows <= n of both are
+fixed from then on, so one step computes only row n + 1 of each.  It measures
+the overlap defect as an affine jet difference (cross-checked against the
+iterated Lie bracket of the witness fields, built graded by t alone so that
+only the terms that reach t^0 on the curve are formed), splits the defect
+cochain, extends each chart's correction to a vector field, and replaces D
+with D - (t^n/n!) E.  Every new row, corrected or not, is read off the tower
+of the chart's current field, and on every step the two charts must then glue
+exactly.  A field changes only by a correction, and its carried tower takes
+the corrected field only if the correction changes no term of t-degree < n:
+exactly the corrections that keep every carried row, since row 1 of x_k is
+component k.  Any other correction raises `InternalCheckError` where it is
+made.
 
 A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
-comes from the jet engine that `flows.flow_jet` uses, `derivation_powers`, graded
-by t alone: after the i-th of n derivations a term of t-degree above n - i can
-never reach t^0, so it is dropped, and each row is restricted to the curve by
-keeping its t^0 terms.  The engine runs on Python ints: with L the lcm of the
-witness field's coefficient denominators, it builds (L*D)^i and divides row i
-by L^i once, so the rows it returns are the exact rational D^i.  Chart 1's run
-also yields the crossing: it starts from chart 1's coordinates and from the
-inverses x_j^-1 that chart 0 reads (`cech.crossing_starts`), so each of its
-rows is one row of chart 1's section and, read by `cech.cross_row`, one row of
-the crossing; nothing is inverted.  Every reading of the target overlap
-(pushing fields, which starts chart 0 reads, c * row) comes from `cech`, next
-to the atlas it reads; this module runs the engine and the loop.
+comes from the jet engine that `flows.flow_jet` uses, `vectorfields.JetTower`,
+graded by t alone: the t-degree-d part of row i is held at level i + d, and a
+step extends the tower by one level, n + 1, computing only the new products.
+Row i is restricted to the curve by reading its t^0 slice, which is exact.  The
+tower runs on Python ints: with L the lcm of the witness field's coefficient
+denominators, it holds (L*D)^i and divides row i by L^i as it reads, so the
+rows it returns are the exact rational D^i.  Chart 1's tower also yields the
+crossing: it starts from chart 1's coordinates and from the inverses x_j^-1
+that chart 0 reads (`cech.crossing_starts`), so each of its rows is one row of
+chart 1's section and, read by `cech.cross_row`, one row of the crossing;
+nothing is inverted.  Every reading of the target overlap (pushing fields,
+which starts chart 0 reads, c * row) comes from `cech`, next to the atlas it
+reads; this module runs the towers and the loop.  The state also carries
+chart 1's field pushed into chart 0 for the bracket, pushed again only when a
+correction changes that field.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError,
                      PreconditionError)
 from .limits import MAX_ORDER, check_limit
-from .vectorfields import (TimeClass, VectorField, derivation_powers,
-                           iterated_bracket, time_component_class)
+from .vectorfields import (JetTower, TimeClass, VectorField, iterated_bracket,
+                           time_component_class)
 
 __all__ = [
     "LiftScenario",
@@ -83,11 +87,16 @@ class LiftScenario:
 
 @dataclass(frozen=True)
 class LiftState:
+    """Order-n lift: per chart the witness field, its jet tower at level n and
+    its jet section; chart 1's tower starts from `cech.crossing_starts`, and
+    `pushed` is chart 1's field read in chart 0."""
     scenario: LiftScenario
     order: int
     fields: Tuple[VectorField, VectorField]
     sections: Tuple[JetSection, JetSection]
     window: Tuple[int, int]
+    towers: Tuple[JetTower, JetTower]
+    pushed: VectorField
 
 
 @dataclass(frozen=True)
@@ -156,33 +165,29 @@ def local_jet_section(field: VectorField, morphism: Sequence[Poly],
 
     The field must have constant flow in time (time component identically 1); the
     morphism gives the space coordinates as Laurent polynomials in the parameter.
-    Row i is read off `derivation_powers` graded by t alone: only its t^0 terms
-    survive the restriction to the curve.
+    Row i is the t^0 slice of row i of the field's `JetTower` graded by t alone.
     """
-    rows = [_on_curve(row, morphism) for row in _chart_run(field, morphism, order)]
-    return tuple(zip(*rows))
+    tower = _chart_tower(field, morphism).extended(order)
+    return tuple(zip(*_section_rows(tower, morphism)))
 
 
 def transition_jet_section(atlas: TargetAtlas, field: VectorField,
                            morphism: Sequence[Poly],
                            order: int) -> Tuple[JetSection, JetSection]:
-    """Chart 1's jet section and its crossing into chart 0, from one engine run.
+    """Chart 1's jet section and its crossing into chart 0, from one tower.
 
-    `field` and `morphism` are chart 1's.  The run starts from
+    `field` and `morphism` are chart 1's.  The tower starts from
     `cech.crossing_starts`, so entry [k][i] of the section is that of
     `local_jet_section`, and row i of the crossing is `cech.cross_row` of
-    the run's row i.
+    the tower's row i.
     """
-    rows = [_on_curve(row, morphism)
-            for row in _chart_run(field, morphism, order, atlas)]
-    section = tuple(zip(*(row[:field.num_vars] for row in rows)))
-    crossing = tuple(zip(*(cross_row(atlas, row) for row in rows)))
-    return section, crossing
+    tower = _chart_tower(field, morphism, atlas).extended(order)
+    return _split_crossing(atlas, _section_rows(tower, morphism))
 
 
-def _chart_run(field: VectorField, morphism: Sequence[Poly], order: int,
-               atlas: Optional[TargetAtlas] = None) -> List[List[Poly]]:
-    """Rows D^i of the coordinates, or with `atlas` of `cech.crossing_starts`."""
+def _chart_tower(field: VectorField, morphism: Sequence[Poly],
+                 atlas: Optional[TargetAtlas] = None) -> JetTower:
+    """The empty tower of the coordinates, or with `atlas` of `cech.crossing_starts`."""
     if time_component_class(field) is not TimeClass.CONSTANT_FLOW:
         raise ClassificationError(
             "jet sections require a field with constant flow in time")
@@ -191,24 +196,32 @@ def _chart_run(field: VectorField, morphism: Sequence[Poly], order: int,
         raise DimensionError("morphism must cover every space coordinate")
     weights = (0,) * (n_coords - 1) + (1,)
     starts = None if atlas is None else crossing_starts(atlas)
-    return derivation_powers(field.components, order, weights, starts)
+    return JetTower(field.components, weights, starts)
+
+
+def _section_rows(tower: JetTower, morphism: Sequence[Poly]) -> List[Tuple[Poly, ...]]:
+    """Every row of the tower along the curve: its t^0 slices."""
+    return [_on_curve(tower.row(i, 0), morphism) for i in range(tower.level + 1)]
+
+
+def _split_crossing(atlas: TargetAtlas, rows: Sequence[Sequence[Poly]]
+                    ) -> Tuple[JetSection, JetSection]:
+    """Chart 1's section and the crossing, from rows over `crossing_starts`."""
+    q = atlas.num_coords
+    return (tuple(zip(*(row[:q + 1] for row in rows))),
+            tuple(zip(*(cross_row(atlas, row) for row in rows))))
 
 
 def _on_curve(row: Sequence[Poly], morphism: Sequence[Poly]) -> Tuple[Poly, ...]:
     return tuple(evaluate_along_curve(p, morphism) for p in row)
 
 
-def _at_t0(rows: Sequence[Sequence[Poly]]) -> List[List[dict]]:
-    """The t^0 terms of engine rows, all that their restriction to the curve reads."""
-    return [[{e: c for e, c in p.terms.items() if not e[-1]} for p in row]
-            for row in rows]
-
-
 # -- defects --------------------------------------------------------------------
 
 def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
                    order: int, window: Tuple[int, int],
-                   fields: Sequence[VectorField]):
+                   fields: Sequence[VectorField],
+                   pushed: Optional[VectorField] = None):
     """Affine difference of order-(order) candidates on the overlap, as a cochain.
 
     Both candidates come in chart-0 data: chart 0's own, and chart 1's read
@@ -216,7 +229,8 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
     carried rows and chart 1's new row read across).  They must agree below top
     order (checked exactly).  The tangential difference is re-expressed in
     generator coefficients and cross-checked against the iterated Lie bracket
-    of the witness fields; the matching orientation is reported.
+    of the witness fields; the matching orientation is reported.  `pushed`,
+    when the caller holds it, is `field_to_chart0` of chart 1's field.
     """
     atlas = sheaf.atlas
     tau0, tau1_in_0 = candidates
@@ -239,21 +253,20 @@ def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
             "defect is not a generator combination within the window; "
             "the scenario does not deform along the presented sheaf")
     nu = Cochain1(sheaf, coeffs, window)
-    return nu, _bracket_orientation(sheaf, fields, tangent, order)
+    if pushed is None:
+        pushed = field_to_chart0(atlas, fields[1])
+    return nu, _bracket_orientation(sheaf, fields[0], pushed, tangent, order)
 
 
-def _bracket_orientation(sheaf: PresentedSheaf, fields: Sequence[VectorField],
+def _bracket_orientation(sheaf: PresentedSheaf, d0: VectorField, d1: VectorField,
                          tangent: Sequence[Poly], order: int) -> str:
     """Compare the measured defect with the iterated bracket of the witnesses.
 
     The curve lies at t = 0, so only the t^0 terms of the bracket are read: it
     is built graded by t alone, and a term that cannot reach t^0 is never
-    formed (see `iterated_bracket`).
+    formed (see `iterated_bracket`).  `d1` is chart 1's field read in chart 0.
     """
-    atlas = sheaf.atlas
-    d0 = fields[0]
-    d1 = field_to_chart0(atlas, fields[1])
-    bracket = iterated_bracket(d0, d1, order, (0,) * atlas.num_coords + (1,))
+    bracket = iterated_bracket(d0, d1, order, (0,) * sheaf.atlas.num_coords + (1,))
     f0 = sheaf.morphism.components(0)
     values = [evaluate_along_curve(c, f0) for c in bracket.components[:-1]]
     if all(p.is_zero() for p in tangent) and all(v.is_zero() for v in values):
@@ -306,11 +319,14 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     """One lifting step: candidates, defect, splitting, correction, glue check.
 
     Rows <= n of both sections are carried over; below n + 1 the crossing is
-    chart 0's section.  Row n + 1 of each chart is the top row of that chart's
-    engine run to n + 1: the candidate's, or that of D - (t^n/n!) E when the
-    splitting corrects the chart, and then every row <= n must keep its t^0
-    part, for every start.  Chart 1's run starts from `crossing_starts`, so its
-    top row also gives the crossing's, which must then equal chart 0's row.
+    chart 0's section.  Each chart's tower is extended by one level, to
+    n + 1, and row n + 1 is read off its t^0 slice: the candidate's, or,
+    when the splitting corrects the chart, that of the carried tower swapped
+    to D - (t^n/n!) E and extended to n + 1.  The swap keeps levels <= n
+    only if the correction changes no term of t-degree < n, so a correction
+    that would move a carried row raises `InternalCheckError` where it is
+    made.  Chart 1's tower starts from `crossing_starts`, so its new row
+    also gives the crossing's, which must then equal chart 0's row.
     """
     scenario = state.scenario
     sheaf = scenario.sheaf
@@ -320,20 +336,17 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
 
     fields = list(state.fields)
     morphisms = [sheaf.morphism.components(chart) for chart in (0, 1)]
-
-    def run(chart):
-        return _chart_run(fields[chart], morphisms[chart], n + 1,
-                          atlas if chart else None)
-
-    runs = [run(chart) for chart in (0, 1)]
-    rows = [_on_curve(runs[chart][n + 1], morphisms[chart]) for chart in (0, 1)]
+    towers = [tower.extended(n + 1) for tower in state.towers]
+    rows = [_on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
+            for chart in (0, 1)]
     nu, orientation = defect_cochain(
         sheaf, (_with_row(state.sections[0], rows[0]),
                 _with_row(state.sections[0], cross_row(atlas, rows[1]))), n + 1,
-        window, fields=state.fields)
+        window, fields=state.fields, pushed=state.pushed)
 
     lam = None
     corrections: List[Optional[VectorField]] = [None, None]
+    pushed = state.pushed
     if not nu.is_zero():
         split = solve_coboundary(nu)
         if isinstance(split, Obstruction):
@@ -353,11 +366,11 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
             fields[chart] = fields[chart] - e_field.scale(scale)
             if time_component_class(fields[chart]) is not TimeClass.CONSTANT_FLOW:
                 raise InternalCheckError("correction broke the constant-flow class")
-            corrected = run(chart)
-            if _at_t0(corrected[:n + 1]) != _at_t0(runs[chart][:n + 1]):
-                raise InternalCheckError(
-                    "carried jet sections differ from a recomputation")
-            rows[chart] = _on_curve(corrected[n + 1], morphisms[chart])
+            towers[chart] = state.towers[chart].swapped(
+                fields[chart].components).extended(n + 1)
+            rows[chart] = _on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
+            if chart:
+                pushed = field_to_chart0(atlas, fields[1])
     # glued: rows <= n already agree across the overlap, so row n + 1 must too
     if cross_row(atlas, rows[1]) != rows[0]:
         raise InternalCheckError("corrected candidates still have a nonzero defect")
@@ -366,7 +379,8 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
 
     grown = _window_growth(scenario)
     new_window = (window[0] - grown, window[1] + grown)
-    new_state = LiftState(scenario, n + 1, tuple(fields), sections, new_window)
+    new_state = LiftState(scenario, n + 1, tuple(fields), sections, new_window,
+                          tuple(towers), pushed)
     return new_state, LiftStep(n, nu, lam, orientation, tuple(corrections))
 
 
@@ -400,9 +414,11 @@ def initial_state(scenario: LiftScenario) -> LiftState:
         comps = list(space.components)
         comps[q] = Poly.one(q + 1)
         fields.append(VectorField(comps))
-    section0 = local_jet_section(fields[0], sheaf.morphism.components(0), 1)
-    section1, crossing = transition_jet_section(
-        atlas, fields[1], sheaf.morphism.components(1), 1)
+    morphisms = [sheaf.morphism.components(chart) for chart in (0, 1)]
+    towers = (_chart_tower(fields[0], morphisms[0]).extended(1),
+              _chart_tower(fields[1], morphisms[1], atlas).extended(1))
+    section0 = tuple(zip(*_section_rows(towers[0], morphisms[0])))
+    section1, crossing = _split_crossing(atlas, _section_rows(towers[1], morphisms[1]))
     # the first-order data must already glue; anything else is a bad scenario
     for i in range(2):
         for k in range(q + 1):
@@ -411,7 +427,7 @@ def initial_state(scenario: LiftScenario) -> LiftState:
                     f"first-order deformation does not glue at order {i}, "
                     f"coordinate {k}")
     return LiftState(scenario, 1, tuple(fields), (section0, section1),
-                     scenario.window)
+                     scenario.window, towers, field_to_chart0(atlas, fields[1]))
 
 
 def _validate_sigma(scenario: LiftScenario):

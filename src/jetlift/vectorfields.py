@@ -5,7 +5,8 @@ computed on components, with the derivation identity kept as a cross-check in th
 test suite rather than as the definition.  Fields on m+1 variables whose last
 variable plays the role of time are classified by their time component: identically 0
 ("time dependent" sections of the spatial subsheaf), identically 1 ("constant flow in
-time"), or neither.
+time"), or neither.  The truncated powers of a field, the one jet engine of
+`flows` and `lifting`, are held by a `JetTower`, computed one level at a time.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from typing import List, Optional, Sequence, Tuple
 from . import _kernel_py
 from ._backend import kernel as _k
 from .algebra import Poly, Scalar, as_fraction
-from .errors import ClassificationError, DimensionError, OrderError
+from .errors import (ClassificationError, DimensionError, InternalCheckError,
+                     OrderError)
 from .limits import MAX_ORDER, check_limit
 
 __all__ = [
     "VectorField",
     "TimeClass",
     "apply_derivation",
-    "derivation_powers",
+    "JetTower",
     "lie_bracket",
     "iterated_bracket",
     "extend_constant_flow",
@@ -131,81 +133,169 @@ def apply_derivation(field: VectorField, f: Poly) -> Poly:
     return Poly._raw(f.num_vars, terms)
 
 
-def derivation_powers(components: Sequence[Poly], order: int,
-                      weights: Sequence[int],
-                      starts: Optional[Sequence[Tuple[int, ...]]] = None
-                      ) -> List[List[Poly]]:
-    """Truncated powers of D = sum_k components[k] d/dx_k.
-
-    powers[i][s] is D^i of the start monomial x^starts[s] (by default the
-    coordinates, so powers[i][k] is D^i x_k) with every term of weighted degree
-    above order - i dropped (and no other term lost), where x^e has weighted
-    degree sum_k weights[k] * e_k, each weight is 0 or 1, and weighted exponents
-    are non-negative.  d/dx_k lowers weighted degree by weights[k] <= 1 and a
-    component never lowers it, so a dropped term can never reach weighted degree
-    0 in the remaining applications: the weighted-degree-0 part of every power
-    is exact.  A start monomial, like a component, may carry negative exponents
-    on weight-0 variables only (e.g. x^-1 with x of weight 0): there they leave
-    every weighted degree as it was, so the same truncation holds.
-
-    The powers are computed fraction-free, on Python ints.  With L the lcm of
-    the components' coefficient denominators (1 for integer or zero
-    components), L * D has integer coefficients and D^i x_k = (L*D)^i x_k / L^i:
-    the loop builds (L*D)^i x_k as int term dicts, and row i becomes a Poly
-    once, with coefficients Fraction(c, L^i).  The compiled kernel takes
-    Fractions only, so the loop calls the pure kernel `_kernel_py` whichever
-    kernel `_backend` selected; ints never reach the compiled kernel.
-    """
-    m = len(components)
-    scale = lcm(*(c.denominator for comp in components for c in comp.terms.values()))
+def _grader(weights: Sequence[int]):
+    """x^e -> sum_k weights[k] * e_k, for weights of 0 or 1."""
     graded = [k for k, w in enumerate(weights) if w]
-    all_graded = len(graded) == m
-    if all_graded:
-        grade = sum
-    elif len(graded) == 1:
-        grade = itemgetter(graded[0])
-    else:
-        grade = lambda e: sum([e[k] for k in graded])  # noqa: E731
-    # levels[j][k]: scale * components[k] cut to weighted degree <= j - 1 + weights[k].
-    # A term of degree g of components[k] times d/dx_k of a degree-d term has
-    # degree g + d - weights[k], so under the cap the degree-d part of a power
-    # meets exactly levels[cap + 1 - d].
-    levels: List[List[dict]] = [[{} for _ in range(m)] for _ in range(order + 1)]
-    for k, comp in enumerate(components):
-        for e, c in comp.terms.items():
-            g = grade(e)
-            if g < order:
-                c = c.numerator * (scale // c.denominator)
-                for level in levels[g + 1 - weights[k]:]:
-                    level[k][e] = c
-    if starts is None:
-        starts = [tuple(int(j == k) for j in range(m)) for k in range(m)]
-    row = [{e: 1} if grade(e) <= order else {} for e in starts]
-    rows = [row]
-    for i in range(1, order + 1):
-        cap = order - i
-        next_row = []
-        for p in row:
-            by_grade: dict = {}
-            for e, c in p.items():
-                by_grade.setdefault(grade(e), {})[e] = c
-            out: dict = {}
-            for d, part in by_grade.items():
-                # with every variable graded a degree-0 part is a constant
-                if not d and all_graded:
-                    continue
-                part = _kernel_py.derive_terms(levels[cap + 1 - d], part)
-                if part:
-                    out = _kernel_py.add_terms(out, part) if out else part
-            next_row.append(out)
-        row = next_row
-        rows.append(row)
-    powers = []
-    for i, row in enumerate(rows):
-        denominator = scale ** i
-        powers.append([Poly._raw(m, {e: Fraction(c, denominator) for e, c in p.items()})
-                       for p in row])
-    return powers
+    if len(graded) == len(weights):
+        return sum
+    if len(graded) == 1:
+        return itemgetter(graded[0])
+    return lambda e: sum([e[k] for k in graded])  # noqa: E731
+
+
+class JetTower:
+    """Truncated powers of D = sum_k components[k] d/dx_k, built level by level.
+
+    Row i of start s is D^i of the monomial x^starts[s] (by default the
+    coordinates, so row i of start k is D^i x_k).  x^e has weighted degree
+    sum_k weights[k] * e_k, each weight is 0 or 1, and weighted exponents are
+    non-negative; a start or a component may carry negative exponents on
+    weight-0 variables only (e.g. x^-1 with x of weight 0), where they leave
+    every weighted degree as it was.  The weighted-degree-d part of row i is
+    the slice (i, d), at level i + d.  A term of weighted degree g of
+    components[k] times d/dx_k of a slice at level l lands at level
+    l + g - weights[k] + 1 >= l, and at least g + 1: d/dx_k of a weighted term
+    has weighted degree >= 1, so l >= weights[k].  So every slice at a level
+    <= N is exact, they make up the powers cut to weighted degree <= N - i in
+    row i, and they read only the component terms of weighted degree < N.
+    The weighted-degree-0 slices are what the callers read.
+
+    A tower at `level` N holds every slice at a level <= N and is never
+    changed.  `extended(M)` computes levels N + 1 .. M only: row by row, one
+    `derive_terms` call per (row, start, held slice), against the band of
+    component terms whose products land in the new levels.  From level -1,
+    the empty tower, that is the truncated loop over every row; one new
+    level forms only the new products.  `swapped(components)` keeps every
+    held slice for a field that differs from this one only at weighted
+    degree >= N, and raises `InternalCheckError` for any other field: a
+    changed term of degree g < N on a coordinate start moves the slice
+    (1, g) at level g + 1 <= N.
+
+    The tower runs on Python ints.  With L the lcm of the components'
+    coefficient denominators (1 for integer or zero components), L * D has
+    integer coefficients and slice (i, d) is held as L^i times itself, as
+    int term dicts; a swap that grows L rescales the held slices once, and
+    `row` divides by L^i as it reads.  The compiled kernel takes Fractions
+    only, so the tower calls the pure kernel `_kernel_py` whichever kernel
+    `_backend` selected; ints never reach the compiled kernel.
+    """
+
+    __slots__ = ("components", "weights", "starts", "level",
+                 "_scale", "_grade", "_shifts", "_bands", "_rows")
+
+    def __init__(self, components: Sequence[Poly], weights: Sequence[int],
+                 starts: Optional[Sequence[Tuple[int, ...]]] = None):
+        m = len(components)
+        if starts is None:
+            starts = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+        self.weights = tuple(weights)
+        self.starts = tuple(starts)
+        self.level = -1
+        self._grade = _grader(self.weights)
+        self._rows: Tuple[Tuple[dict, ...], ...] = ()
+        self._use(components, lcm(*(c.denominator for comp in components
+                                    for c in comp.terms.values())))
+
+    def _use(self, components: Sequence[Poly], scale: int) -> None:
+        # _shifts[k][s]: scale * the terms of components[k] whose products
+        # land s levels above their source slice
+        self.components = tuple(components)
+        self._scale = scale
+        self._shifts = []
+        for comp, w in zip(self.components, self.weights):
+            by_shift: dict = {}
+            for e, c in comp.terms.items():
+                by_shift.setdefault(self._grade(e) + 1 - w, {})[e] = \
+                    c.numerator * (scale // c.denominator)
+            self._shifts.append(by_shift)
+        self._bands: dict = {}
+
+    def _band(self, lo: int, hi: int) -> Optional[List[dict]]:
+        """Per component, the scaled terms whose shift lies in lo .. hi, or None."""
+        key = (lo, hi)
+        if key not in self._bands:
+            band = []
+            for by_shift in self._shifts:
+                terms: dict = {}
+                for s, part in by_shift.items():
+                    if lo <= s <= hi:
+                        terms.update(part)
+                band.append(terms)
+            self._bands[key] = band if any(band) else None
+        return self._bands[key]
+
+    def _copy(self) -> "JetTower":
+        tower = object.__new__(JetTower)
+        for name in self.__slots__:
+            setattr(tower, name, getattr(self, name))
+        return tower
+
+    def extended(self, upto: int) -> "JetTower":
+        """This tower with every level <= upto; only the new levels are computed."""
+        if upto < 0:
+            raise OrderError("order must be >= 0")
+        check_limit("jet order", upto, "MAX_ORDER", MAX_ORDER)
+        lo = self.level + 1
+        if upto < lo:
+            return self
+        grade = self._grade
+        skip_constants = all(self.weights)
+        held = [[dict(slices) for slices in row] for row in self._rows]
+        rows = held + [[{} for _ in self.starts] for _ in range(upto + 1 - len(held))]
+        for s, e in enumerate(self.starts):
+            if lo <= grade(e) <= upto:
+                rows[0][s][grade(e)] = {e: 1}
+        # bands[l]: the terms that take a slice at level l into the new levels
+        bands = [self._band(max(lo - l, 0), upto - l) for l in range(upto + 1)]
+        for i in range(1, upto + 1):
+            for source, target in zip(rows[i - 1], rows[i]):
+                out: dict = {}
+                for d, part in source.items():
+                    band = bands[i - 1 + d]
+                    # with every variable graded a degree-0 part is a constant
+                    if band is None or not d and skip_constants:
+                        continue
+                    part = _kernel_py.derive_terms(band, part)
+                    if part:
+                        out = _kernel_py.add_terms(out, part) if out else part
+                for e, c in out.items():
+                    target.setdefault(grade(e), {})[e] = c
+        tower = self._copy()
+        tower.level = upto
+        tower._rows = tuple(tuple(row) for row in rows)
+        return tower
+
+    def swapped(self, components: Sequence[Poly]) -> "JetTower":
+        """The held levels under a field that differs only at weighted degree >= level."""
+        grade, level = self._grade, self.level
+        for old, new in zip(self.components, components):
+            if ({e: c for e, c in old.terms.items() if grade(e) < level}
+                    != {e: c for e, c in new.terms.items() if grade(e) < level}):
+                raise InternalCheckError(
+                    "carried jet sections differ from a recomputation")
+        scale = lcm(self._scale, *(c.denominator for comp in components
+                                   for c in comp.terms.values()))
+        tower = self._copy()
+        tower._use(components, scale)
+        if scale != self._scale:
+            grow = scale // self._scale
+            tower._rows = tuple(
+                tuple({d: _kernel_py.scale_terms(part, grow ** i)
+                       for d, part in slices.items()} for slices in row)
+                for i, row in enumerate(self._rows))
+        return tower
+
+    def row(self, i: int, degree: Optional[int] = None) -> Tuple[Poly, ...]:
+        """Row i per start, as Fractions: its slice of weighted degree `degree`,
+        or with None every held slice (D^i x^s cut to weighted degree <= level - i)."""
+        m = len(self.components)
+        denominator = self._scale ** i
+        out = []
+        for slices in self._rows[i]:
+            parts = slices.values() if degree is None else [slices.get(degree, {})]
+            out.append(Poly._raw(m, {e: Fraction(c, denominator)
+                                     for part in parts for e, c in part.items()}))
+        return tuple(out)
 
 
 def lie_bracket(d1: VectorField, d2: VectorField) -> VectorField:
@@ -223,7 +313,7 @@ def iterated_bracket(d1: VectorField, d2: VectorField, n: int,
     """[D1, D2]^(n): the base case n=2 is the plain bracket, then [D1, . ] repeatedly.
 
     Without `weights` the result is the whole bracket.  With `weights`, read as
-    in `derivation_powers` (x^e has weighted degree sum_k weights[k] * e_k, each
+    in `JetTower` (x^e has weighted degree sum_k weights[k] * e_k, each
     weight is 0 or 1, weighted exponents are non-negative), only the
     weighted-degree-0 part of the result is exact.  Level 1 is D2 and level j is
     [D1, level j-1].  A term of degree g of a field's component i times d/dx_i
@@ -240,7 +330,7 @@ def iterated_bracket(d1: VectorField, d2: VectorField, n: int,
     which gives L1^(j-1) * L2 times the bracket, and the result is divided once.
     The compiled kernel takes Fractions only, so the loop calls the pure kernel
     `_kernel_py` whichever kernel `_backend` selected.  The bracket shares no
-    code with `derivation_powers`, so it can certify the jet engine.
+    code with `JetTower`, so it can certify the jet engine.
     """
     if n < 2:
         raise OrderError(f"iterated bracket needs n >= 2, got {n}")

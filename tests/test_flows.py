@@ -19,7 +19,7 @@ from jetlift.frobenius import Distribution
 from jetlift.jets import Jet, jet_from_series, jet_project
 from jetlift.vectorfields import VectorField, apply_derivation, iterated_bracket
 
-from strategies import fractions, points, vector_fields
+from strategies import fractions, points, polys, vector_fields
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -113,6 +113,26 @@ def test_recentre_builds_only_the_binomials_it_reads(monkeypatch):
     jet = flow_jet(VectorField([Poly.variable(1, 0) ** 3000]), [3], 2)
     assert calls == [(3000, 0), (3000, 1)]
     assert jet == Jet(1, 2, [(3,), (3 ** 3000,), (3000 * 3 ** 5999,)])
+
+
+@st.composite
+def taylor_shift_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    return (draw(polys(m, max_degree=4)), draw(points(m)),
+            draw(st.integers(min_value=0, max_value=5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(taylor_shift_cases())
+def test_taylor_shift_is_the_truncated_substitution(case):
+    # check (c) of verify_dj moves a field by the Taylor shift; it must keep
+    # exactly the terms of p(x + pt) of total degree <= n
+    p, pt, n = case
+    m = p.num_vars
+    moved = p.substitute([Poly.variable(m, k) + Poly.constant(m, c)
+                          for k, c in enumerate(pt)])
+    assert flows._taylor_shift(p, pt, n) == Poly(
+        m, {e: c for e, c in moved.terms.items() if sum(e) <= n})
 
 
 def test_high_exponent_jet_matches_picard():

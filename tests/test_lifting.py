@@ -6,6 +6,7 @@ corrected perturbed field is (x + t*x^2) d/dx + d/dt, whose derivative coordinat
 at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by order).
 """
 
+import pathlib
 from fractions import Fraction
 from math import factorial
 
@@ -17,18 +18,21 @@ from jetlift import cli, lifting
 from jetlift.algebra import Poly, monomial_inverse
 from jetlift.cech import (TargetAtlas, cross_row, field_to_chart0,
                           field_to_chart1, negate_exponents, uni, uni_x)
-from jetlift.errors import (ClassificationError, InternalCheckError, LiftError,
-                            LiftObstructedError, PreconditionError)
+from jetlift.errors import (ClassificationError, DimensionError,
+                            InternalCheckError, LiftError, LiftObstructedError,
+                            LimitError, OrderError, PreconditionError)
 from jetlift.lifting import (defect_cochain, initial_state, lift_step,
                              lift_to_order, local_jet_section,
                              transition_jet_section)
 from jetlift.scenario import parse_scenario
-from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
-                                  time_component_class)
+from jetlift.vectorfields import (JetTower, TimeClass, VectorField,
+                                  apply_derivation, time_component_class)
 
 from strategies import fractions
 from test_algebra import reference_poly_on_series
 from test_cech import reference_push
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 FLAGSHIP = """
 [y]        charts z w ; transition w = 1/z
@@ -103,6 +107,34 @@ class TestLocalJetSection:
         x = Poly.variable(2, 0)
         with pytest.raises(ClassificationError):
             local_jet_section(VectorField([x, Poly.zero(2)]), [uni_x(1)], 2)
+
+
+def _flagship_atlas():
+    return parse_scenario(FLAGSHIP).atlas
+
+
+# (field, morphism, order, error, message): what both jet sections raise
+SECTION_ERRORS = {
+    "not-constant-flow": (VectorField([Poly.variable(2, 0), Poly.zero(2)]),
+                          [uni_x(1)], 2, ClassificationError, "constant flow"),
+    "short-morphism": (VectorField([Poly.variable(2, 0), Poly.one(2)]),
+                       [], 2, DimensionError, "every space coordinate"),
+    "negative-order": (VectorField([Poly.variable(2, 0), Poly.one(2)]),
+                       [uni_x(1)], -1, OrderError, "order must be >= 0"),
+    "order-limit": (VectorField([Poly.variable(2, 0), Poly.one(2)]),
+                    [uni_x(1)], 100, LimitError, "above the limit MAX_ORDER = 64"),
+}
+
+
+@pytest.mark.parametrize("transition", [False, True], ids=["local", "transition"])
+@pytest.mark.parametrize("name", sorted(SECTION_ERRORS))
+def test_jet_section_input_checks(name, transition):
+    field, morphism, order, error, message = SECTION_ERRORS[name]
+    with pytest.raises(error, match=message):
+        if transition:
+            transition_jet_section(_flagship_atlas(), field, morphism, order)
+        else:
+            local_jet_section(field, morphism, order)
 
 
 def reference_evaluate_along_curve(p, morphism):
@@ -553,6 +585,34 @@ class TestChartOneCorrection:
         _move_carried_rows(monkeypatch)
         with pytest.raises(InternalCheckError, match="carried jet sections"):
             lift_to_order(parse_scenario(CHART0_T), 3)
+
+
+DEEP = (ROOT / "scenarios" / "deep_perturbed.scn").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [DEEP, CHART0_T, PERTURBED],
+                         ids=["deep", "chart0-t", "perturbed"])
+def test_lift_steps_compute_one_new_level_per_tower(monkeypatch, text):
+    # counted at the tower's extension call: the first-order state builds
+    # levels 0 and 1 of each chart, and the step from n computes level n + 1
+    # of each chart once, and once more for each chart it corrects
+    calls = []
+    extended = JetTower.extended
+
+    def counting(tower, upto):
+        calls.append((tower.level, upto))
+        return extended(tower, upto)
+    monkeypatch.setattr(JetTower, "extended", counting)
+    order = 8
+    result = lift_to_order(parse_scenario(text), order)
+    assert calls[:2] == [(-1, 1), (-1, 1)]
+    expected = [(n, n + 1) for step in result.steps
+                for n in [step.order_from] * (2 + sum(c is not None
+                                                      for c in step.corrections))]
+    assert sorted(calls[2:]) == expected
+    assert sum(upto - level for level, upto in calls) == (
+        4 + 2 * (order - 1) + sum(c is not None for step in result.steps
+                                  for c in step.corrections))
 
 
 class TestScenarioValidation:

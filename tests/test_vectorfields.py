@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetlift import _kernel_py
 from jetlift.algebra import Poly
 from jetlift.cech import evaluate_along_curve
-from jetlift.errors import ClassificationError, DimensionError
-from jetlift.vectorfields import (TimeClass, VectorField, apply_derivation,
-                                  derivation_powers, extend_constant_flow, graph_embed,
+from jetlift.errors import (ClassificationError, DimensionError,
+                            InternalCheckError, LimitError, OrderError)
+from jetlift.limits import MAX_ORDER
+from jetlift.vectorfields import (JetTower, TimeClass, VectorField,
+                                  apply_derivation, extend_constant_flow, graph_embed,
                                   iterated_bracket, lie_bracket,
                                   time_component_class)
 
@@ -131,12 +134,18 @@ def weighted_power_cases(draw):
             draw(st.integers(min_value=0, max_value=5)))
 
 
+def tower_rows(components, order, weights, starts=None):
+    """Every row of a tower built to `order` in one call: the truncated powers."""
+    tower = JetTower(components, weights, starts).extended(order)
+    return [list(tower.row(i)) for i in range(order + 1)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(weighted_power_cases())
 def test_derivation_powers_are_weighted_truncations(case):
     d, weights, order = case
     m = d.num_vars
-    powers = derivation_powers(d.components, order, weights)
+    powers = tower_rows(d.components, order, weights)
     assert len(powers) == order + 1
     assert all(type(c) is Fraction
                for row in powers for p in row for c in p.terms.values())
@@ -154,7 +163,7 @@ def test_laurent_start_propagates_the_inverse(order):
     # D = x^2 d/dx flows x(t) = x / (1 - t*x), so 1/x(t) = 1/x - t: the rows of
     # x are i! * x^(i+1) and those of 1/x are 1/x, -1, 0, 0, ...
     x = Poly.variable(1, 0)
-    powers = derivation_powers([x ** 2], order, (0,), starts=[(1,), (-1,)])
+    powers = tower_rows([x ** 2], order, (0,), starts=[(1,), (-1,)])
     assert [row[0] for row in powers] == [Poly.monomial(1, (i + 1,), factorial(i))
                                           for i in range(order + 1)]
     inverse = [Poly(1, {(-1,): 1}, laurent=True), Poly.constant(1, -1)]
@@ -165,13 +174,132 @@ def test_laurent_start_propagates_the_inverse(order):
 def test_laurent_start_graded_by_time(order):
     # the same flow on (x, t) with D = x^2 d/dx + d/dt, graded by t alone: x^-1
     # has weight 0, so its rows are cut by nothing, and t has weight 1
-    powers = derivation_powers([X ** 2, ONE2], order, (0, 1),
-                               starts=[(-1, 0), (0, 1)])
+    powers = tower_rows([X ** 2, ONE2], order, (0, 1), starts=[(-1, 0), (0, 1)])
     inverse = [Poly(2, {(-1, 0): 1}, laurent=True), Poly.constant(2, -1)]
     assert [row[0] for row in powers] == (inverse + [ZERO2] * order)[:order + 1]
     t = Poly.variable(2, 1)
     time = [t if order else ZERO2, ONE2]
     assert [row[1] for row in powers] == (time + [ZERO2] * order)[:order + 1]
+
+
+class TestJetTowerLevels:
+    def test_negative_level_is_refused(self):
+        with pytest.raises(OrderError, match="order must be >= 0"):
+            JetTower([X ** 2, ONE2], (0, 1)).extended(-3)
+
+    def test_level_above_max_order_is_refused(self):
+        tower = JetTower([ONE2, X], (1, 1))
+        with pytest.raises(LimitError,
+                           match=f"is 100, above the limit MAX_ORDER = {MAX_ORDER}"):
+            tower.extended(100)
+        with pytest.raises(LimitError, match="MAX_ORDER"):
+            tower.extended(3).extended(MAX_ORDER + 1)
+        assert tower.extended(MAX_ORDER).level == MAX_ORDER
+
+    def test_extending_to_a_held_level_computes_nothing(self):
+        tower = JetTower([X ** 2, ONE2], (0, 1)).extended(4)
+        assert tower.extended(2) is tower and tower.extended(4) is tower
+
+
+def _change(draw, weights, level, below):
+    """A nonzero term x^e of weighted degree >= level, or < level with `below`.
+
+    Without a weight-1 variable every term has degree 0, so level is 0 then.
+    """
+    graded = [k for k, w in enumerate(weights) if w]
+    e = [draw(st.integers(min_value=0, max_value=2)) if not w else 0 for w in weights]
+    if graded:
+        k = draw(st.sampled_from(graded))
+        e[k] = (draw(st.integers(min_value=0, max_value=level - 1)) if below
+                else level + draw(st.integers(min_value=0, max_value=1)))
+    return tuple(e), draw(fractions().filter(bool))
+
+
+@st.composite
+def relaxed_tower_cases(draw):
+    """Weights, Laurent starts, a field, and per level the terms a swap adds."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.lists(st.integers(min_value=0, max_value=1),
+                                  min_size=m, max_size=m)))
+    # negative exponents on weight-0 variables only
+    start = st.tuples(*[st.integers(min_value=0 if w else -2, max_value=2)
+                        for w in weights])
+    starts = draw(st.lists(start, min_size=1, max_size=3))
+    components = draw(st.lists(st.dictionaries(exponent_tuples(m, 2), fractions(),
+                                               max_size=3), min_size=m, max_size=m))
+    top = draw(st.integers(min_value=0, max_value=5))
+    changes = []
+    for level in range(top):
+        terms = []
+        if any(weights) or level == 0:
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                terms.append((draw(st.integers(min_value=0, max_value=m - 1)),
+                              *_change(draw, weights, level, False)))
+        changes.append(terms)
+    bad = (draw(st.integers(min_value=0, max_value=m - 1)),
+           *_change(draw, weights, top, True)) if any(weights) and top else None
+    return weights, starts, [Poly(m, t) for t in components], top, changes, bad
+
+
+def _with_terms(components, terms):
+    m = len(components)
+    out = list(components)
+    for k, e, c in terms:
+        out[k] = out[k] + Poly.monomial(m, e, c)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(relaxed_tower_cases())
+def test_relaxed_extension_equals_a_one_shot_build(case):
+    # one level at a time, each swap changing the field only at weighted degree
+    # >= the held level, the tower holds what one build of the final field does
+    weights, starts, components, top, changes, bad = case
+    tower = JetTower(components, weights, starts).extended(0)
+    for level, terms in enumerate(changes):
+        components = _with_terms(components, terms)
+        tower = tower.swapped(components).extended(level + 1)
+    fresh = JetTower(components, weights, starts).extended(top)
+    assert tower.level == fresh.level == top
+    for i in range(top + 1):
+        assert tower.row(i) == fresh.row(i)
+        for d in range(top + 1 - i):
+            assert tower.row(i, d) == fresh.row(i, d)
+    if bad is not None:
+        with pytest.raises(InternalCheckError, match="carried jet sections"):
+            tower.swapped(_with_terms(components, [bad]))
+
+
+T = Poly.variable(2, 1)
+
+
+@pytest.mark.parametrize("components, weights, starts", [
+    ([X + T * X ** 2 + Fraction(1, 3) * T ** 2 * X ** 3 - T * X ** 4, ONE2],
+     (0, 1), [(1, 0), (0, 1), (-1, 0)]),
+    ([Y + X ** 2, X * Y + ONE2], (1, 1), None),
+], ids=["time-graded", "all-graded"])
+def test_one_level_at_a_time_forms_each_product_once(monkeypatch, components,
+                                                      weights, starts):
+    # extended one level at a time, a tower multiplies the same pairs of a
+    # component term and a derivative term as one build to the top level does,
+    # so no product that lands in a held level is formed again
+    formed = []
+    derive = _kernel_py.derive_terms
+
+    def counting(band, terms):
+        formed.append(sum(len(c) * len(_kernel_py.partial_terms(terms, k))
+                          for k, c in enumerate(band)))
+        return derive(band, terms)
+    monkeypatch.setattr(_kernel_py, "derive_terms", counting)
+    top = 8
+    tower = JetTower(components, weights, starts)
+    for level in range(top + 1):
+        tower = tower.extended(level)
+    relaxed, formed[:] = sum(formed), []
+    one_shot = JetTower(components, weights, starts).extended(top)
+    assert relaxed == sum(formed) > 0
+    assert [tower.row(i) for i in range(top + 1)] == \
+        [one_shot.row(i) for i in range(top + 1)]
 
 
 def _repeated_bracket(d1, d2, n):
