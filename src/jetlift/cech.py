@@ -12,7 +12,8 @@ jet section crosses with nothing inverted: chart 1's jet run also starts from
 x_j^-1 for each coordinate that chart 0 reads with exponent -1
 (`crossing_starts`), and chart-0 coordinate k is c times the row of x_j^(+-1),
 read at w = 1/z (`cross_row`); `lifting` runs the engine.  T writes the pushed
-chart-1 generators, read along the curve, in the chart-0 generators.
+chart-1 generators, read along the curve, in the chart-0 generators; generator
+coordinates need no window (`solve_section_coordinates`), only cochains do.
 """
 
 from __future__ import annotations
@@ -380,27 +381,31 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
     pushed = [_along_curve(field_to_chart0(atlas, g), f0) for g in gens1]
     base = [_along_curve(g, f0) for g in gens0]
 
-    lo, hi = window_of([p for vec in pushed + base for p in vec])
-    span = hi - lo
-    solve_window = (lo - span - 1, hi + span + 1)
-    s = len(gens0)
-    transition: List[List[Poly]] = [[Poly.zero(1) for _ in range(s)] for _ in range(s)]
-    for j in range(s):
-        coeffs = solve_section_coordinates(base, pushed[j], solve_window)
-        if coeffs is None:
+    columns = []
+    for vec in pushed:
+        column = solve_section_coordinates(base, vec)
+        if column is None:
             raise LiftError(
                 "generator transition rule inconsistent with the target Jacobian")
-        for k in range(s):
-            transition[k][j] = coeffs[k]
-    return transition
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 def solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
-                              target: Sequence[Poly],
-                              window: Window) -> Optional[Tuple[Poly, ...]]:
-    """Solve sum_k c_k(z) * gen_values[k] = target for Laurent c_k within `window`."""
-    _check_window_span(window, "section coordinate")
-    lo, hi = window
+                              target: Sequence[Poly]) -> Optional[Tuple[Poly, ...]]:
+    """Solve sum_k c_k(z) * gen_values[k] = target for Laurent c_k.
+
+    Cramer's rule on an s x s minor bounds the exponents of a solution by those
+    of the generator values, [lo_g, hi_g], and of the target, [lo_t, hi_t] (0
+    included, as in `window_of`), so one is found whenever one exists; it is
+    unique when the generators have full rank along the curve.
+    """
+    s = len(gen_values)
+    lo_g, hi_g = window_of([p for vec in gen_values for p in vec])
+    lo_t, hi_t = window_of(target)
+    lo = (s - 1) * lo_g + lo_t - s * hi_g
+    hi = (s - 1) * hi_g + hi_t - s * lo_g
+    _check_window_span((lo, hi), "section coordinate")
     coeffs = linalg.solve_combination(
         [[p.terms for p in vec] for vec in gen_values], [p.terms for p in target],
         [(e,) for e in range(lo, hi + 1)])

@@ -51,7 +51,7 @@ from .algebra import (Poly, Scalar, TruncSeries, as_fraction, poly_det,
 from .errors import (DimensionError, InternalCheckError, OrderError,
                      PreconditionError)
 from .frobenius import rank_at
-from .jets import Jet, TangentVector, jet_difference, jet_from_series
+from .jets import Jet, TangentVector, jet_difference, jet_from_series, render_vector
 from .limits import MAX_ORDER, check_limit
 from .vectorfields import JetTower, VectorField, iterated_bracket
 
@@ -205,7 +205,8 @@ def jet_defect(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     for vec in (report.from_jets, report.from_derivation_powers):
         if vec != report.from_bracket:
             raise InternalCheckError(
-                f"defect {vec} does not equal iterated bracket {report.from_bracket}")
+                f"defect {render_vector(vec)} does not equal iterated bracket "
+                f"{render_vector(report.from_bracket)}")
     return TangentVector(report.point, report.from_jets)
 
 
@@ -227,11 +228,10 @@ class DefectReport:
         return self.from_jets == self.from_derivation_powers == self.from_bracket
 
     def render(self) -> str:
-        fmt = lambda v: "(" + ",".join(str(c) for c in v) + ")"
         return "\n".join([
-            f"jet difference        : {fmt(self.from_jets)}",
-            f"derivation powers     : {fmt(self.from_derivation_powers)}",
-            f"iterated bracket      : {fmt(self.from_bracket)}",
+            f"jet difference        : {render_vector(self.from_jets)}",
+            f"derivation powers     : {render_vector(self.from_derivation_powers)}",
+            f"iterated bracket      : {render_vector(self.from_bracket)}",
             f"agree                 : {'yes' if self.agree else 'NO'}",
         ])
 
@@ -262,7 +262,8 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     bad = _first_jet_disagreement(j1, j2, order)
     if bad is not None:
         raise PreconditionError(
-            f"flow jets differ at order {bad}: {j1.coords[bad]} != {j2.coords[bad]}")
+            f"flow jets differ at order {bad}: {render_vector(j1.coords[bad])} != "
+            f"{render_vector(j2.coords[bad])}")
 
     a = jet_difference(jet_from_series(flow_series_picard(d2, pt, order + 1)),
                        jet_from_series(flow_series_picard(d1, pt, order + 1))).vec

@@ -23,7 +23,13 @@ __all__ = [
     "jet_translate",
     "jet_to_series",
     "jet_from_series",
+    "render_vector",
 ]
+
+
+def render_vector(vec: Sequence[Scalar]) -> str:
+    """A coordinate vector as the engine prints it: (c0,c1,...)."""
+    return "(" + ",".join(str(c) for c in vec) + ")"
 
 
 class Jet:
@@ -66,9 +72,8 @@ class Jet:
 
     def render(self) -> str:
         if self.dim == 1:
-            return "(" + ",".join(str(row[0]) for row in self.coords) + ")"
-        return "(" + ",".join(
-            "(" + ",".join(str(c) for c in row) + ")" for row in self.coords) + ")"
+            return render_vector(row[0] for row in self.coords)
+        return render_vector(map(render_vector, self.coords))
 
     def __str__(self):
         return self.render()
@@ -110,7 +115,7 @@ class TangentVector:
                              tuple(a + b for a, b in zip(self.vec, other.vec)))
 
     def render(self) -> str:
-        return "(" + ",".join(str(c) for c in self.vec) + ")"
+        return render_vector(self.vec)
 
     def __str__(self):
         return self.render()

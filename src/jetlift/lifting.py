@@ -4,19 +4,19 @@ State at order n holds, per chart, a constant-flow witness field, its jet tower
 at level n and the jet section it induces along the curve; they glue, so chart
 1's section read in chart 0 (the crossing) is chart 0's.  Rows <= n of both are
 fixed from then on, so one step computes only row n + 1 of each.  It measures
-the overlap defect as an affine jet difference (cross-checked against the
-iterated Lie bracket of the witness fields, built graded by t alone so that
-only the terms that reach t^0 on the curve are formed), splits the defect
-cochain, extends each chart's correction to a vector field, and replaces D
-with D - (t^n/n!) E.  Every new row, corrected or not, is read off the tower
-of the chart's current field, and on every step the two charts must then glue
-exactly.  A field changes only by a correction, and its carried tower takes
-the corrected field only if the correction changes no term of t-degree < n:
-exactly the corrections that keep every carried row, since row 1 of x_k is
-component k.  Any other correction raises `InternalCheckError` where it is
-made.
+the overlap defect as the difference of the two new rows, written in the
+generators (cross-checked against the iterated Lie bracket of the witness
+fields, built graded by t alone so that only the terms that reach t^0 on the
+curve are formed), splits the defect cochain, extends each chart's correction
+to a vector field, and replaces D with D - (t^n/n!) E.  Every new row,
+corrected or not, is read off the tower of the chart's current field, and on
+every step the two charts must then glue exactly.  A field changes only by a
+correction, and its carried tower takes the corrected field only if the
+correction changes no term of t-degree < n: exactly the corrections that keep
+every carried row, since row 1 of x_k is component k.  Any other correction
+raises `InternalCheckError` where it is made.
 
-A candidate section is the flow jet of the witness field along f(Y) at t = 0.  It
+A jet section is the flow jet of the witness field along f(Y) at t = 0.  It
 comes from the jet engine that `flows.flow_jet` uses, `vectorfields.JetTower`,
 graded by t alone: the t-degree-d part of row i is held at level i + d, and a
 step extends the tower by one level, n + 1, computing only the new products.
@@ -48,8 +48,7 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
                    field_to_chart1, restrict_section, solve_coboundary,
                    solve_section_coordinates)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
-                     LiftError, LiftObstructedError, OrderError,
-                     PreconditionError)
+                     LiftError, LiftObstructedError, OrderError)
 from .limits import MAX_ORDER, check_limit
 from .vectorfields import (JetTower, TimeClass, VectorField, iterated_bracket,
                            time_component_class)
@@ -218,49 +217,34 @@ def _on_curve(row: Sequence[Poly], morphism: Sequence[Poly]) -> Tuple[Poly, ...]
 
 # -- defects --------------------------------------------------------------------
 
-def defect_cochain(sheaf: PresentedSheaf, candidates: Sequence[JetSection],
-                   order: int, window: Tuple[int, int],
-                   fields: Sequence[VectorField],
-                   pushed: Optional[VectorField] = None):
-    """Affine difference of order-(order) candidates on the overlap, as a cochain.
+def defect_cochain(sheaf: PresentedSheaf, row: Sequence[Poly],
+                   crossing: Sequence[Poly], order: int, window: Tuple[int, int],
+                   d0: VectorField, d1: VectorField):
+    """The overlap defect at `order`, tau0 - tau1, as a 1-cochain.
 
-    Both candidates come in chart-0 data: chart 0's own, and chart 1's read
-    across the overlap (the crossing of `transition_jet_section`, or chart 0's
-    carried rows and chart 1's new row read across).  They must agree below top
-    order (checked exactly).  The tangential difference is re-expressed in
-    generator coefficients and cross-checked against the iterated Lie bracket
-    of the witness fields; the matching orientation is reported.  `pushed`,
-    when the caller holds it, is `field_to_chart0` of chart 1's field.
+    `row` is chart 0's row `order` along the curve and `crossing` chart 1's,
+    read in chart 0 by `cech.cross_row`; the rows below agree.  The difference
+    is written in the generators and cross-checked against the iterated Lie
+    bracket of the witness fields: `d0` is chart 0's, `d1` chart 1's read in
+    chart 0.
     """
-    atlas = sheaf.atlas
-    tau0, tau1_in_0 = candidates
-    for i in range(order):
-        for k in range(atlas.num_coords + 1):
-            if tau0[k][i] != tau1_in_0[k][i]:
-                raise PreconditionError(
-                    f"candidate sections disagree at order {i} "
-                    f"(coordinate {k}): {tau0[k][i].render(['z'])} != "
-                    f"{tau1_in_0[k][i].render(['z'])}")
-    diff = [tau0[k][order] - tau1_in_0[k][order]
-            for k in range(atlas.num_coords + 1)]
+    diff = [a - b for a, b in zip(row, crossing)]
     if not diff[-1].is_zero():
         raise LiftError("defect has a nonzero time component")
     tangent = diff[:-1]
 
-    coeffs = solve_section_coordinates(sheaf.gens_along_curve(0), tangent, window)
+    coeffs = solve_section_coordinates(sheaf.gens_along_curve(0), tangent)
     if coeffs is None:
         raise LiftError(
-            "defect is not a generator combination within the window; "
+            "defect is not a generator combination; "
             "the scenario does not deform along the presented sheaf")
     nu = Cochain1(sheaf, coeffs, window)
-    if pushed is None:
-        pushed = field_to_chart0(atlas, fields[1])
-    return nu, _bracket_orientation(sheaf, fields[0], pushed, tangent, order)
+    return nu, _bracket_orientation(sheaf, d0, d1, tangent, order)
 
 
 def _bracket_orientation(sheaf: PresentedSheaf, d0: VectorField, d1: VectorField,
                          tangent: Sequence[Poly], order: int) -> str:
-    """Compare the measured defect with the iterated bracket of the witnesses.
+    """The flows glue below `order`, so the defect must be -[D0,D1]^(order).
 
     The curve lies at t = 0, so only the t^0 terms of the bracket are read: it
     is built graded by t alone, and a term that cannot reach t^0 is never
@@ -269,13 +253,12 @@ def _bracket_orientation(sheaf: PresentedSheaf, d0: VectorField, d1: VectorField
     bracket = iterated_bracket(d0, d1, order, (0,) * sheaf.atlas.num_coords + (1,))
     f0 = sheaf.morphism.components(0)
     values = [evaluate_along_curve(c, f0) for c in bracket.components[:-1]]
-    if all(p.is_zero() for p in tangent) and all(v.is_zero() for v in values):
+    if not all((a + b).is_zero() for a, b in zip(values, tangent)):
+        raise InternalCheckError(
+            "defect does not match -[D0,D1]^(%d) along the curve" % order)
+    if all(p.is_zero() for p in tangent):
         return "zero defect"
-    if all((a - b).is_zero() for a, b in zip(values, tangent)):
-        return "matched nu = +[D0,D1]^(%d) along the curve" % order
-    if all((a + b).is_zero() for a, b in zip(values, tangent)):
-        return "matched nu = -[D0,D1]^(%d) along the curve" % order
-    raise InternalCheckError("defect does not match the iterated bracket either way")
+    return "matched nu = -[D0,D1]^(%d) along the curve" % order
 
 
 # -- the lifting loop -------------------------------------------------------------
@@ -316,11 +299,11 @@ def _with_row(section: JetSection, row: Sequence[Poly]) -> JetSection:
 
 
 def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
-    """One lifting step: candidates, defect, splitting, correction, glue check.
+    """One lifting step: new rows, defect, splitting, correction, glue check.
 
     Rows <= n of both sections are carried over; below n + 1 the crossing is
     chart 0's section.  Each chart's tower is extended by one level, to
-    n + 1, and row n + 1 is read off its t^0 slice: the candidate's, or,
+    n + 1, and row n + 1 is read off its t^0 slice: the field's own, or,
     when the splitting corrects the chart, that of the carried tower swapped
     to D - (t^n/n!) E and extended to n + 1.  The swap keeps levels <= n
     only if the correction changes no term of t-degree < n, so a correction
@@ -339,10 +322,8 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     towers = [tower.extended(n + 1) for tower in state.towers]
     rows = [_on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
             for chart in (0, 1)]
-    nu, orientation = defect_cochain(
-        sheaf, (_with_row(state.sections[0], rows[0]),
-                _with_row(state.sections[0], cross_row(atlas, rows[1]))), n + 1,
-        window, fields=state.fields, pushed=state.pushed)
+    nu, orientation = defect_cochain(sheaf, rows[0], cross_row(atlas, rows[1]),
+                                     n + 1, window, state.fields[0], state.pushed)
 
     lam = None
     corrections: List[Optional[VectorField]] = [None, None]

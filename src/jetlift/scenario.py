@@ -62,8 +62,15 @@ class _Clause:
 
 
 def parse_scenario_file(path: str) -> LiftScenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + ".").splitlines()
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                         line=len(lines), column=len(lines[-1])) from None
+    return parse_scenario(text)
 
 
 def parse_scenario(text: str) -> LiftScenario:

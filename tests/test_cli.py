@@ -72,6 +72,22 @@ class TestCommands:
                         "--gens", "1,0; 0,x", "--degree", "0")
         assert code == 1 and "(0,0)" in out
 
+    def test_involutive_single_generator(self, capsys):
+        code, out = run(capsys, "involutive", "--vars", "x,y", "--gens", "1,0")
+        assert code == 0 and out == "CERTIFIED degree 0: single generator\n"
+
+    def test_involutive_inconclusive(self, capsys):
+        code, out = run(capsys, "involutive", "--vars", "x,y",
+                        "--gens", "1,0; 0,x^2", "--degree", "2")
+        assert code == 0 and out == "INCONCLUSIVE up to degree 2\n"
+
+    def test_verify_dj_refuted(self, capsys):
+        # the order-2 jets differ, so the defect identity's precondition fails
+        code, out = run(capsys, "verify-dj", "--vars", "x,y", "--f1", "1,0",
+                        "--f2", "1,x", "--point", "0,0", "--n", "2")
+        assert code == 1
+        assert out == "REFUTED: flow jets differ at order 2: (0,0) != (0,1)\n"
+
     def test_strata(self, capsys):
         code, out = run(capsys, "strata", "--vars", "x,y", "--gens", "x,0; 0,x",
                         "--grid", "x=-1:1:1, y=-1:1:1")
@@ -144,6 +160,54 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == ("error: sigma is not a global section of the "
                                 "presented sheaf\n")
+
+    @pytest.mark.parametrize("sheaf,perturb,message", [
+        # D0 = d/dt + t*a d/db leaves the defect (0, z): not along gen (1, 0)
+        ("gen chart0: 1, 0 ; gen chart1: 1, 0", "[perturb]  chart0: 0, t*a\n",
+         "defect is not a generator combination; the scenario does not deform "
+         "along the presented sheaf"),
+        # (0, 1) pushed by the identity is no combination of (1, 0)
+        ("gen chart0: 1, 0 ; gen chart1: 0, 1", "",
+         "generator transition rule inconsistent with the target Jacobian"),
+    ], ids=["outside-span", "transition"])
+    def test_lift_sheaf_rejected_exit_code(self, capsys, tmp_path, sheaf, perturb,
+                                           message):
+        path = tmp_path / "plane.scn"
+        path.write_text("[y]        charts z w ; transition w = 1/z\n"
+                        "[x]        vars a, b ; charts 1\n"
+                        "[f]        chart0: a = z, b = 0 ; chart1: a = 1/w, b = 0\n"
+                        f"[sheaf]    {sheaf}\n"
+                        "[sigma]    chart0: 0 ; chart1: 0\n" + perturb,
+                        encoding="utf-8")
+        code = main(["lift", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_lift_defect_outside_window_exit_code(self, capsys, tmp_path):
+        # the defect z^-6 * g0 is a generator combination; its coordinates leave
+        # the declared window, and the message names the window they need
+        path = tmp_path / "window.scn"
+        path.write_text(FLAGSHIP.replace("gen chart0: x ; gen chart1: -x",
+                                         "gen chart0: 1 ; gen chart1: -x^-1")
+                        .replace("chart0: 1 ; chart1: 1", "chart0: 0 ; chart1: 0")
+                        .replace("[window]   -8 8",
+                                 "[perturb]  chart0: t*x^-6\n[window]   -4 4"),
+                        encoding="utf-8")
+        code = main(["lift", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: 1-cochain needs window [-6, 4], "
+                                "declared [-4, 4]\n")
+
+    def test_scenario_not_utf8_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(b"[y] charts z w ; transition w = 1/z\n[x]  vars \xe9x\n")
+        code = main(["lift", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("parse error: byte 0xe9 is not UTF-8 "
+                                "(line 2, column 11)\n")
 
     def test_parse_error_exit_code(self, capsys):
         code = main(["rank", "--vars", "x,y", "--gens", "x,0; 0,q",
@@ -270,9 +334,8 @@ class TestCommands:
                      "--point", "0,0", "--n", "1"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err == ("internal check failed: defect (Fraction(0, 1), "
-                                "Fraction(1, 1)) does not equal iterated bracket "
-                                "(Fraction(1, 1), Fraction(0, 1))\n")
+        assert captured.err == ("internal check failed: defect (0,1) does not "
+                                "equal iterated bracket (1,0)\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["cohomology", "--transition", "z^-2", "--nu", "z^-1", "--window",
@@ -317,8 +380,7 @@ class TestCommands:
         ("[order]    4", "[order]    65", [],
          "lift order is 65, above the limit MAX_ORDER = 64"),
         ("[window]   -8 8", "[window]   -8 99999", [],
-         "span of the section coordinate window [-8, 99999] is 100007, above the "
-         "limit "
+         "span of the 1-cochain window [-8, 99999] is 100007, above the limit "
          "MAX_WINDOW_SPAN = 10000"),
     ], ids=["option", "clause", "window"])
     def test_lift_limit_exit_code(self, capsys, tmp_path, old, new, argv, message):

@@ -351,9 +351,7 @@ def test_verify_dj_precondition_message():
     d2 = field(Poly.one(2), X)
     with pytest.raises(PreconditionError) as err:
         verify_dj(d1, d2, [0, 0], 2)
-    assert str(err.value) == ("flow jets differ at order 2: "
-                              "(Fraction(0, 1), Fraction(0, 1)) != "
-                              "(Fraction(0, 1), Fraction(1, 1))")
+    assert str(err.value) == "flow jets differ at order 2: (0,0) != (0,1)"
 
 
 def test_verify_dj_commuting_fields_zero():

@@ -20,7 +20,7 @@ from jetlift.cech import (TargetAtlas, cross_row, field_to_chart0,
                           field_to_chart1, negate_exponents, uni, uni_x)
 from jetlift.errors import (ClassificationError, DimensionError,
                             InternalCheckError, LiftError, LiftObstructedError,
-                            LimitError, OrderError, PreconditionError)
+                            LimitError, OrderError)
 from jetlift.lifting import (defect_cochain, initial_state, lift_step,
                              lift_to_order, local_jet_section,
                              transition_jet_section)
@@ -320,27 +320,6 @@ class TestEmbeddedScenario:
 
 
 class TestDefectCochain:
-    def _scenario(self):
-        return parse_scenario(PERTURBED)
-
-    def test_precondition_checks_lower_orders(self):
-        scenario = self._scenario()
-        state = initial_state(scenario)
-        good = [local_jet_section(state.fields[c],
-                                  scenario.sheaf.morphism.components(c), 2)
-                for c in (0, 1)]
-        # break the order-1 part of chart 0
-        broken = list(good)
-        sec = [list(row) for row in good[0]]
-        sec[0][1] = sec[0][1] + Poly.one(1)
-        broken[0] = tuple(tuple(row) for row in sec)
-        crossed = [broken[0],
-                   reference_transition_jet_section(scenario.atlas, broken[1], 2)]
-        with pytest.raises(PreconditionError, match=r"candidate sections "
-                           r"disagree at order 1 \(coordinate 0\): z \+ 1 != z$"):
-            defect_cochain(scenario.sheaf, crossed, 2, state.window,
-                           fields=state.fields)
-
     def test_square_time_perturbation_is_invisible_at_order_two(self):
         # t^2-perturbations only show up from order three on
         scenario = parse_scenario(
@@ -351,17 +330,42 @@ class TestDefectCochain:
         state, step = lift_step(state)
         assert not step.nu.is_zero()
 
-    def test_shared_global_field_has_zero_defect(self):
-        scenario = parse_scenario(FLAGSHIP)
+    @staticmethod
+    def _defect_of_rows(scenario, order):
+        """defect_cochain on the top rows of two independently built sections."""
         state = initial_state(scenario)
-        candidates = [local_jet_section(state.fields[c],
-                                        scenario.sheaf.morphism.components(c), 2)
-                      for c in (0, 1)]
-        crossed = [candidates[0],
-                   reference_transition_jet_section(scenario.atlas, candidates[1], 2)]
-        nu, orientation = defect_cochain(scenario.sheaf, crossed, 2,
-                                         state.window, fields=state.fields)
+        sections = [local_jet_section(state.fields[c],
+                                      scenario.sheaf.morphism.components(c), order)
+                    for c in (0, 1)]
+        crossing = reference_transition_jet_section(scenario.atlas, sections[1], order)
+        return defect_cochain(scenario.sheaf, [c[order] for c in sections[0]],
+                              [c[order] for c in crossing], order, state.window,
+                              state.fields[0],
+                              field_to_chart0(scenario.atlas, state.fields[1]))
+
+    def test_shared_global_field_has_zero_defect(self):
+        nu, orientation = self._defect_of_rows(parse_scenario(FLAGSHIP), 2)
         assert nu.is_zero() and orientation == "zero defect"
+
+    def test_perturbed_rows_give_minus_the_bracket(self):
+        # chart 1 flows x' = x + t*x^2 and chart 0 x' = x, so tau0 - tau1 =
+        # x - (x + x^2) = -z^2 at order 2; the generator x reads z: nu = -z
+        nu, orientation = self._defect_of_rows(parse_scenario(PERTURBED), 2)
+        assert nu.nu01 == (uni({1: -1}),)
+        assert orientation == "matched nu = -[D0,D1]^(2) along the curve"
+
+    def test_bracket_sign_fault_is_an_internal_check(self, capsys, monkeypatch):
+        # with the bracket's arguments swapped, the defect equals +[D0,D1]^(2);
+        # the defect identity allows only -[D0,D1]^(2)
+        bracket = lifting.iterated_bracket
+        monkeypatch.setattr(lifting, "iterated_bracket",
+                            lambda d0, d1, n, weights: bracket(d1, d0, n, weights))
+        code = cli.main(["lift", "--scenario",
+                         str(ROOT / "scenarios" / "flagship_perturbed.scn")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("internal check failed: defect does not match "
+                                "-[D0,D1]^(2) along the curve\n")
 
 
 class TestFieldTransport:

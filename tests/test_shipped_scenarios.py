@@ -70,3 +70,26 @@ def test_log_chart1_correction():
         None, VectorField([Poly.monomial(2, (2, 0), 1), Poly.zero(2)]))
     assert first.lam.chart1 == (uni({1: -1}),)
     assert [s.nu.is_zero() for s in result.steps] == [False, True, True]
+
+
+def test_rank4_frame():
+    result = lift_to_order(parse_scenario_file(str(SCENARIOS / "rank4_frame.scn")))
+    sheaf = result.scenario.sheaf
+    # G = I + a^2 N with N the superdiagonal shift, so T = G^-1 = I - z^2 N +
+    # z^4 N^2 - z^6 N^3: entry (k, j) is (-z^2)^(j - k) above the diagonal
+    assert sheaf.transition == tuple(
+        tuple(uni({2 * (j - k): (-1) ** (j - k)}) if j >= k else Poly.zero(1)
+              for j in range(4)) for k in range(4))
+    # D0 = d/dt + t*a^2 d/da and D1 = d/dt: D0^2 a = a^2 and D1^2 a = 0 at t = 0
+    first = result.steps[0]
+    zero = Poly.zero(1)
+    assert first.nu.nu01 == (uni({2: 1}), zero, zero, zero)
+    assert first.lam.chart0 == (uni({2: 1}), zero, zero, zero)
+    assert first.lam.chart1 == (zero,) * 4
+    a_squared = Poly.monomial(5, (2, 0, 0, 0, 0), 1)
+    assert first.corrections == (
+        VectorField([a_squared] + [Poly.zero(5)] * 4), None)
+    assert [s.nu.is_zero() for s in result.steps] == [False, True]
+    # the corrected chart-0 field is d/dt: a stays at z
+    z = uni_x(1)
+    assert result.state.sections[0][0] == (z,) + (zero,) * 3
