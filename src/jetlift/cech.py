@@ -2,7 +2,8 @@
 
 The compact curve is fixed to the two-chart shape with parameters z and w glued by
 w = 1/z; with no triple overlaps a 1-cochain is its one section nu_01, and first
-cohomology is the cokernel of an exact linear map between finite Laurent windows.
+cohomology Q[z, 1/z]^s / (Q[z]^s + T Q[1/z]^s) depends on T alone: a window only
+bounds input, and `solve_coboundary` sizes its exact system from T and nu_01.
 Sections of the presented sheaf are generator-coefficient vectors; crossing the
 overlap substitutes the parameter and multiplies by a transition matrix T.  Every
 target is two charts glued by a monomial map (one chart: the identity), and every
@@ -24,7 +25,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Poly, poly_det
-from .errors import DimensionError, LiftError, TransitionError, WindowOverflowError
+from .errors import (DimensionError, InternalCheckError, LiftError, TransitionError,
+                     WindowOverflowError)
 from .limits import MAX_WINDOW_SPAN, check_limit
 from .vectorfields import VectorField
 
@@ -82,15 +84,19 @@ def _check_window_span(window: Window, what: str):
                 "MAX_WINDOW_SPAN", MAX_WINDOW_SPAN)
 
 
+def window_hull(window: Window, polys: Sequence[Poly]) -> Window:
+    """The least window holding `window` and `window_of(polys)`."""
+    lo, hi = window_of(polys)
+    return min(lo, window[0]), max(hi, window[1])
+
+
 def check_window(polys: Sequence[Poly], window: Window, what: str):
     _check_window_span(window, what)
-    lo, hi = window
-    need_lo, need_hi = window_of(polys)
-    if need_lo < lo or need_hi > hi:
+    need = window_hull(window, polys)
+    if need != window:
         raise WindowOverflowError(
-            f"{what} needs window [{min(need_lo, lo)}, {max(need_hi, hi)}], "
-            f"declared [{lo}, {hi}]",
-            required_window=(min(need_lo, lo), max(need_hi, hi)))
+            f"{what} needs window [{need[0]}, {need[1]}], "
+            f"declared [{window[0]}, {window[1]}]", required_window=need)
 
 
 # -- atlases ------------------------------------------------------------------
@@ -520,7 +526,7 @@ def coboundary(cochain: Cochain0) -> Cochain1:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """Nonzero class of a 1-cochain modulo coboundaries, within the window."""
+    """Nonzero class of a 1-cochain modulo coboundaries; cokernel_dim is h^1."""
     residual: Tuple[Poly, ...]
     cokernel_dim: int
 
@@ -532,46 +538,56 @@ class Obstruction:
 def solve_coboundary(cochain: Cochain1):
     """Split nu = delta(lambda) with chart-polynomial lambda, or report the obstruction.
 
-    Unknowns are chart-0 and chart-1 coefficients with exponents in [0, hi], the
-    top of the window; one-sided coefficients whose restriction would leave the
-    overlap window cannot contribute and are excluded.  Free variables are pinned to
-    zero, so nu = 0 yields lambda = 0 and the splitting is canonical.
+    With det T = c z^d and t-, t+ the extreme exponents of T, T^-1 = adj T / det
+    has exponents in [b-, M0], b- = (s-1) t- - d, M0 = (s-1) t+ - d; M = max(M0, 1).
+    lambda_0 = nu + T lambda_1(1/z) must be polynomial, so lambda_1(1/z) = T^-1
+    (lambda_0 - nu) has exponents >= lo_nu + b-.  The unknowns are the columns
+    w^k g_j, k <= max(t+ + M, -(lo_nu + b-)), cut to negative exponents.  Each
+    z^e v with e <= -M lies in T Q[1/z]^s, so h^1 (cokernel_dim) is the corank of
+    those columns cut to [1 - M, -1].  The window only sizes the returned
+    0-cochain's.  Free variables are zero, so the splitting is canonical, and
+    lambda_0 is read through `restrict_section`, apart from the columns.
     """
     sheaf = cochain.sheaf
     s = sheaf.num_gens
-    lo, hi = cochain.window
-    basis: List[Tuple[int, int, int]] = []   # (chart, gen, exponent)
-    columns: List[dict] = []
-    for chart in (0, 1):
-        for gen in range(s):
-            for exp in range(0, hi + 1):
-                if chart == 0:
-                    column = {(gen, exp): Fraction(1)}
-                else:   # w^exp g_gen restricts to -sum_k T[k][gen] z^-exp g_k
-                    column = {(k, e - exp): -c for k in range(s)
-                              for (e,), c in sheaf.transition[k][gen].terms.items()}
-                if all(lo <= e <= hi for _, e in column):
-                    basis.append((chart, gen, exp))
-                    columns.append(column)
-    rhs = {(k, e): c for k in range(s) for (e,), c in cochain.nu01[k].terms.items()}
+    t_exps = [e for row in sheaf.transition for p in row for (e,) in p.terms]
+    t_lo, t_hi = min(t_exps, default=0), max(t_exps, default=0)
+    d = poly_det(sheaf.transition).as_monomial()[0][0] if s else 0
+    b_lo = (s - 1) * t_lo - d
+    m = max((s - 1) * t_hi - d, 1)
+    lo_nu = window_of(cochain.nu01)[0]
+    top = max(t_hi + m, -(lo_nu + b_lo))
+    bottom = min(lo_nu, t_lo - top)
+    _check_window_span((bottom, top), "coboundary system")
+    # w^k g_gen restricts to -sum_i T[i][gen] z^-k g_i; its negative part
+    unknowns = [(gen, k) for gen in range(s) for k in range(top + 1)]
+    columns = [{(i, e - k): -c for i in range(s)
+                for (e,), c in sheaf.transition[i][gen].terms.items() if e < k}
+               for gen, k in unknowns]
+    rhs = {(i, e): c for i in range(s)
+           for (e,), c in cochain.nu01[i].terms.items() if e < 0}
     # component-major, exponent ascending: this order fixes the residual
-    rows = [(k, e) for k in range(s) for e in range(lo, hi + 1)]
+    rows = [(i, e) for i in range(s) for e in range(bottom, 0)]
 
-    x, residual, rank = linalg.solve_with_residual(columns, rhs, rows)
+    x, residual, _ = linalg.solve_with_residual(columns, rhs, rows)
     if residual:
+        _, _, rank = linalg.solve_with_residual(
+            [{key: c for key, c in col.items() if key[1] > -m} for col in columns],
+            {}, [(i, e) for i in range(s) for e in range(1 - m, 0)])
         terms: List[dict] = [{} for _ in range(s)]
-        for (k, e), v in residual.items():
-            terms[k][(e,)] = v
-        res_polys = [Poly._raw(1, t) for t in terms]
-        return Obstruction(tuple(res_polys), len(rows) - rank)
+        for (i, e), v in residual.items():
+            terms[i][(e,)] = v
+        return Obstruction(tuple(Poly._raw(1, t) for t in terms),
+                           s * (m - 1) - rank)
 
-    lam0_terms: List[dict] = [{} for _ in range(s)]
     lam1_terms: List[dict] = [{} for _ in range(s)]
-    for value, (chart, gen, exp) in zip(x, basis):
-        if not value:
-            continue
-        target = lam0_terms if chart == 0 else lam1_terms
-        target[gen][(exp,)] = value
-    lam0 = [Poly._raw(1, t) for t in lam0_terms]
-    lam1 = [Poly._raw(1, t) for t in lam1_terms]
-    return Cochain0(sheaf, lam0, lam1, cochain.window)
+    for value, (gen, k) in zip(x, unknowns):
+        if value:
+            lam1_terms[gen][(k,)] = value
+    lam1 = tuple(Poly._raw(1, t) for t in lam1_terms)
+    # delta(lambda) = nu exactly when this lambda_0 is chart-polynomial
+    lam0 = tuple(n + r for n, r in zip(cochain.nu01, restrict_section(sheaf, 1, lam1)))
+    if not all(p.is_polynomial() for p in lam0):
+        raise InternalCheckError(
+            "nu + T lambda_1(1/z) is not chart-polynomial: delta(lambda) != nu")
+    return Cochain0(sheaf, lam0, lam1, window_hull(cochain.window, lam0 + lam1))

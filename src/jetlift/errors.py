@@ -59,7 +59,7 @@ class LiftObstructedError(JetliftError):
     """Coboundary solving failed: the obstruction class is nonzero.
 
     Carries the residual class (per-generator Laurent coefficients), the cokernel
-    dimension within the working window, and the jet order at which lifting stopped.
+    dimension h^1, and the jet order at which lifting stopped.
     """
 
     def __init__(self, message, residual, cokernel_dim, order):

@@ -46,7 +46,7 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
                    Obstruction, PresentedSheaf, TargetAtlas, cross_row,
                    crossing_starts, evaluate_along_curve, field_to_chart0,
                    field_to_chart1, restrict_section, solve_coboundary,
-                   solve_section_coordinates)
+                   solve_section_coordinates, window_hull)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError)
 from .limits import MAX_ORDER, check_limit
@@ -88,7 +88,8 @@ class LiftScenario:
 class LiftState:
     """Order-n lift: per chart the witness field, its jet tower at level n and
     its jet section; chart 1's tower starts from `cech.crossing_starts`, and
-    `pushed` is chart 1's field read in chart 0."""
+    `pushed` is chart 1's field read in chart 0.  `window` is the window of the
+    last defect cochain (the declared window at order 1); no step reads it."""
     scenario: LiftScenario
     order: int
     fields: Tuple[VectorField, VectorField]
@@ -226,7 +227,8 @@ def defect_cochain(sheaf: PresentedSheaf, row: Sequence[Poly],
     read in chart 0 by `cech.cross_row`; the rows below agree.  The difference
     is written in the generators and cross-checked against the iterated Lie
     bracket of the witness fields: `d0` is chart 0's, `d1` chart 1's read in
-    chart 0.
+    chart 0.  The cochain's window is the hull of the declared `window` and the
+    defect's own exponents, so the window never decides a verdict.
     """
     diff = [a - b for a, b in zip(row, crossing)]
     if not diff[-1].is_zero():
@@ -238,7 +240,7 @@ def defect_cochain(sheaf: PresentedSheaf, row: Sequence[Poly],
         raise LiftError(
             "defect is not a generator combination; "
             "the scenario does not deform along the presented sheaf")
-    nu = Cochain1(sheaf, coeffs, window)
+    nu = Cochain1(sheaf, coeffs, window_hull(window, coeffs))
     return nu, _bracket_orientation(sheaf, d0, d1, tangent, order)
 
 
@@ -315,15 +317,14 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     sheaf = scenario.sheaf
     atlas = sheaf.atlas
     n = state.order
-    window = state.window
 
     fields = list(state.fields)
     morphisms = [sheaf.morphism.components(chart) for chart in (0, 1)]
     towers = [tower.extended(n + 1) for tower in state.towers]
     rows = [_on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
             for chart in (0, 1)]
-    nu, orientation = defect_cochain(sheaf, rows[0], cross_row(atlas, rows[1]),
-                                     n + 1, window, state.fields[0], state.pushed)
+    nu, orientation = defect_cochain(sheaf, rows[0], cross_row(atlas, rows[1]), n + 1,
+                                     scenario.window, state.fields[0], state.pushed)
 
     lam = None
     corrections: List[Optional[VectorField]] = [None, None]
@@ -357,23 +358,9 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
         raise InternalCheckError("corrected candidates still have a nonzero defect")
     sections = (_with_row(state.sections[0], rows[0]),
                 _with_row(state.sections[1], rows[1][:atlas.num_coords + 1]))
-
-    grown = _window_growth(scenario)
-    new_window = (window[0] - grown, window[1] + grown)
-    new_state = LiftState(scenario, n + 1, tuple(fields), sections, new_window,
+    new_state = LiftState(scenario, n + 1, tuple(fields), sections, nu.window,
                           tuple(towers), pushed)
     return new_state, LiftStep(n, nu, lam, orientation, tuple(corrections))
-
-
-def _window_growth(scenario: LiftScenario) -> int:
-    spans = [1]
-    for chart in (0, 1):
-        for g in scenario.sheaf.gens(chart):
-            for c in g.components:
-                lo_hi = [e for exps in c.terms for e in exps]
-                if lo_hi:
-                    spans.append(max(abs(e) for e in lo_hi))
-    return max(spans)
 
 
 def initial_state(scenario: LiftScenario) -> LiftState:

@@ -10,7 +10,7 @@ from jetlift.algebra import Poly
 from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary,
                           negate_exponents, restrict_section, solve_coboundary,
-                          uni, uni_x)
+                          uni, uni_x, window_hull)
 from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
 from jetlift.vectorfields import VectorField
 
@@ -120,7 +120,7 @@ class TestSolveCoboundary:
             assert result.cokernel_dim == 1
 
     def test_degree_minus_two_class_at_wide_window(self):
-        # an 801 x 800 system: the scale that sparse elimination is for
+        # the window bounds nu only: the system is sized by T and nu, not by it
         sheaf = PresentedSheaf.line_bundle(uni_x(-2))
         nu = Cochain1.from_nu01(sheaf, [uni_x(-1)], (-400, 400))
         result = solve_coboundary(nu)
@@ -129,10 +129,12 @@ class TestSolveCoboundary:
         assert result.cokernel_dim == 1
 
     def test_rank_two_residual_representative(self):
-        # transition [[z, 2/3 z^-1], [0, z^-3]]: the second row has the gap
+        # transition T = [[z, 2/3 z^-1], [0, z^-3]]: the second row has the gap
         # z^-1, z^-2, and the first-row part of nu is absorbed by coboundaries.
         # The row order (component-major, exponent ascending) fixes this
-        # representative of the class.
+        # representative of the class.  T [[1, -2/3 z^-2], [0, 1]] = diag(z,
+        # z^-3), and the second factor is invertible over Q[z^-1], so T has
+        # splitting type (1, -3) and h^1 = 0 + 2.
         gen = VectorField([Poly.one(2), Poly.zero(2)])
         sheaf = PresentedSheaf(None, None, [gen, gen], [gen, gen],
                                [[uni_x(1), uni_x(-1) * Fraction(2, 3)],
@@ -142,7 +144,7 @@ class TestSolveCoboundary:
             result = solve_coboundary(Cochain1.from_nu01(sheaf, nu, window))
             assert isinstance(result, Obstruction)
             assert result.residual == (Poly.zero(1), uni({-1: -1, -2: 2}))
-            assert result.cokernel_dim == 3
+            assert result.cokernel_dim == 2
 
 
 class TestTransitionUnits:
@@ -188,6 +190,62 @@ def test_split_then_delta_reproduces_nu(p, q):
     split = solve_coboundary(nu)
     assert isinstance(split, Cochain0)
     assert coboundary(split) == nu
+
+
+@st.composite
+def split_transitions(draw):
+    """T = A diag(z^a) B with A upper unitriangular over Q[z] and B lower
+    unitriangular over Q[1/z]; returns (A, a, T)."""
+    s = draw(st.integers(min_value=1, max_value=3))
+    a = draw(st.lists(st.sampled_from(range(-4, 4)), min_size=s, max_size=s))
+    one, zero = Poly.one(1), Poly.zero(1)
+    upper = [[one if i == j else draw(laurent_polys(0, 2, 2)) if i < j else zero
+              for j in range(s)] for i in range(s)]
+    lower = [[one if i == j else draw(laurent_polys(-2, 0, 2)) if i > j else zero
+              for j in range(s)] for i in range(s)]
+
+    def mul(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(s)), zero) for j in range(s)]
+                for i in range(s)]
+
+    diag = [[uni_x(a[i]) if i == j else zero for j in range(s)] for i in range(s)]
+    return upper, a, mul(mul(upper, diag), lower)
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_transitions(), st.data())
+def test_split_type_decides_every_answer(split, data):
+    # T Q[1/z]^s = A diag(z^a) Q[1/z]^s and A keeps Q[z]^s, so h^1 = sum of
+    # max(0, -a_i - 1), and nu = A u splits exactly when u has no term z^e g_i
+    # with a_i < e < 0.  Neither the answer nor the verdict may depend on the
+    # window, as long as it holds nu.
+    upper, a, transition = split
+    s = len(a)
+    gen = VectorField([Poly.one(2), Poly.zero(2)])
+    sheaf = PresentedSheaf(None, None, [gen] * s, [gen] * s, transition)
+    u = data.draw(st.lists(laurent_polys(-8, 4, 6).filter(bool),
+                           min_size=s, max_size=s))
+    if data.draw(st.booleans()):   # drop the gap terms: nu must split
+        u = [uni({e: c for (e,), c in p.terms.items() if not a[i] < e < 0})
+             for i, p in enumerate(u)]
+    else:                          # add one: nu is obstructed unless h^1 = 0
+        u = [p + uni_x(data.draw(st.integers(a[i] + 1, -1))) if a[i] < -1 else p
+             for i, p in enumerate(u)]
+    obstructed = any(a[i] < e < 0 for i in range(s) for (e,) in u[i].terms)
+    nu = [sum((upper[i][j] * u[j] for j in range(s)), Poly.zero(1))
+          for i in range(s)]
+
+    tight = window_hull((0, 0), nu)
+    results = [solve_coboundary(Cochain1(sheaf, nu, window))
+               for window in (tight, (tight[0] - 7, tight[1] + 5))]
+    assert results[0] == results[1]
+    result = results[0]
+    assert isinstance(result, Obstruction) == obstructed
+    if obstructed:
+        assert result.cokernel_dim == sum(max(0, -ai - 1) for ai in a)
+    else:
+        assert coboundary(result).nu01 == tuple(nu)
+        assert all(p.is_polynomial() for p in result.chart0 + result.chart1)
 
 
 class TestPresentedSheafFromCharts:

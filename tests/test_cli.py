@@ -118,6 +118,21 @@ class TestCommands:
                         "--nu", "z^-1", "--window", "-4 4")
         assert code == 0 and "OBSTRUCTED" in out and "cokernel_dim 1" in out
 
+    @pytest.mark.parametrize("transition,nu,window,lambda1", [
+        ("z^2", "z^-4", "-4 4", "-w^6"),
+        ("z^3", "z^-2", "-4 4", "-w^5"),
+        ("z^2", "z^-16", "-16 16", "-w^18"),
+        ("z^2", "z^-40", "-40 4", "-w^42"),
+    ], ids=["O(2)-z^-4", "O(3)-z^-2", "O(2)-z^-16", "O(2)-z^-40"])
+    def test_cohomology_nonnegative_degree_splits(self, capsys, transition, nu,
+                                                  window, lambda1):
+        # a transition z^d with d >= -1 behaves as O(d): h^1 = 0, so every class
+        # splits, however tightly the window holds nu
+        code, out = run(capsys, "cohomology", "--transition", transition,
+                        "--nu", nu, "--window", window, "--expect-unobstructed")
+        assert code == 0
+        assert out == f"lambda0 = 0\nlambda1 = {lambda1}\n"
+
     def test_cohomology_expect_unobstructed(self, capsys):
         code, out = run(capsys, "cohomology", "--transition", "z^-2",
                         "--nu", "z^-1", "--window", "-4 4",
@@ -184,21 +199,32 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_lift_defect_outside_window_exit_code(self, capsys, tmp_path):
-        # the defect z^-6 * g0 is a generator combination; its coordinates leave
-        # the declared window, and the message names the window they need
-        path = tmp_path / "window.scn"
-        path.write_text(FLAGSHIP.replace("gen chart0: x ; gen chart1: -x",
-                                         "gen chart0: 1 ; gen chart1: -x^-1")
-                        .replace("chart0: 1 ; chart1: 1", "chart0: 0 ; chart1: 0")
-                        .replace("[window]   -8 8",
-                                 "[perturb]  chart0: t*x^-6\n[window]   -4 4"),
-                        encoding="utf-8")
-        code = main(["lift", "--scenario", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == ("error: 1-cochain needs window [-6, 4], "
-                                "declared [-4, 4]\n")
+    @pytest.mark.parametrize("perturb,order,lambda1,correction", [
+        ("t*x^-6", "4", "-w^9", "x^8"),
+        ("t*x^-4", "3", "-w^7", "x^6"),
+    ], ids=["defect-z^-6", "defect-z^-4"])
+    def test_lift_verdict_independent_of_window(self, capsys, tmp_path, perturb,
+                                                order, lambda1, correction):
+        # the coefficient transition is z^3, which behaves as O(3): h^1 = 0, so
+        # the defect splits even where it leaves the declared window, and every
+        # window gives one transcript
+        scenario = (FLAGSHIP.replace("gen chart0: x ; gen chart1: -x",
+                                     "gen chart0: 1 ; gen chart1: -x^-1")
+                    .replace("chart0: 1 ; chart1: 1", "chart0: 0 ; chart1: 0")
+                    .replace("[window]   -8 8",
+                             f"[perturb]  chart0: {perturb}\n[window]   -8 8")
+                    .replace("[order]    4", f"[order]    {order}"))
+        outs = set()
+        for width in (4, 8, 12):
+            path = tmp_path / f"window{width}.scn"
+            path.write_text(scenario.replace("-8 8", f"-{width} {width}"),
+                            encoding="utf-8")
+            code, out = run(capsys, "lift", "--scenario", str(path))
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1
+        assert f"lambda chart1 = ({lambda1}) * g0\n" in out
+        assert f"E = ({correction}, 0)" in out
 
     def test_scenario_not_utf8_exit_code(self, capsys, tmp_path):
         path = tmp_path / "latin1.scn"
@@ -337,10 +363,32 @@ class TestCommands:
         assert captured.err == ("internal check failed: defect (0,1) does not "
                                 "equal iterated bracket (1,0)\n")
 
+    def test_split_self_check_exit_code(self, capsys, monkeypatch):
+        # a solver whose solution is off by one in every unknown: the split is
+        # checked through restrict_section, which the columns do not share
+        import jetlift.linalg as linalg
+        solve = linalg.solve_with_residual
+
+        def perturbed(columns, rhs, rows):
+            x, residual, rank = solve(columns, rhs, rows)
+            return [v + 1 for v in x], residual, rank
+
+        monkeypatch.setattr(linalg, "solve_with_residual", perturbed)
+        code = main(["cohomology", "--transition", "z^-2", "--nu", "z^-3",
+                     "--window", "-4 4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("internal check failed: nu + T lambda_1(1/z) is "
+                                "not chart-polynomial: delta(lambda) != nu\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["cohomology", "--transition", "z^-2", "--nu", "z^-1", "--window",
           "-100000 100000"],
          "span of the 1-cochain window [-100000, 100000] is 200000, above the "
+         "limit MAX_WINDOW_SPAN = 10000"),
+        (["cohomology", "--transition", "z^-20000", "--nu", "z^-1", "--window",
+          "-4 4"],
+         "span of the coboundary system window [-20000, 0] is 20000, above the "
          "limit MAX_WINDOW_SPAN = 10000"),
         (["flowjet", "--vars", "x", "--field", "x^2", "--point", "1",
           "--order", "65"],
@@ -363,8 +411,8 @@ class TestCommands:
         (["involutive", "--vars", "x,y,z", "--gens", "1,0,y;0,1,0", "--degree", "40"],
          "certificate unknown count is 24682, above the limit "
          "MAX_CERTIFICATE_UNKNOWNS = 10000"),
-    ], ids=["window", "flowjet", "verify-dj", "invariance", "strata", "search-grid",
-            "iterbracket", "certificate"])
+    ], ids=["window", "coboundary-system", "flowjet", "verify-dj", "invariance",
+            "strata", "search-grid", "iterbracket", "certificate"])
     def test_limit_exit_code(self, capsys, argv, message):
         start = time.perf_counter()
         code = main(argv)
