@@ -3,7 +3,7 @@
 The compact curve is fixed to the two-chart shape with parameters z and w glued by
 w = 1/z; with no triple overlaps a 1-cochain is its one section nu_01, and first
 cohomology Q[z, 1/z]^s / (Q[z]^s + T Q[1/z]^s) depends on T alone: a window only
-bounds input, and `solve_coboundary` sizes its exact system from T and nu_01.
+bounds input: `solve_coboundary` sizes its system from T and nu_01, lambda by its support.
 Sections of the presented sheaf are generator-coefficient vectors; crossing the
 overlap substitutes the parameter and multiplies by a transition matrix T.  Every
 target is two charts glued by a monomial map (one chart: the identity), and every
@@ -78,21 +78,16 @@ def window_of(polys: Sequence[Poly]) -> Window:
     return lo, hi
 
 
-def _check_window_span(window: Window, what: str):
+def check_window_span(window: Window, what: str):
     lo, hi = window
     check_limit(f"span of the {what} window [{lo}, {hi}]", hi - lo,
                 "MAX_WINDOW_SPAN", MAX_WINDOW_SPAN)
 
 
-def window_hull(window: Window, polys: Sequence[Poly]) -> Window:
-    """The least window holding `window` and `window_of(polys)`."""
-    lo, hi = window_of(polys)
-    return min(lo, window[0]), max(hi, window[1])
-
-
 def check_window(polys: Sequence[Poly], window: Window, what: str):
-    _check_window_span(window, what)
-    need = window_hull(window, polys)
+    check_window_span(window, what)
+    lo, hi = window_of(polys)
+    need = min(lo, window[0]), max(hi, window[1])
     if need != window:
         raise WindowOverflowError(
             f"{what} needs window [{need[0]}, {need[1]}], "
@@ -297,11 +292,11 @@ class PresentedSheaf:
     parameter (coefficients of the generators).  On the overlap, chart-1 coefficient
     vectors are read in the chart-0 frame as T(z) . c(1/z); T is solved from the
     chart-1 generators pushed by `field_to_chart0` and read along the curve.
-    T must be a unit over Q[z, 1/z], det T = c*z^k with c != 0; any other T raises
-    TransitionError.
+    T must be a unit over Q[z, 1/z], det T = c*z^k with c != 0 (`det`); any other
+    T raises TransitionError.
     """
 
-    __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition")
+    __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition", "det")
 
     def __init__(self, atlas: Optional[TargetAtlas], morphism: Optional[MorphismData],
                  gens0: Sequence[VectorField], gens1: Sequence[VectorField],
@@ -323,6 +318,7 @@ class PresentedSheaf:
         object.__setattr__(self, "gens0", gens0)
         object.__setattr__(self, "gens1", gens1)
         object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "det", det)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedSheaf is immutable")
@@ -411,7 +407,7 @@ def solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
     lo_t, hi_t = window_of(target)
     lo = (s - 1) * lo_g + lo_t - s * hi_g
     hi = (s - 1) * hi_g + hi_t - s * lo_g
-    _check_window_span((lo, hi), "section coordinate")
+    check_window_span((lo, hi), "section coordinate")
     coeffs = linalg.solve_combination(
         [[p.terms for p in vec] for vec in gen_values], [p.terms for p in target],
         [(e,) for e in range(lo, hi + 1)])
@@ -544,21 +540,21 @@ def solve_coboundary(cochain: Cochain1):
     (lambda_0 - nu) has exponents >= lo_nu + b-.  The unknowns are the columns
     w^k g_j, k <= max(t+ + M, -(lo_nu + b-)), cut to negative exponents.  Each
     z^e v with e <= -M lies in T Q[1/z]^s, so h^1 (cokernel_dim) is the corank of
-    those columns cut to [1 - M, -1].  The window only sizes the returned
-    0-cochain's.  Free variables are zero, so the splitting is canonical, and
-    lambda_0 is read through `restrict_section`, apart from the columns.
+    those columns cut to [1 - M, -1].  lambda's window is window_of(nu, lambda):
+    no declared window is read.  Free variables are zero, so the splitting is
+    canonical, and lambda_0 is read through `restrict_section`, not the columns.
     """
     sheaf = cochain.sheaf
     s = sheaf.num_gens
     t_exps = [e for row in sheaf.transition for p in row for (e,) in p.terms]
     t_lo, t_hi = min(t_exps, default=0), max(t_exps, default=0)
-    d = poly_det(sheaf.transition).as_monomial()[0][0] if s else 0
+    d = sheaf.det.as_monomial()[0][0]
     b_lo = (s - 1) * t_lo - d
     m = max((s - 1) * t_hi - d, 1)
     lo_nu = window_of(cochain.nu01)[0]
     top = max(t_hi + m, -(lo_nu + b_lo))
     bottom = min(lo_nu, t_lo - top)
-    _check_window_span((bottom, top), "coboundary system")
+    check_window_span((bottom, top), "coboundary system")
     # w^k g_gen restricts to -sum_i T[i][gen] z^-k g_i; its negative part
     unknowns = [(gen, k) for gen in range(s) for k in range(top + 1)]
     columns = [{(i, e - k): -c for i in range(s)
@@ -590,4 +586,4 @@ def solve_coboundary(cochain: Cochain1):
     if not all(p.is_polynomial() for p in lam0):
         raise InternalCheckError(
             "nu + T lambda_1(1/z) is not chart-polynomial: delta(lambda) != nu")
-    return Cochain0(sheaf, lam0, lam1, window_hull(cochain.window, lam0 + lam1))
+    return Cochain0(sheaf, lam0, lam1, window_of(cochain.nu01 + lam0 + lam1))

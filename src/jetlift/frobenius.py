@@ -149,31 +149,30 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int):
     check_limit("certificate unknown count", len(gens) * comb(degree_bound + m, m),
                 "MAX_CERTIFICATE_UNKNOWNS", MAX_CERTIFICATE_UNKNOWNS)
     pairs: Dict[Tuple[int, int], Tuple[Poly, ...]] = {}
-    failed_pairs = []
+    failed: Dict[Tuple[int, int], VectorField] = {}
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             bracket = lie_bracket(gens[i], gens[j])
             coeffs = _combination_solve(distribution, bracket, degree_bound)
             if coeffs is None:
-                failed_pairs.append((i, j))
+                failed[(i, j)] = bracket
             else:
                 pairs[(i, j)] = coeffs
-    if not failed_pairs:
+    if not failed:
         cert = InvolutivityCertificate(degree_bound, pairs)
         if not cert.verify(distribution):
             raise InternalCheckError("certificate re-expansion failed")  # unreachable
         return cert
 
     points = default_search_grid(distribution.num_vars)
-    for i, j in failed_pairs:
-        bracket = lie_bracket(gens[i], gens[j])
+    for pair, bracket in failed.items():
         for pt in points:
             base = distribution.matrix_at(pt)
             r0 = linalg.rank(base)
             augmented = [row + [v] for row, v in zip(base, bracket.value_at(pt))]
             r1 = linalg.rank(augmented)
             if r1 > r0:
-                return CounterexamplePoint((i, j), pt, r0, r1)
+                return CounterexamplePoint(pair, pt, r0, r1)
     return NotFoundUpTo(degree_bound)
 
 

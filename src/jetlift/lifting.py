@@ -46,7 +46,7 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
                    Obstruction, PresentedSheaf, TargetAtlas, cross_row,
                    crossing_starts, evaluate_along_curve, field_to_chart0,
                    field_to_chart1, restrict_section, solve_coboundary,
-                   solve_section_coordinates, window_hull)
+                   solve_section_coordinates, window_of)
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError)
 from .limits import MAX_ORDER, check_limit
@@ -72,7 +72,6 @@ class LiftScenario:
     sheaf: PresentedSheaf
     sigma: Tuple[Tuple[Poly, ...], Tuple[Poly, ...]]     # per chart, s coefficients
     perturbations: Tuple[Optional[Tuple[Poly, ...]], ...]  # chart-0 frame, per chart
-    window: Tuple[int, int]
     order: int
 
     @property
@@ -88,8 +87,9 @@ class LiftScenario:
 class LiftState:
     """Order-n lift: per chart the witness field, its jet tower at level n and
     its jet section; chart 1's tower starts from `cech.crossing_starts`, and
-    `pushed` is chart 1's field read in chart 0.  `window` is the window of the
-    last defect cochain (the declared window at order 1); no step reads it."""
+    `pushed` is chart 1's field read in chart 0.  `window` is the exponent range
+    of the last defect cochain's own coefficients, (0, 0) before the first
+    step; no step reads it."""
     scenario: LiftScenario
     order: int
     fields: Tuple[VectorField, VectorField]
@@ -152,8 +152,6 @@ class LiftResult:
 def _render_coefficients(coeffs: Sequence[Poly], param: str) -> str:
     if all(p.is_zero() for p in coeffs):
         return "0"
-    if len(coeffs) == 1:
-        return f"({coeffs[0].render([param])}) * g0"
     return " + ".join(f"({p.render([param])}) * g{k}" for k, p in enumerate(coeffs))
 
 
@@ -219,16 +217,16 @@ def _on_curve(row: Sequence[Poly], morphism: Sequence[Poly]) -> Tuple[Poly, ...]
 # -- defects --------------------------------------------------------------------
 
 def defect_cochain(sheaf: PresentedSheaf, row: Sequence[Poly],
-                   crossing: Sequence[Poly], order: int, window: Tuple[int, int],
-                   d0: VectorField, d1: VectorField):
+                   crossing: Sequence[Poly], order: int, d0: VectorField,
+                   d1: VectorField):
     """The overlap defect at `order`, tau0 - tau1, as a 1-cochain.
 
     `row` is chart 0's row `order` along the curve and `crossing` chart 1's,
     read in chart 0 by `cech.cross_row`; the rows below agree.  The difference
     is written in the generators and cross-checked against the iterated Lie
     bracket of the witness fields: `d0` is chart 0's, `d1` chart 1's read in
-    chart 0.  The cochain's window is the hull of the declared `window` and the
-    defect's own exponents, so the window never decides a verdict.
+    chart 0.  The cochain is sized by its own exponents alone, so no declared
+    bound on the input decides a verdict.
     """
     diff = [a - b for a, b in zip(row, crossing)]
     if not diff[-1].is_zero():
@@ -240,7 +238,7 @@ def defect_cochain(sheaf: PresentedSheaf, row: Sequence[Poly],
         raise LiftError(
             "defect is not a generator combination; "
             "the scenario does not deform along the presented sheaf")
-    nu = Cochain1(sheaf, coeffs, window_hull(window, coeffs))
+    nu = Cochain1(sheaf, coeffs, window_of(coeffs))
     return nu, _bracket_orientation(sheaf, d0, d1, tangent, order)
 
 
@@ -324,7 +322,7 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     rows = [_on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
             for chart in (0, 1)]
     nu, orientation = defect_cochain(sheaf, rows[0], cross_row(atlas, rows[1]), n + 1,
-                                     scenario.window, state.fields[0], state.pushed)
+                                     state.fields[0], state.pushed)
 
     lam = None
     corrections: List[Optional[VectorField]] = [None, None]
@@ -395,7 +393,7 @@ def initial_state(scenario: LiftScenario) -> LiftState:
                     f"first-order deformation does not glue at order {i}, "
                     f"coordinate {k}")
     return LiftState(scenario, 1, tuple(fields), (section0, section1),
-                     scenario.window, towers, field_to_chart0(atlas, fields[1]))
+                     (0, 0), towers, field_to_chart0(atlas, fields[1]))
 
 
 def _validate_sigma(scenario: LiftScenario):

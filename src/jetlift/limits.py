@@ -13,8 +13,8 @@ MAX_ORDER = 64
 the n of `iterated_bracket`."""
 
 MAX_WINDOW_SPAN = 10_000
-"""hi - lo of a Laurent degree window (`cech.check_window`) and of the exponent
-range that `cech.solve_coboundary` derives from T and nu before it builds a column."""
+"""hi - lo of a declared window, checked on input only ([window], `cech.check_window`),
+and of the exponent range that `cech.solve_coboundary` derives from T and nu."""
 
 MAX_GRID_POINTS = 100_000
 """Points of a `frobenius.grid_points` grid."""

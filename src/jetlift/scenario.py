@@ -9,7 +9,8 @@ A `non-immersive` clause on the [f] line requests the graph embedding
 target coordinate y.  A target coordinate may not be named t (time), nor y when
 embedded.  A repeated vars, charts, transition, jacobian or assignment, and a
 transition for an undeclared coordinate, are errors; positions count from the
-start of the line.
+start of the line.  A [window] only bounds input: its span is checked against
+`MAX_WINDOW_SPAN`, it has no default, and the lift never reads it.
 
     [y]        charts z w ; transition w = 1/z
     [x]        vars x ; charts 2 ; transition x -> 1/x ; jacobian -x^-2
@@ -27,7 +28,8 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Poly, monomial_inverse
-from .cech import CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas
+from .cech import (CurveAtlas, MorphismData, PresentedSheaf, TargetAtlas,
+                   check_window_span)
 from .errors import LiftError, ParseError
 from .lifting import LiftScenario
 from .parsing import (parse_integer, parse_names, parse_poly, parse_window,
@@ -89,8 +91,9 @@ def parse_scenario(text: str) -> LiftScenario:
         raise ParseError("the [sigma] section is required")
     perturb_texts = _per_chart(clauses["perturb"], "perturb")
     window_clause = _only(clauses["window"], "window")
-    window = (parse_window(window_clause.text, window_clause.line, window_clause.col)
-              if window_clause else (-8, 8))
+    if window_clause is not None:
+        check_window_span(parse_window(window_clause.text, window_clause.line,
+                                       window_clause.col), "declared")
     order = _parse_order(_only(clauses["order"], "order"))
 
     m = len(x_names)
@@ -155,8 +158,7 @@ def parse_scenario(text: str) -> LiftScenario:
             for chart_gens in gens]
     atlas = TargetAtlas(names, transition)
     sheaf = PresentedSheaf.from_charts(atlas, MorphismData(*morphism), *gens)
-    return LiftScenario(curve, sheaf, (sigma[0], sigma[1]), tuple(perturb),
-                        window, order)
+    return LiftScenario(curve, sheaf, (sigma[0], sigma[1]), tuple(perturb), order)
 
 
 def _split_clauses(text: str) -> Dict[str, List[_Clause]]:

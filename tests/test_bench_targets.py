@@ -30,3 +30,21 @@ def test_target_resolves(name):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner), name
+
+
+def test_window_hook_reads_a_lift_step():
+    # the tracer's `lifting.lift_step` hook reads `LiftState.window` off the
+    # returned state: the exponent range of the step's own defect cochain
+    from jetlift.lifting import initial_state, lift_step
+    from jetlift.scenario import parse_scenario_file
+
+    scenario = parse_scenario_file(
+        TRACER.parent.parent / "scenarios" / "flagship_perturbed.scn")
+    state = initial_state(scenario)
+    assert state.window == (0, 0)
+    trace = _tracer.Trace()
+    result = lift_step(state)
+    trace._count_window((state,), result)
+    # the defect is -z * gen, so nu's own window is [0, 1]
+    assert result[0].window == (0, 1)
+    assert trace.counts["lifting.window_width_max"] == 1

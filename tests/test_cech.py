@@ -10,7 +10,7 @@ from jetlift.algebra import Poly
 from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary,
                           negate_exponents, restrict_section, solve_coboundary,
-                          uni, uni_x, window_hull)
+                          uni, uni_x, window_of)
 from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
 from jetlift.vectorfields import VectorField
 
@@ -235,7 +235,7 @@ def test_split_type_decides_every_answer(split, data):
     nu = [sum((upper[i][j] * u[j] for j in range(s)), Poly.zero(1))
           for i in range(s)]
 
-    tight = window_hull((0, 0), nu)
+    tight = window_of(nu)
     results = [solve_coboundary(Cochain1(sheaf, nu, window))
                for window in (tight, (tight[0] - 7, tight[1] + 5))]
     assert results[0] == results[1]
@@ -244,6 +244,7 @@ def test_split_type_decides_every_answer(split, data):
     if obstructed:
         assert result.cokernel_dim == sum(max(0, -ai - 1) for ai in a)
     else:
+        assert results[0].window == results[1].window
         assert coboundary(result).nu01 == tuple(nu)
         assert all(p.is_polynomial() for p in result.chart0 + result.chart1)
 

@@ -123,11 +123,13 @@ class TestCommands:
         ("z^3", "z^-2", "-4 4", "-w^5"),
         ("z^2", "z^-16", "-16 16", "-w^18"),
         ("z^2", "z^-40", "-40 4", "-w^42"),
-    ], ids=["O(2)-z^-4", "O(3)-z^-2", "O(2)-z^-16", "O(2)-z^-40"])
+        ("z^9950", "z^-1", "-100 9900", "-w^9951"),
+    ], ids=["O(2)-z^-4", "O(3)-z^-2", "O(2)-z^-16", "O(2)-z^-40", "O(9950)-z^-1"])
     def test_cohomology_nonnegative_degree_splits(self, capsys, transition, nu,
                                                   window, lambda1):
         # a transition z^d with d >= -1 behaves as O(d): h^1 = 0, so every class
-        # splits, however tightly the window holds nu
+        # splits, however tightly the window holds nu; the split is sized by its
+        # own support, so lambda_1 = -w^9951 may leave [-100, 9900]
         code, out = run(capsys, "cohomology", "--transition", transition,
                         "--nu", nu, "--window", window, "--expect-unobstructed")
         assert code == 0
@@ -428,7 +430,7 @@ class TestCommands:
         ("[order]    4", "[order]    65", [],
          "lift order is 65, above the limit MAX_ORDER = 64"),
         ("[window]   -8 8", "[window]   -8 99999", [],
-         "span of the 1-cochain window [-8, 99999] is 100007, above the limit "
+         "span of the declared window [-8, 99999] is 100007, above the limit "
          "MAX_WINDOW_SPAN = 10000"),
     ], ids=["option", "clause", "window"])
     def test_lift_limit_exit_code(self, capsys, tmp_path, old, new, argv, message):

@@ -339,8 +339,7 @@ class TestDefectCochain:
                     for c in (0, 1)]
         crossing = reference_transition_jet_section(scenario.atlas, sections[1], order)
         return defect_cochain(scenario.sheaf, [c[order] for c in sections[0]],
-                              [c[order] for c in crossing], order, state.window,
-                              state.fields[0],
+                              [c[order] for c in crossing], order, state.fields[0],
                               field_to_chart0(scenario.atlas, state.fields[1]))
 
     def test_shared_global_field_has_zero_defect(self):

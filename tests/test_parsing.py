@@ -160,7 +160,6 @@ GOOD = """
 class TestScenarioParsing:
     def test_good_scenario(self):
         scenario = parse_scenario(GOOD)
-        assert scenario.window == (-8, 8)
         assert scenario.order == 4
         assert scenario.curve.z_name == "z"
         assert scenario.sheaf.num_gens == 1
@@ -169,7 +168,7 @@ class TestScenarioParsing:
     def test_defaults(self):
         text = GOOD.replace("[window]   -8 8\n", "").replace("[order]    4\n", "")
         scenario = parse_scenario(text)
-        assert scenario.window == (-8, 8) and scenario.order == 4
+        assert scenario.order == 4
 
     def test_wrong_jacobian_rejected(self):
         with pytest.raises(LiftError):
