@@ -13,7 +13,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -61,15 +62,65 @@ class Distribution:
                 for i in range(self.num_vars)]
 
 
-def rank_at(distribution: Distribution, point: Sequence[Scalar]) -> int:
+def _integer_columns(fields: Sequence[VectorField]) -> List[Tuple[Tuple[int, ...], list]]:
+    """Each field's terms scaled to integers, read at a point by `_point_matrix`.
+
+    At a point (p_k / q), a field's column is multiplied by L * q^D * prod_k
+    p_k^N_k: L is the lcm of its coefficient denominators, D its top total
+    degree, and N_k its most negative exponent of x_k (0 for a polynomial).
+    Each term c x^e then reads c L q^(D - |e|) prod_k p_k^(e_k + N_k), an
+    integer.  Each field becomes (the k with N_k > 0, and per component its
+    terms as (c L, D - |e|, the pairs (k, e_k + N_k) with a nonzero power)).
+    """
+    columns = []
+    for field in fields:
+        terms = [(i, e, c) for i, comp in enumerate(field.components)
+                 for e, c in comp.terms.items()]
+        den = lcm(*[c.denominator for _, _, c in terms])
+        top = max([sum(e) for _, e, _ in terms], default=0)
+        low = [max([0] + [-e[k] for _, e, _ in terms]) for k in range(field.num_vars)]
+        comps: List[list] = [[] for _ in field.components]
+        for i, e, c in terms:
+            powers = tuple((k, n) for k, n in enumerate(map(add, e, low)) if n)
+            comps[i].append((c.numerator * (den // c.denominator), top - sum(e), powers))
+        columns.append((tuple(k for k, n in enumerate(low) if n), comps))
+    return columns
+
+
+def _point_matrix(columns, point: Sequence[Fraction]) -> List[List[int]]:
+    """Integer matrix whose columns are nonzero multiples of the fields' values
+    at the point, so that its rank is theirs over Q."""
+    q = lcm(*[c.denominator for c in point])
+    p = [c.numerator * (q // c.denominator) for c in point]
+    matrix = [[0] * len(columns) for _ in point]
+    for j, (lows, comps) in enumerate(columns):
+        for k in lows:
+            if not p[k]:
+                raise ZeroDivisionError(
+                    f"negative power of coordinate {k}, which is 0")
+        for row, terms in zip(matrix, comps):
+            v = 0
+            for c, dq, powers in terms:
+                for k, n in powers:
+                    c *= p[k] ** n
+                v += c * q ** dq
+            row[j] = v
+    return matrix
+
+
+def _check_point(distribution: Distribution, point: Sequence[Scalar]) -> Tuple[Fraction, ...]:
     pt = tuple(as_fraction(c) for c in point)
     if len(pt) != distribution.num_vars:
         raise DimensionError(
             f"point has {len(pt)} coordinates, distribution has "
             f"{distribution.num_vars} variables")
-    if not distribution.gens:
-        return 0
-    return linalg.rank(distribution.matrix_at(pt))
+    return pt
+
+
+def rank_at(distribution: Distribution, point: Sequence[Scalar]) -> int:
+    """Rank over Q of the generators' values at a rational point."""
+    pt = _check_point(distribution, point)
+    return linalg.rank(_point_matrix(_integer_columns(distribution.gens), pt))
 
 
 @dataclass(frozen=True)
@@ -164,13 +215,20 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int):
             raise InternalCheckError("certificate re-expansion failed")  # unreachable
         return cert
 
-    points = default_search_grid(distribution.num_vars)
+    points = default_search_grid(m)
+    columns = _integer_columns(gens)
+    # a point's matrix and rank r0 do not depend on the pair: each is built
+    # the first time a pair reaches that point
+    bases: List[Optional[Tuple[List[List[int]], int]]] = [None] * len(points)
     for pair, bracket in failed.items():
-        for pt in points:
-            base = distribution.matrix_at(pt)
-            r0 = linalg.rank(base)
-            augmented = [row + [v] for row, v in zip(base, bracket.value_at(pt))]
-            r1 = linalg.rank(augmented)
+        extra = _integer_columns([bracket])
+        for n, pt in enumerate(points):
+            if bases[n] is None:
+                base = _point_matrix(columns, pt)
+                bases[n] = (base, linalg.rank(base))
+            base, r0 = bases[n]
+            value = _point_matrix(extra, pt)
+            r1 = linalg.rank([row + v for row, v in zip(base, value)])
             if r1 > r0:
                 return CounterexamplePoint(pair, pt, r0, r1)
     return NotFoundUpTo(degree_bound)
@@ -193,13 +251,16 @@ class StratumReport:
 
 def strata_sample(distribution: Distribution,
                   grid: Sequence[Sequence[Scalar]]) -> StratumReport:
-    """Evaluate rank_at on every grid point and group by rank."""
-    points = [tuple(as_fraction(c) for c in p) for p in grid]
+    """The rank at every grid point, grouped by rank; the generators' integer
+    terms are built once for the whole grid."""
+    points = [_check_point(distribution, p) for p in grid]
     if not points:
         raise ValueError("empty grid")
+    columns = _integer_columns(distribution.gens)
     by_rank: Dict[int, List[Tuple[Fraction, ...]]] = {}
     for pt in points:
-        by_rank.setdefault(rank_at(distribution, pt), []).append(pt)
+        rank = linalg.rank(_point_matrix(columns, pt))
+        by_rank.setdefault(rank, []).append(pt)
     return StratumReport(tuple(points),
                          {r: tuple(pts) for r, pts in by_rank.items()})
 

@@ -1,16 +1,19 @@
-"""Exact linear algebra over Q (Fraction entries, sparse elimination).
+"""Exact linear algebra over Q (Fraction or int entries, integer elimination).
 
-Every routine runs on sparse rows (a dict from column to nonzero Fraction, no
-zero ever stored) through the one Gauss–Jordan routine `_eliminate`, which does
-arithmetic only on nonzero entries.  `rref` and `rank` take and return dense
-row lists for the small pointwise matrices.  `solve_with_residual` takes a
-linear system as its callers hold it: keyed columns (a dict from row key to
-nonzero entry per unknown), a keyed right-hand side, and the list of row keys
-in elimination order.  The sparse rows are assembled from the nonzeros alone,
-so no dense cell is formed; the Čech coboundary systems this engine builds have
-one or a few nonzeros per column, and the work follows the fill, not the shape.
-`solve_combination` assembles the generator-combination systems of `cech` and
-`frobenius`.
+Every routine runs on sparse rows (a dict from column to nonzero entry, no zero
+ever stored) through the one Gauss–Jordan routine `_eliminate`, which does
+arithmetic only on nonzero entries, and only on Python ints: it scales each row
+to an integer multiple of itself and eliminates fraction-free.  The answers are
+over Q: `rref` and `solve_with_residual` divide each pivot row by its pivot
+and give Fractions; `rank` divides nothing.  `rref` and `rank` take dense row
+lists for the small pointwise matrices, and `rank` takes int rows as they are.
+`solve_with_residual` takes a linear system as its callers hold it: keyed
+columns (a dict from row key to nonzero entry per unknown), a keyed right-hand
+side, and the list of row keys in elimination order.  The sparse rows are
+assembled from the nonzeros alone, so no dense cell is formed; the Čech
+coboundary systems this engine builds have one or a few nonzeros per column,
+and the work follows the fill, not the shape.  `solve_combination` assembles
+the generator-combination systems of `cech` and `frobenius`.
 
 The pivot rule fixes the answers: for each column in turn, the pivot is the
 first row at or below the current one with a nonzero entry there, swapped up.
@@ -25,11 +28,12 @@ its row order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Matrix = List[List[Fraction]]
-Row = Dict[int, Fraction]
+Row = Dict[int, Union[int, Fraction]]
 Terms = Mapping[Tuple[int, ...], Fraction]
 
 __all__ = ["rref", "rank", "solve_with_residual", "solve_combination"]
@@ -41,13 +45,33 @@ def _sparse(row: Sequence[Fraction]) -> Row:
     return {c: v for c, v in enumerate(row) if v}
 
 
-def _eliminate(rows: List[Row], n_cols: int) -> List[int]:
-    """Gauss–Jordan in place on sparse rows; pivots only in columns < n_cols.
+def _make_primitive(row: Row) -> None:
+    """Scale a nonempty row in place to the primitive integer row that is a
+    positive multiple of it."""
+    den = lcm(*[v.denominator for v in row.values()])
+    for c, v in row.items():
+        row[c] = v.numerator * (den // v.denominator)
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
-    Each pivot row is scaled to 1 at its pivot and cleared from every other row.
-    Entries at columns >= n_cols (an augmented right-hand side) are carried
-    along.  Returns the pivot columns; pivot i sits in rows[i].
+
+def _eliminate(rows: List[Row], n_cols: int) -> List[int]:
+    """Fraction-free Gauss–Jordan in place on sparse rows; pivots only in columns < n_cols.
+
+    Each nonempty row is first scaled to a primitive integer row (a row whose
+    entries are already ints is taken as it is).  With pivot entry p, a row
+    with entry f in the pivot column becomes (p/g) row - (f/g) pivot, g =
+    gcd(p, f), divided by its content.  So every row stays a nonzero multiple
+    of the row rational Gauss–Jordan holds, and the pivots and every zero test
+    are the same.  Entries at columns >= n_cols (an augmented right-hand side)
+    are carried along.  Returns the pivot columns; pivot i sits in rows[i], and
+    dividing that row by its entry at the pivot gives the reduced row over Q.
     """
+    for other in filter(None, rows):
+        if any(type(v) is not int for v in other.values()):
+            _make_primitive(other)
     n_rows = len(rows)
     pivots: List[int] = []
     row = 0
@@ -60,19 +84,27 @@ def _eliminate(rows: List[Row], n_cols: int) -> List[int]:
         else:
             continue
         rows[row], rows[r] = rows[r], rows[row]
-        inv = Fraction(1) / rows[row][col]
-        pivot = {c: v * inv for c, v in rows[row].items()}
-        rows[row] = pivot
-        for r, other in enumerate(rows):
+        pivot = rows[row]
+        p = pivot[col]
+        for other in filter(None, rows):
             f = other.get(col)
-            if f is None or r == row:
+            if f is None or other is pivot:
                 continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for c in other:
+                    other[c] *= a
             for c, w in pivot.items():
-                v = other.get(c, 0) - f * w
+                v = other.get(c, 0) - b * w
                 if v:
                     other[c] = v
                 else:
                     del other[c]
+            g = gcd(*other.values())
+            if g > 1:
+                for c in other:
+                    other[c] //= g
         pivots.append(col)
         row += 1
     return pivots
@@ -85,11 +117,19 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     n_cols = len(matrix[0])
     rows = [_sparse(r) for r in matrix]
     pivots = _eliminate(rows, n_cols)
-    return [[r.get(c, _ZERO) for c in range(n_cols)] for r in rows], pivots
+    reduced = [[_ZERO] * n_cols for _ in rows]
+    for out, r, piv in zip(reduced, rows, pivots):
+        p = r[piv]
+        for c, v in r.items():
+            out[c] = Fraction(v, p)
+    return reduced, pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(matrix)[1])
+    """Rank over Q of a dense matrix of Fraction or int entries."""
+    if not matrix:
+        return 0
+    return len(_eliminate([_sparse(r) for r in matrix], len(matrix[0])))
 
 
 def solve_with_residual(columns: Sequence[Mapping[Hashable, Fraction]],
@@ -119,7 +159,7 @@ def solve_with_residual(columns: Sequence[Mapping[Hashable, Fraction]],
         v = r.get(n_cols)
         if not v:
             continue
-        x[piv] = v
+        v = x[piv] = Fraction(v, r[piv])
         for key, a in columns[piv].items():
             d = residual.get(key, _ZERO) - a * v
             if d:

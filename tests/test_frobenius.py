@@ -1,9 +1,11 @@
 """Pointwise rank, stratification sampling, involutivity certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlift import frobenius
 from jetlift.algebra import Poly
@@ -12,10 +14,9 @@ from jetlift.frobenius import (CounterexamplePoint, Distribution,
                                InvolutivityCertificate, NotFoundUpTo,
                                default_search_grid, grid_points,
                                involutivity_certificate, rank_at, strata_sample)
-from jetlift.linalg import rank as matrix_rank
 from jetlift.vectorfields import VectorField, lie_bracket
 
-from strategies import points, vector_fields
+from strategies import fractions, polys, vector_fields
 
 X = Poly.variable(2, 0)
 Z2 = Poly.zero(2)
@@ -46,10 +47,90 @@ class TestRank:
             rank_at(Distribution(2, [D_X]), [1])
 
 
-@settings(max_examples=40)
-@given(vector_fields(2), vector_fields(2), points(2, 2, 2))
-def test_rank_bounded(d1, d2, pt):
-    assert rank_at(Distribution(2, [d1, d2]), pt) <= 2
+# -- dense reference: Gauss–Jordan over Fraction, sharing no code with the
+# integer point matrices and the fraction-free elimination behind rank_at ------
+
+def dense_rank(matrix):
+    a = [list(row) for row in matrix]
+    n_cols = len(a[0]) if a else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col] / a[rank][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def coordinates():
+    """Zero, small, negative and large-denominator rational coordinates."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        fractions(),
+        st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                  st.integers(min_value=10**6, max_value=10**12)))
+
+
+@st.composite
+def distributions(draw, fields=vector_fields):
+    """1-3 variables, 0-3 generators, with a zero generator or a polynomial
+    multiple of another sometimes, so that the rank drops everywhere."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    gens = draw(st.lists(fields(m), max_size=3))
+    if gens and draw(st.booleans()):
+        gens[draw(st.integers(min_value=0, max_value=len(gens) - 1))] = \
+            VectorField.zero(m)
+    if len(gens) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(gens))))[:2]
+        gens[i] = gens[j].scale(draw(polys(m, max_degree=1, max_terms=2)))
+    point = tuple(draw(coordinates()) for _ in range(m))
+    return Distribution(m, gens), point
+
+
+def laurent_fields(num_vars):
+    return st.lists(polys(num_vars, max_degree=2, max_terms=3, laurent=True),
+                    min_size=num_vars, max_size=num_vars).map(VectorField)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distributions())
+def test_rank_matches_dense_reference(case):
+    dist, pt = case
+    expected = dense_rank(dist.matrix_at(pt))
+    assert rank_at(dist, pt) == expected
+    assert strata_sample(dist, [pt]).by_rank == {expected: (pt,)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(distributions(laurent_fields))
+def test_laurent_rank_matches_dense_reference(case):
+    # the same rank at nonzero coordinates, and the ZeroDivisionError that
+    # Poly.eval raises for a negative power of a zero coordinate
+    dist, pt = case
+    try:
+        expected = dense_rank(dist.matrix_at(pt))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            rank_at(dist, pt)
+    else:
+        assert rank_at(dist, pt) == expected
+
+
+def test_laurent_generator_at_zero_coordinate():
+    inv_x = Poly.monomial(2, (-1, 0), laurent=True)
+    dist = Distribution(2, [VectorField([inv_x, Z2]), D_Y])
+    assert rank_at(dist, [Fraction(-2, 3), 0]) == 2
+    with pytest.raises(ZeroDivisionError):
+        dist.matrix_at([0, 1])
+    with pytest.raises(ZeroDivisionError):
+        rank_at(dist, [0, 1])
+    # a zero second coordinate is no negative power
+    assert rank_at(Distribution(2, [VectorField([inv_x, Z2])]), [1, 0]) == 1
 
 
 class TestInvolutivity:
@@ -104,7 +185,9 @@ class TestInvolutivity:
         base = dist.matrix_at(verdict.point)
         augmented = [row + [v] for row, v in
                      zip(base, bracket.value_at(verdict.point))]
-        assert matrix_rank(augmented) > matrix_rank(base)
+        assert (verdict.rank_without, verdict.rank_with) == \
+            (dense_rank(base), dense_rank(augmented))
+        assert dense_rank(augmented) > dense_rank(base)
 
     def test_polynomial_coefficients_found_at_higher_degree(self):
         # [x d/dx, x^2 d/dy] = x^2 d/dy needs a degree-0 coefficient; with the
@@ -131,6 +214,34 @@ class TestInvolutivity:
         verdict1 = involutivity_certificate(dist, 1)
         assert isinstance(verdict1, InvolutivityCertificate)
         assert verdict1.pairs[(0, 1)] == (2 * x1, Poly.zero(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda m: st.lists(vector_fields(m, max_degree=2, max_terms=2),
+                       min_size=2, max_size=3)))
+def test_search_finds_the_first_rank_rise(gens):
+    # a certified pair has its bracket in the span at every point, so the
+    # verdict is the first pair, then the first grid point, where the dense
+    # reference sees the rank rise; with no such point there is no refutation
+    dist = Distribution(gens[0].num_vars, gens)
+    first = None
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        bracket = lie_bracket(gens[i], gens[j])
+        for pt in default_search_grid(dist.num_vars):
+            base = dist.matrix_at(pt)
+            augmented = [row + [v] for row, v in zip(base, bracket.value_at(pt))]
+            if dense_rank(augmented) > dense_rank(base):
+                first = CounterexamplePoint((i, j), pt, dense_rank(base),
+                                            dense_rank(augmented))
+                break
+        if first is not None:
+            break
+    verdict = involutivity_certificate(dist, 0)
+    if first is None:
+        assert not isinstance(verdict, CounterexamplePoint)
+    else:
+        assert verdict == first
 
 
 class TestStrata:

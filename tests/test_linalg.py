@@ -5,6 +5,7 @@ systems as keyed columns, a keyed right-hand side and the row keys in order.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,8 +107,19 @@ def keyed(matrix, rhs, order=None):
 
 # -- systems: shapes 0..8 x 0..8, sparse or dense, rank-deficient, inconsistent --
 
+# pairwise coprime primes near 10^6 .. 2^61: rows get large contents and
+# denominators, so content reduction and the final division do real work
+LARGE_PRIMES = [999983, 1000003, 2147483647, 1000000007, 998244353,
+                2305843009213693951]
+
+
+def large_fractions():
+    return st.builds(F, st.integers(min_value=-10**12, max_value=10**12),
+                     st.sampled_from(LARGE_PRIMES))
+
+
 @st.composite
-def systems(draw):
+def systems(draw, fractions=fractions):
     m = draw(st.integers(min_value=0, max_value=8))
     n = draw(st.integers(min_value=0, max_value=8))
     zero = st.just(F(0))
@@ -138,9 +150,7 @@ def systems(draw):
     return matrix, rhs
 
 
-@settings(max_examples=400, deadline=None)
-@given(systems())
-def test_matches_dense_reference(system):
+def check_against_dense(system):
     matrix, rhs = system
     assert rref(matrix) == dense_rref(matrix)
     assert rank(matrix) == len(dense_rref(matrix)[1])
@@ -149,6 +159,29 @@ def test_matches_dense_reference(system):
     assert (x, r) == (dense_x, dense_r)
     assert residual == {f"row{i}": v for i, v in enumerate(dense_residual) if v}
     assert (None if residual else x) == dense_solve(matrix, rhs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_matches_dense_reference(system):
+    check_against_dense(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(large_fractions))
+def test_matches_dense_reference_large_denominators(system):
+    check_against_dense(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_integer_matrix_rank(system):
+    # ints go in as they are; the rank is that of the same matrix over Q
+    matrix, _ = system
+    den = lcm(*[v.denominator for row in matrix for v in row])
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+    assert all(type(v) is int for row in scaled for v in row)
+    assert rank(scaled) == len(dense_rref(matrix)[1])
 
 
 @settings(max_examples=200, deadline=None)
