@@ -4,7 +4,8 @@ order-by-order Čech lifting of infinitesimal deformations on a two-chart curve.
 All arithmetic is exact over Q.  The polynomial kernels for Fraction arithmetic
 have a compiled extension with a pure-Python fallback; `jetlift.KERNEL_BACKEND`
 reports which one is active.  The jet engine runs fraction-free on Python ints
-and always uses the pure kernel, which is generic over int and Fraction.
+with its own product loop on packed exponent keys; the iterated bracket always
+uses the pure kernel, which is generic over int and Fraction.
 """
 
 from ._backend import BACKEND as KERNEL_BACKEND

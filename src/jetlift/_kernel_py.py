@@ -6,9 +6,10 @@ allowed for Laurent data) to nonzero coefficients of one ring: all `int` or all
 values of the ring they came in (ints in, ints out; Fractions in, the same
 Fractions as Fraction arithmetic gives).  The compiled twin in ``_kernel_c``
 implements the Fraction case only; ``_backend`` picks the kernel for Fraction
-arithmetic at import time, and `vectorfields.JetTower` and
-`vectorfields.iterated_bracket` call this module directly on ints whichever
-kernel is active.
+arithmetic at import time, and `vectorfields.iterated_bracket` calls this
+module directly on ints whichever kernel is active.  The jet engine,
+`vectorfields.JetTower`, calls none of it: it runs its own product loop on
+packed integer keys.
 """
 
 BACKEND = "python"

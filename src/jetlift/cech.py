@@ -296,7 +296,7 @@ class PresentedSheaf:
     T raises TransitionError.
     """
 
-    __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition", "det")
+    __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition", "det", "_along")
 
     def __init__(self, atlas: Optional[TargetAtlas], morphism: Optional[MorphismData],
                  gens0: Sequence[VectorField], gens1: Sequence[VectorField],
@@ -319,6 +319,7 @@ class PresentedSheaf:
         object.__setattr__(self, "gens1", gens1)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "det", det)
+        object.__setattr__(self, "_along", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedSheaf is immutable")
@@ -351,37 +352,43 @@ class PresentedSheaf:
                     "generators must live on space coordinates plus time")
             if not g.components[q].is_zero():
                 raise LiftError("generators must have zero time component")
-        transition = _coefficient_transition(atlas, morphism, gens0, gens1)
-        return cls(atlas, morphism, gens0, gens1, transition)
+        f0 = morphism.components(0)
+        base = tuple(_along_curve(g, f0) for g in gens0)
+        sheaf = cls(atlas, morphism, gens0, gens1,
+                    _coefficient_transition(atlas, morphism, base, gens1))
+        sheaf._along[0] = base
+        return sheaf
 
-    def gens_along_curve(self, chart: int) -> List[List[Poly]]:
+    def gens_along_curve(self, chart: int) -> Tuple[Tuple[Poly, ...], ...]:
         """Values of the chart's generators along the curve, in chart coordinates.
 
         Returns, per generator, the q space components as Laurent polynomials in
-        that chart's parameter.
+        that chart's parameter.  They are computed once per chart and sheaf.
         """
         if self.atlas is None or self.morphism is None:
             raise LiftError("formal presentation carries no geometric data")
-        f = self.morphism.components(chart)
-        return [_along_curve(g, f) for g in self.gens(chart)]
+        if chart not in self._along:
+            f = self.morphism.components(chart)
+            self._along[chart] = tuple(_along_curve(g, f) for g in self.gens(chart))
+        return self._along[chart]
 
 
-def _along_curve(field: VectorField, morphism: Sequence[Poly]) -> List[Poly]:
+def _along_curve(field: VectorField, morphism: Sequence[Poly]) -> Tuple[Poly, ...]:
     """Space components of a field (space coords + time) restricted to the curve."""
-    return [evaluate_along_curve(c, morphism) for c in field.components[:-1]]
+    return tuple(evaluate_along_curve(c, morphism) for c in field.components[:-1])
 
 
 def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
-                            gens0: Sequence[VectorField],
+                            base: Sequence[Sequence[Poly]],
                             gens1: Sequence[VectorField]) -> List[List[Poly]]:
-    """Solve gen1_j (pushed to the chart-0 frame along the curve) = sum_k T[k][j] gen0_k.
+    """Solve gen1_j (pushed to the chart-0 frame along the curve) = sum_k T[k][j] gen0_k,
+    with `base` the chart-0 generators along the curve.
 
     `MorphismData.verify` has checked back(f0(z)) = f1(1/z), so a pushed
     generator read along f0 is its chart-1 value along f1 at w = 1/z.
     """
     f0 = morphism.components(0)
     pushed = [_along_curve(field_to_chart0(atlas, g), f0) for g in gens1]
-    base = [_along_curve(g, f0) for g in gens0]
 
     columns = []
     for vec in pushed:

@@ -21,17 +21,19 @@ comes from the jet engine that `flows.flow_jet` uses, `vectorfields.JetTower`,
 graded by t alone: the t-degree-d part of row i is held at level i + d, and a
 step extends the tower by one level, n + 1, computing only the new products.
 Row i is restricted to the curve by reading its t^0 slice, which is exact.  The
-tower runs on Python ints: with L the lcm of the witness field's coefficient
-denominators, it holds (L*D)^i and divides row i by L^i as it reads, so the
-rows it returns are the exact rational D^i.  Chart 1's tower also yields the
-crossing: it starts from chart 1's coordinates and from the inverses x_j^-1
-that chart 0 reads (`cech.crossing_starts`), so each of its rows is one row of
-chart 1's section and, read by `cech.cross_row`, one row of the crossing;
-nothing is inverted.  Every reading of the target overlap (pushing fields,
-which starts chart 0 reads, c * row) comes from `cech`, next to the atlas it
-reads; this module runs the towers and the loop.  The state also carries
-chart 1's field pushed into chart 0 for the bracket, pushed again only when a
-correction changes that field.
+tower runs on Python ints, its own product loop over exponents packed into
+integer keys: with L the lcm of the witness field's coefficient denominators,
+it holds (L*D)^i and divides row i by L^i as it reads, so the rows it returns
+are the exact rational D^i with exponent tuples.  The bracket cross-check runs
+the tuple-key term kernels, so it checks the packing too.  Chart 1's tower
+also yields the crossing: it starts from chart 1's coordinates and from the
+inverses x_j^-1 that chart 0 reads (`cech.crossing_starts`), so each of its
+rows is one row of chart 1's section and, read by `cech.cross_row`, one row of
+the crossing; nothing is inverted.  Every reading of the target overlap
+(pushing fields, which starts chart 0 reads, c * row) comes from `cech`, next
+to the atlas it reads; this module runs the towers and the loop.  The state
+also carries chart 1's field pushed into chart 0 for the bracket, pushed again
+only when a correction changes that field.
 """
 
 from __future__ import annotations

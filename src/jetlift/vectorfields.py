@@ -6,16 +6,21 @@ test suite rather than as the definition.  Fields on m+1 variables whose last
 variable plays the role of time are classified by their time component: identically 0
 ("time dependent" sections of the spatial subsheaf), identically 1 ("constant flow in
 time"), or neither.  The truncated powers of a field, the one jet engine of
-`flows` and `lifting`, are held by a `JetTower`, computed one level at a time.
+`flows` and `lifting`, are held by a `JetTower`, computed one level at a time
+on integer coefficients and packed integer exponent keys, by a product loop of
+its own.  `apply_derivation` and `iterated_bracket` run the term kernels on
+exponent tuples and share no code with it, so they can certify it.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import lcm
-from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter, mul
+from typing import Optional, Sequence, Tuple
 
 from . import _kernel_py
 from ._backend import kernel as _k
@@ -143,6 +148,71 @@ def _grader(weights: Sequence[int]):
     return lambda e: sum([e[k] for k in graded])  # noqa: E731
 
 
+def _digit_bits(starts: Sequence[Tuple[int, ...]], components: Sequence[Poly]) -> int:
+    """The digit width b of a tower's keys: every exponent of a row below
+    MAX_ORDER + 1 is smaller in size than 2^(b-1), the balanced digit's bound."""
+    start = max(map(abs, chain.from_iterable(starts)), default=0)
+    comp = max(map(abs, chain.from_iterable(chain.from_iterable(
+        c.terms for c in components))), default=0)
+    return (start + (MAX_ORDER + 1) * (comp + 1)).bit_length() + 1
+
+
+class _Keys:
+    """Packed keys of digit width b for `weights` on m variables.
+
+    The key of x^e is sum_k e_k * places[k], places[k] = 2^(b*k) +
+    weights[k] * 2^(b*m): m balanced base-2^b digits, digit k holding e_k in
+    [-2^(b-1), 2^(b-1)), under a top digit that holds the weighted degree.
+    Adding `off` makes each digit non-negative, e_k + half, so that one shift
+    and one mask read it, and one shift by `top` reads the weighted degree.
+    """
+
+    __slots__ = ("bits", "places", "top", "half", "mask", "off", "shifts")
+
+    def __init__(self, bits: int, weights: Tuple[int, ...]):
+        self.bits = bits
+        self.top = bits * len(weights)
+        self.places = tuple((1 << bits * k) + (w << self.top)
+                            for k, w in enumerate(weights))
+        self.half = 1 << bits - 1
+        self.mask = (1 << bits) - 1
+        self.shifts = tuple(range(0, self.top, bits))
+        self.off = sum(self.half << s for s in self.shifts)
+
+    def pack(self, e: Tuple[int, ...]) -> int:
+        return sum(map(mul, e, self.places))
+
+    def unpack(self, key: int) -> Tuple[int, ...]:
+        key += self.off
+        mask, half = self.mask, self.half
+        e = []
+        for s in self.shifts:
+            e.append((key >> s & mask) - half)
+        return tuple(e)
+
+
+_keys = lru_cache(maxsize=None)(_Keys)
+
+
+def _derive_into(out: dict, band, part: dict, keys: _Keys) -> None:
+    """Add sum_k band_k * d(part)/dx_k to `out`, on packed keys; zero sums stay.
+
+    `band` holds (b * k, terms) per component k, each term's key that of
+    x^e / x_k, so d/dx_k of x^e reads e_k with one shift and one mask, and a
+    product is one add of keys.
+    """
+    off, mask, half = keys.off, keys.mask, keys.half
+    get = out.get
+    for shift, terms in band:
+        for kb, cb in part.items():
+            e = ((kb + off) >> shift & mask) - half
+            if e:
+                cb *= e
+                for ka, ca in terms:
+                    key = ka + kb
+                    out[key] = get(key, 0) + ca * cb
+
+
 class JetTower:
     """Truncated powers of D = sum_k components[k] d/dx_k, built level by level.
 
@@ -161,27 +231,36 @@ class JetTower:
     The weighted-degree-0 slices are what the callers read.
 
     A tower at `level` N holds every slice at a level <= N and is never
-    changed.  `extended(M)` computes levels N + 1 .. M only: row by row, one
-    `derive_terms` call per (row, start, held slice), against the band of
-    component terms whose products land in the new levels.  From level -1,
-    the empty tower, that is the truncated loop over every row; one new
-    level forms only the new products.  `swapped(components)` keeps every
-    held slice for a field that differs from this one only at weighted
-    degree >= N, and raises `InternalCheckError` for any other field: a
-    changed term of degree g < N on a coordinate start moves the slice
-    (1, g) at level g + 1 <= N.
+    changed.  `extended(M)` computes levels N + 1 .. M only: row by row, per
+    (row, start), every product of a held slice with the band of component
+    terms whose products land in the new levels.  From level -1, the empty
+    tower, that is the truncated loop over every row; one new level forms
+    only the new products.  `swapped(components)` keeps every held slice for
+    a field that differs from this one only at weighted degree >= N, and
+    raises `InternalCheckError` for any other field: a changed term of degree
+    g < N on a coordinate start moves the slice (1, g) at level g + 1 <= N.
 
     The tower runs on Python ints.  With L the lcm of the components'
     coefficient denominators (1 for integer or zero components), L * D has
-    integer coefficients and slice (i, d) is held as L^i times itself, as
-    int term dicts; a swap that grows L rescales the held slices once, and
-    `row` divides by L^i as it reads.  The compiled kernel takes Fractions
-    only, so the tower calls the pure kernel `_kernel_py` whichever kernel
-    `_backend` selected; ints never reach the compiled kernel.
+    integer coefficients and slice (i, d) is held as L^i times itself; a swap
+    that grows L rescales the held slices once, and `row` divides by L^i as
+    it reads.  A slice is a dict from packed keys to ints.  The key of x^e on
+    m variables is sum_k e_k * 2^(b*k) + g * 2^(b*m), g its weighted degree:
+    m balanced base-2^b digits, each in [-2^(b-1), 2^(b-1)), under a top
+    digit that holds g.  Row i multiplies a start by i component terms, each
+    with one exponent lowered by 1, so |e_k| <= max|start| + (MAX_ORDER + 1)
+    * (max|component exponent| + 1) on every row a tower can hold, and b is
+    the least width whose digits hold that bound.  Component k's terms are
+    held with their key lowered by x_k and by weights[k] in the top digit, so
+    a product is one add of keys, d/dx_k reads e_k with one shift and one
+    mask, and a new term is filed under its slice with one shift of the key.
+    A swap whose components need wider digits repacks the held slices once;
+    apart from that, only `row` unpacks keys, and only those of the slices it
+    returns.  No term kernel of `_kernel_py` runs on the tower.
     """
 
     __slots__ = ("components", "weights", "starts", "level",
-                 "_scale", "_grade", "_shifts", "_bands", "_rows")
+                 "_scale", "_keys", "_grade", "_shifts", "_bands", "_rows")
 
     def __init__(self, components: Sequence[Poly], weights: Sequence[int],
                  starts: Optional[Sequence[Tuple[int, ...]]] = None):
@@ -194,34 +273,39 @@ class JetTower:
         self._grade = _grader(self.weights)
         self._rows: Tuple[Tuple[dict, ...], ...] = ()
         self._use(components, lcm(*(c.denominator for comp in components
-                                    for c in comp.terms.values())))
+                                    for c in comp.terms.values())),
+                  _digit_bits(self.starts, components))
 
-    def _use(self, components: Sequence[Poly], scale: int) -> None:
-        # _shifts[k][s]: scale * the terms of components[k] whose products
-        # land s levels above their source slice
+    def _use(self, components: Sequence[Poly], scale: int, bits: int) -> None:
+        # _shifts[s][k]: scale * the terms of components[k] whose products land
+        # s levels above their source slice, as (key of x^e / x_k, coefficient)
         self.components = tuple(components)
         self._scale = scale
-        self._shifts = []
-        for comp, w in zip(self.components, self.weights):
-            by_shift: dict = {}
+        self._keys = keys = _keys(bits, self.weights)
+        self._shifts: dict = {}
+        for k, (comp, w, place) in enumerate(zip(self.components, self.weights,
+                                                 keys.places)):
             for e, c in comp.terms.items():
-                by_shift.setdefault(self._grade(e) + 1 - w, {})[e] = \
-                    c.numerator * (scale // c.denominator)
-            self._shifts.append(by_shift)
+                s = self._grade(e) + 1 - w
+                if s not in self._shifts:
+                    self._shifts[s] = [[] for _ in self.weights]
+                self._shifts[s][k].append((keys.pack(e) - place,
+                                           c.numerator * (scale // c.denominator)))
         self._bands: dict = {}
 
-    def _band(self, lo: int, hi: int) -> Optional[List[dict]]:
-        """Per component, the scaled terms whose shift lies in lo .. hi, or None."""
+    def _band(self, lo: int, hi: int) -> Optional[tuple]:
+        """(b * k, terms) per component k with a term whose shift lies in lo .. hi,
+        or None when no component has one."""
         key = (lo, hi)
         if key not in self._bands:
-            band = []
-            for by_shift in self._shifts:
-                terms: dict = {}
-                for s, part in by_shift.items():
-                    if lo <= s <= hi:
-                        terms.update(part)
-                band.append(terms)
-            self._bands[key] = band if any(band) else None
+            by_k: list = [[] for _ in self.weights]
+            for s, parts in self._shifts.items():
+                if lo <= s <= hi:
+                    for terms, part in zip(by_k, parts):
+                        terms += part
+            self._bands[key] = tuple(
+                (shift, terms) for shift, terms in zip(self._keys.shifts, by_k)
+                if terms) or None
         return self._bands[key]
 
     def _copy(self) -> "JetTower":
@@ -238,13 +322,14 @@ class JetTower:
         lo = self.level + 1
         if upto < lo:
             return self
-        grade = self._grade
+        grade, keys = self._grade, self._keys
+        off, top = keys.off, keys.top
         skip_constants = all(self.weights)
         held = [[dict(slices) for slices in row] for row in self._rows]
         rows = held + [[{} for _ in self.starts] for _ in range(upto + 1 - len(held))]
         for s, e in enumerate(self.starts):
             if lo <= grade(e) <= upto:
-                rows[0][s][grade(e)] = {e: 1}
+                rows[0][s][grade(e)] = {keys.pack(e): 1}
         # bands[l]: the terms that take a slice at level l into the new levels
         bands = [self._band(max(lo - l, 0), upto - l) for l in range(upto + 1)]
         for i in range(1, upto + 1):
@@ -255,11 +340,15 @@ class JetTower:
                     # with every variable graded a degree-0 part is a constant
                     if band is None or not d and skip_constants:
                         continue
-                    part = _kernel_py.derive_terms(band, part)
-                    if part:
-                        out = _kernel_py.add_terms(out, part) if out else part
-                for e, c in out.items():
-                    target.setdefault(grade(e), {})[e] = c
+                    _derive_into(out, band, part, keys)
+                for key, c in out.items():
+                    if c:
+                        d = (key + off) >> top
+                        part = target.get(d)
+                        if part is None:
+                            target[d] = {key: c}
+                        else:
+                            part[key] = c
         tower = self._copy()
         tower.level = upto
         tower._rows = tuple(tuple(row) for row in rows)
@@ -275,12 +364,19 @@ class JetTower:
                     "carried jet sections differ from a recomputation")
         scale = lcm(self._scale, *(c.denominator for comp in components
                                    for c in comp.terms.values()))
+        bits = self._keys.bits
         tower = self._copy()
-        tower._use(components, scale)
-        if scale != self._scale:
-            grow = scale // self._scale
+        tower._use(components, scale, max(bits, _digit_bits(self.starts, components)))
+        grow = scale // self._scale
+        if tower._keys.bits != bits:
+            pack, unpack = tower._keys.pack, self._keys.unpack
             tower._rows = tuple(
-                tuple({d: _kernel_py.scale_terms(part, grow ** i)
+                tuple({d: {pack(unpack(key)): c * grow ** i for key, c in part.items()}
+                       for d, part in slices.items()} for slices in row)
+                for i, row in enumerate(self._rows))
+        elif grow != 1:
+            tower._rows = tuple(
+                tuple({d: {key: c * grow ** i for key, c in part.items()}
                        for d, part in slices.items()} for slices in row)
                 for i, row in enumerate(self._rows))
         return tower
@@ -288,13 +384,14 @@ class JetTower:
     def row(self, i: int, degree: Optional[int] = None) -> Tuple[Poly, ...]:
         """Row i per start, as Fractions: its slice of weighted degree `degree`,
         or with None every held slice (D^i x^s cut to weighted degree <= level - i)."""
-        m = len(self.components)
+        unpack = self._keys.unpack
         denominator = self._scale ** i
         out = []
         for slices in self._rows[i]:
             parts = slices.values() if degree is None else [slices.get(degree, {})]
-            out.append(Poly._raw(m, {e: Fraction(c, denominator)
-                                     for part in parts for e, c in part.items()}))
+            out.append(Poly._raw(len(self.weights),
+                                 {unpack(key): Fraction(c, denominator)
+                                  for part in parts for key, c in part.items()}))
         return tuple(out)
 
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlift import _kernel_py
+from jetlift import vectorfields
 from jetlift.algebra import Poly
 from jetlift.cech import evaluate_along_curve
 from jetlift.errors import (ClassificationError, DimensionError,
                             InternalCheckError, LimitError, OrderError)
+from jetlift.flows import flow_jet, flow_series_picard
+from jetlift.jets import jet_from_series
 from jetlift.limits import MAX_ORDER
 from jetlift.vectorfields import (JetTower, TimeClass, VectorField,
                                   apply_derivation, extend_constant_flow, graph_embed,
@@ -284,13 +286,16 @@ def test_one_level_at_a_time_forms_each_product_once(monkeypatch, components,
     # component term and a derivative term as one build to the top level does,
     # so no product that lands in a held level is formed again
     formed = []
-    derive = _kernel_py.derive_terms
+    derive = vectorfields._derive_into
 
-    def counting(band, terms):
-        formed.append(sum(len(c) * len(_kernel_py.partial_terms(terms, k))
-                          for k, c in enumerate(band)))
-        return derive(band, terms)
-    monkeypatch.setattr(_kernel_py, "derive_terms", counting)
+    def counting(out, band, part, keys):
+        # per component, its terms times the terms of `part` with a nonzero
+        # exponent in its variable: the products the tower's loop forms
+        formed.append(sum(len(terms) * sum(keys.unpack(key)[keys.shifts.index(shift)]
+                                           != 0 for key in part)
+                          for shift, terms in band))
+        return derive(out, band, part, keys)
+    monkeypatch.setattr(vectorfields, "_derive_into", counting)
     top = 8
     tower = JetTower(components, weights, starts)
     for level in range(top + 1):
@@ -300,6 +305,107 @@ def test_one_level_at_a_time_forms_each_product_once(monkeypatch, components,
     assert relaxed == sum(formed) > 0
     assert [tower.row(i) for i in range(top + 1)] == \
         [one_shot.row(i) for i in range(top + 1)]
+
+
+BIG = 10 ** 4
+
+
+@st.composite
+def packed_tower_cases(draw):
+    """A field, starts and one swap, with exponents up to BIG.
+
+    Weights are all 1 or graded by the last variable alone.  Exponents of
+    weight-0 variables, in starts and components, may be negative.  The swap
+    adds terms of weighted degree >= the held level, with denominators no
+    field had before (7, then 11), so it grows L; with `wide` one of them has
+    an exponent above 2 * BIG in size, so it needs wider digits.
+    """
+    m = draw(st.integers(min_value=1, max_value=3))
+    weights = draw(st.sampled_from([(1,) * m, (0,) * (m - 1) + (1,)]))
+    cap = draw(st.sampled_from([3, BIG]))
+
+    def exponents():
+        return tuple(draw(st.integers(min_value=-cap, max_value=cap)) if not w
+                     else draw(st.one_of(st.integers(min_value=0, max_value=2),
+                                         st.integers(min_value=0, max_value=cap)))
+                     for w in weights)
+    starts = [exponents() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    components = [Poly(m, {exponents(): draw(fractions())
+                           for _ in range(draw(st.integers(min_value=0, max_value=2)))},
+                       laurent=True) for _ in range(m)]
+    top = draw(st.integers(min_value=0, max_value=4))
+    level = draw(st.integers(min_value=0, max_value=top))
+    wide = draw(st.booleans())
+    added = []
+    for n in range(draw(st.integers(min_value=1, max_value=2))):
+        e = [0] * m
+        e[-1] = level + draw(st.integers(min_value=0, max_value=1))
+        if wide and not n:
+            j = draw(st.integers(min_value=0, max_value=m - 1))
+            e[j] = (2 * BIG + 1) * (draw(st.sampled_from([1, -1])) if not weights[j] else 1)
+        added.append((draw(st.integers(min_value=0, max_value=m - 1)), tuple(e),
+                      Fraction(draw(st.integers(min_value=1, max_value=6)), (7, 11)[n])))
+    return weights, starts, components, top, level, wide, added
+
+
+def tuple_kernel_powers(components, weights, starts, top):
+    """Row i per start: D^i x^start by `apply_derivation`, cut to weighted
+    degree <= top - i, for i <= top."""
+    m = len(components)
+    d = VectorField(components)
+    row = [Poly(m, {e: 1}, laurent=True) for e in starts]
+    rows = []
+    for i in range(top + 1):
+        rows.append([Poly(m, {e: c for e, c in p.terms.items()
+                              if sum(w * x for w, x in zip(weights, e)) <= top - i},
+                          laurent=True) for p in row])
+        row = [apply_derivation(d, p) for p in row]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_tower_cases())
+def test_packed_tower_equals_the_tuple_kernel_powers(case):
+    # the tower's packed keys, unpacked by `row`, give the powers that the
+    # tuple-key kernel computes, before a swap and after one that grows L and,
+    # when wide, repacks the held slices into wider digits
+    weights, starts, components, top, level, wide, added = case
+    tower = JetTower(components, weights, starts).extended(level)
+    assert [list(tower.row(i)) for i in range(level + 1)] == \
+        tuple_kernel_powers(components, weights, starts, level)
+    components = list(components)
+    for k, e, c in added:
+        components[k] = components[k] + Poly(len(components), {e: c}, laurent=True)
+    swapped = tower.swapped(components)
+    assert swapped._scale > tower._scale
+    assert swapped._keys.bits > tower._keys.bits or not wide
+    swapped = swapped.extended(top)
+    assert [list(swapped.row(i)) for i in range(top + 1)] == \
+        tuple_kernel_powers(components, weights, starts, top)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_laurent_exponents_at_max_order_stay_in_their_digits(s):
+    # D = x^-3 d/dx + d/dt takes x^a to a * x^(a-4), so row i of x^s is
+    # prod_{j<i} (s - 4j) * x^(s - 4i): each row moves the exponent by
+    # max|component exponent| + 1, as far as the digit-width bound allows
+    tower = JetTower([Poly(2, {(-3, 0): 1}, laurent=True), ONE2], (0, 1),
+                     [(s, 0)]).extended(MAX_ORDER)
+    coefficient = 1
+    for i in range(MAX_ORDER + 1):
+        assert tower.row(i, 0) == (Poly(2, {(s - 4 * i, 0): coefficient},
+                                        laurent=True),)
+        coefficient *= s - 4 * i
+
+
+def test_flow_jet_at_max_order_with_a_high_degree_component():
+    # x^60 lands only at levels above 60, and its exponent sets the digit width
+    x, y, z = (Poly.variable(3, k) for k in range(3))
+    field = VectorField([y + Fraction(1, 2) * z ** 2, z - x * y,
+                         Fraction(1, 3) * x ** 60 + 1])
+    point = (0, 0, 1)
+    jet = flow_jet(field, point, MAX_ORDER)
+    assert jet == jet_from_series(flow_series_picard(field, point, MAX_ORDER))
 
 
 def _repeated_bracket(d1, d2, n):
