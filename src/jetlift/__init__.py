@@ -1,14 +1,16 @@
 """jetlift: exact jets of vector-field flows, Lie brackets, rank strata, and
 order-by-order Čech lifting of infinitesimal deformations on a two-chart curve.
 
-All arithmetic is exact over Q.  The polynomial kernels for Fraction arithmetic
-have a compiled extension with a pure-Python fallback; `jetlift.KERNEL_BACKEND`
-reports which one is active.  The jet engine runs fraction-free on Python ints
-with its own product loop on packed exponent keys; the iterated bracket always
-uses the pure kernel, which is generic over int and Fraction.
+All arithmetic is exact over Q.  `Poly` arithmetic and the iterated bracket run
+the pure-Python term kernels of `_kernel_py`, which are generic over int and
+Fraction; `jetlift.KERNEL_BACKEND` names them and is always "python".  The jet
+engine runs fraction-free on Python ints with its own product loop on packed
+exponent keys.
 """
 
-from ._backend import BACKEND as KERNEL_BACKEND
+# loaded with the package although nothing here uses it: see `_backend`
+from . import _backend  # noqa: F401
+from ._kernel_py import BACKEND as KERNEL_BACKEND
 from .algebra import Poly, TruncSeries
 from .cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                    PresentedSheaf, TargetAtlas, coboundary, restrict_section,

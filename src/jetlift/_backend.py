@@ -1,12 +1,11 @@
-"""Kernel backend for Fraction arithmetic: the compiled extension when it is
-importable, else the pure-Python kernels.  Both implement the Fraction case of
-one contract (see `_kernel_py`).  The iterated bracket runs on ints and always
-calls the pure kernel, whichever backend this selects; the jet engine,
-`JetTower`, runs its own loop on packed integer keys and calls neither."""
+"""The term kernel under the names the benchmark tracer reads.
 
-try:
-    from . import _kernel_c as kernel
-except ImportError:
-    from . import _kernel_py as kernel  # type: ignore[no-redef]
+Kept while `perfbench/tracer.py` and `tests/test_bench_targets.py` import it, like
+`Cochain1.from_nu01`.  The package imports it on load and uses nothing in it:
+`perfbench/selftest.py` requires that installing the tracer adds no module to
+the package, and the tracer imports this one.  `_kernel_py` is the only kernel
+the package runs."""
+
+from . import _kernel_py as kernel
 
 BACKEND: str = kernel.BACKEND

@@ -4,12 +4,13 @@ A "terms" value is a dict mapping exponent tuples (one int per variable, negativ
 allowed for Laurent data) to nonzero coefficients of one ring: all `int` or all
 `Fraction`.  Every function returns a new canonical dict: no zero coefficients,
 values of the ring they came in (ints in, ints out; Fractions in, the same
-Fractions as Fraction arithmetic gives).  The compiled twin in ``_kernel_c``
-implements the Fraction case only; ``_backend`` picks the kernel for Fraction
-arithmetic at import time, and `vectorfields.iterated_bracket` calls this
-module directly on ints whichever kernel is active.  The jet engine,
-`vectorfields.JetTower`, calls none of it: it runs its own product loop on
-packed integer keys.
+Fractions as Fraction arithmetic gives).  This is the only kernel the package
+runs: `Poly` arithmetic calls it on Fractions and
+`vectorfields.iterated_bracket` on ints.  The jet engine, `vectorfields.JetTower`,
+calls none of it: it runs its own product loop on packed integer keys.  The
+committed ``_kernel_c.c`` implements the Fraction case of the same contract; the
+package never imports it, and only the benchmark's per-call metrics and the
+parity tests compile it.
 """
 
 BACKEND = "python"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
-from ._backend import kernel as _k
+from . import _kernel_py
 from .errors import DimensionError
 
 Scalar = Union[int, Fraction]
@@ -169,7 +169,7 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check_same_vars(other)
-            return Poly._raw(self.num_vars, _k.add_terms(self.terms, other.terms))
+            return Poly._raw(self.num_vars, _kernel_py.add_terms(self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
             return self + Poly.constant(self.num_vars, other)
         return NotImplemented
@@ -177,13 +177,13 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.num_vars, _k.neg_terms(self.terms))
+        return Poly._raw(self.num_vars, _kernel_py.neg_terms(self.terms))
 
     def __sub__(self, other):
         if isinstance(other, Poly):
             self._check_same_vars(other)
-            return Poly._raw(self.num_vars,
-                             _k.add_terms(self.terms, _k.neg_terms(other.terms)))
+            return Poly._raw(self.num_vars, _kernel_py.add_terms(
+                self.terms, _kernel_py.neg_terms(other.terms)))
         if isinstance(other, (int, Fraction)):
             return self + Poly.constant(self.num_vars, -as_fraction(other))
         return NotImplemented
@@ -194,10 +194,10 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_same_vars(other)
-            return Poly._raw(self.num_vars, _k.mul_terms(self.terms, other.terms))
+            return Poly._raw(self.num_vars, _kernel_py.mul_terms(self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
             return Poly._raw(self.num_vars,
-                             _k.scale_terms(self.terms, as_fraction(other)))
+                             _kernel_py.scale_terms(self.terms, as_fraction(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -240,7 +240,7 @@ class Poly:
         """Exact partial derivative with respect to variable k."""
         if not 0 <= k < self.num_vars:
             raise IndexError(f"variable index {k} out of range for {self.num_vars} vars")
-        return Poly._raw(self.num_vars, _k.partial_terms(self.terms, k))
+        return Poly._raw(self.num_vars, _kernel_py.partial_terms(self.terms, k))
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point (negative exponents need nonzero base)."""

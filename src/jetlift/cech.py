@@ -85,9 +85,13 @@ def check_window_span(window: Window, what: str):
 
 
 def check_window(polys: Sequence[Poly], window: Window, what: str):
+    """The polys' own exponents lie in `window`; unlike `window_of`, this does
+    not count exponent 0, so a zero cochain fits every window."""
     check_window_span(window, what)
-    lo, hi = window_of(polys)
-    need = min(lo, window[0]), max(hi, window[1])
+    exps = [e for p in polys for (e,) in p.terms]
+    if not exps:
+        return
+    need = min(min(exps), window[0]), max(max(exps), window[1])
     if need != window:
         raise WindowOverflowError(
             f"{what} needs window [{need[0]}, {need[1]}], "

@@ -23,7 +23,6 @@ from operator import itemgetter, mul
 from typing import Optional, Sequence, Tuple
 
 from . import _kernel_py
-from ._backend import kernel as _k
 from .algebra import Poly, Scalar, as_fraction
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      OrderError)
@@ -134,7 +133,7 @@ def apply_derivation(field: VectorField, f: Poly) -> Poly:
         raise DimensionError(
             f"field on {field.num_vars} variables applied to a "
             f"{f.num_vars}-variable polynomial")
-    terms = _k.derive_terms([c.terms for c in field.components], f.terms)
+    terms = _kernel_py.derive_terms([c.terms for c in field.components], f.terms)
     return Poly._raw(f.num_vars, terms)
 
 
@@ -425,9 +424,9 @@ def iterated_bracket(d1: VectorField, d2: VectorField, n: int,
     The loop runs on Python ints.  With L1 and L2 the lcms of the coefficient
     denominators of the cut D1 and D2, level j is built from L1*D1 and L2*D2,
     which gives L1^(j-1) * L2 times the bracket, and the result is divided once.
-    The compiled kernel takes Fractions only, so the loop calls the pure kernel
-    `_kernel_py` whichever kernel `_backend` selected.  The bracket shares no
-    code with `JetTower`, so it can certify the jet engine.
+    The term kernels of `_kernel_py` are generic over int and Fraction, so the
+    loop calls them on ints.  The bracket shares no code with `JetTower`, so it
+    can certify the jet engine.
     """
     if n < 2:
         raise OrderError(f"iterated bracket needs n >= 2, got {n}")

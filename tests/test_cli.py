@@ -141,6 +141,19 @@ class TestCommands:
                         "--expect-unobstructed")
         assert code == 1
 
+    @pytest.mark.parametrize("nu,window,expected", [
+        ("z^3", "1 5", "lambda0 = z^3\nlambda1 = 0\n"),
+        ("z^-1", "-3 -1", "OBSTRUCTED class z^-1 cokernel_dim 1\n"),
+        ("0", "2 3", "lambda0 = 0\nlambda1 = 0\n"),
+    ], ids=["above-0", "below-0", "zero-nu"])
+    def test_cohomology_window_without_zero(self, capsys, nu, window, expected):
+        # the declared window bounds nu's own exponents; 0 need not lie in it,
+        # and a zero nu has no exponents at all
+        code, out = run(capsys, "cohomology", "--transition", "z^-2",
+                        "--nu", nu, "--window", window)
+        assert code == 0
+        assert out == expected
+
     def test_lift_flagship(self, capsys, tmp_path):
         path = tmp_path / "flagship.scn"
         path.write_text(FLAGSHIP, encoding="utf-8")
