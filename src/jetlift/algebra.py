@@ -19,6 +19,7 @@ chart crossing of jet sections is read in `cech` and run by the jet engine in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import _kernel_py
@@ -243,19 +244,36 @@ class Poly:
         return Poly._raw(self.num_vars, _kernel_py.partial_terms(self.terms, k))
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point (negative exponents need nonzero base)."""
+        """Exact value at a rational point (negative exponents need nonzero base).
+
+        The sum runs on ints.  With coordinate k equal to n_k / d_k and its
+        exponents in [lo_k, hi_k], lo_k <= 0 <= hi_k, and L the lcm of the
+        coefficient denominators, the value has denominator
+        L * prod_k d_k^hi_k * n_k^(-lo_k), and c x^e has the integer numerator
+        L * c * prod_k n_k^(e_k - lo_k) * d_k^(hi_k - e_k).  The sum is divided
+        once; a zero coordinate under a negative power makes that denominator
+        0, which raises ZeroDivisionError.
+        """
         if len(point) != self.num_vars:
             raise DimensionError(
                 f"point has {len(point)} coordinates, expected {self.num_vars}")
         pt = [as_fraction(c) for c in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for base, exp in zip(pt, e):
-                if exp:
-                    v *= base ** exp
+        terms = self.terms
+        big_l = lcm(*(c.denominator for c in terms.values()))
+        denominator = big_l
+        factors = []            # per coordinate: exponent -> n^(e - lo) * d^(hi - e)
+        for base, column in zip(pt, zip(*terms)):
+            n, d = base.numerator, base.denominator
+            lo, hi = min(0, *column), max(0, *column)
+            denominator *= d ** hi * n ** -lo
+            factors.append({e: n ** (e - lo) * d ** (hi - e) for e in set(column)})
+        total = 0
+        for e, c in terms.items():
+            v = c.numerator * (big_l // c.denominator)
+            for table, ek in zip(factors, e):
+                v *= table[ek]
             total += v
-        return total
+        return Fraction(total, denominator)
 
     def compose_series(self, gamma: "TruncSeries") -> "TruncSeries":
         """Truncation of self(gamma(t)) to gamma.order; requires non-negative exponents."""

@@ -9,8 +9,11 @@ constant term: a polynomial field lowers total degree by at most 1 per
 application, and after the i-th of n derivations a term of total degree above
 n - i can never reach the constant term; such terms are never formed, and
 `_recentre` builds only the shifts (x + p)^e -> x^j with j < n, however large e
-is.  The engine clears the denominators of the recentred field: with L their
-lcm it builds (L*D)^i x_k on Python ints and divides row i by L^i once.
+is.  Recentring runs on ints: it clears the denominators of the point and of
+the coefficients once and divides once per output term.  The engine clears
+the denominators of the recentred field: with L their lcm it builds
+(L*D)^i x_k on Python ints and divides row i by L^i once, reading each row's
+constant straight off its packed slice.
 
 `flow_series_picard` integrates the same curve by Picard iteration on truncated
 series, and every round runs on Python ints.  It rescales the curve to
@@ -78,22 +81,37 @@ def _check_point(field: VectorField, point: Sequence[Scalar]) -> Tuple[Fraction,
 
 
 def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
-    """Terms of f(x + pt) of total degree <= max_degree, by binomial expansion."""
-    out: Terms = {}
+    """Terms of f(x + pt) of total degree <= max_degree, by binomial expansion.
+
+    The expansion runs on ints.  With q the lcm of the point's denominators, L
+    that of the coefficients and D the top total degree, q * pt is an integer
+    vector and c x^e becomes the integer a_e = L * c * q^(D - |e|).  Its shift
+    to x^j is a_e * prod_k C(e_k, j_k) (q * pt_k)^(e_k - j_k), which is
+    L * q^(D - |j|) times the Fraction term, so the terms that land on x^j
+    share that denominator and each output term is divided once.
+    """
+    if not terms:
+        return {}
+    q = lcm(*(p.denominator for p in pt))
+    big_l = lcm(*(c.denominator for c in terms.values()))
+    top = max(map(sum, terms))
+    nums = [p.numerator * (q // p.denominator) for p in pt]
+    out: dict = {}
     for e, c in terms.items():
-        partial = [((), 0, c)]       # (exponent prefix, its degree, coefficient)
-        for ek, pk in zip(e, pt):
-            if not ek or not pk:
+        # (exponent prefix, its degree, integer coefficient)
+        partial = [((), 0, c.numerator * (big_l // c.denominator) * q ** (top - sum(e)))]
+        for ek, nk in zip(e, nums):
+            if not ek or not nk:
                 partial = [(t + (ek,), d + ek, v) for t, d, v in partial
                            if d + ek <= max_degree]
                 continue
-            shifts = [comb(ek, j) * pk ** (ek - j)
+            shifts = [comb(ek, j) * nk ** (ek - j)
                       for j in range(min(ek, max_degree) + 1)]
             partial = [(t + (j,), d + j, v * shifts[j]) for t, d, v in partial
                        for j in range(min(ek, max_degree - d) + 1)]
         for t, _, v in partial:
             out[t] = out.get(t, 0) + v
-    return {t: v for t, v in out.items() if v}
+    return {t: Fraction(v, big_l * q ** (top - sum(t))) for t, v in out.items() if v}
 
 
 def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
@@ -110,8 +128,7 @@ def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
         components = [Poly._raw(m, _recentre(c.terms, pt, order - 1))
                       for c in components]
     tower = JetTower(components, (1,) * m).extended(order)
-    rows = [pt] + [tuple(p.constant_term() for p in tower.row(i, 0))
-                   for i in range(1, order + 1)]
+    rows = [pt] + [tower.constants(i) for i in range(1, order + 1)]
     return Jet(m, order, rows)
 
 

@@ -380,6 +380,13 @@ class JetTower:
                 for i, row in enumerate(self._rows))
         return tower
 
+    def constants(self, i: int) -> Tuple[Fraction, ...]:
+        """Row i per start, its coefficient of x^0 as a Fraction, read off the
+        packed weighted-degree-0 slice (the key of x^0 is 0) without unpacking."""
+        denominator = self._scale ** i
+        return tuple(Fraction(slices.get(0, {}).get(0, 0), denominator)
+                     for slices in self._rows[i])
+
     def row(self, i: int, degree: Optional[int] = None) -> Tuple[Poly, ...]:
         """Row i per start, as Fractions: its slice of weighted degree `degree`,
         or with None every held slice (D^i x^s cut to weighted degree <= level - i)."""

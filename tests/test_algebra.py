@@ -90,6 +90,62 @@ class TestEval:
         with pytest.raises(DimensionError):
             X2.eval([1])
 
+    def test_zero_poly_gives_a_fraction(self):
+        for m in range(4):
+            value = Poly.zero(m).eval([Fraction(5, 3)] * m)
+            assert value == 0 and type(value) is Fraction
+
+    def test_negative_power_of_zero_coordinate(self):
+        p = Poly(2, {(1, -2): 1, (0, 3): Fraction(1, 2)}, laurent=True)
+        with pytest.raises(ZeroDivisionError):
+            p.eval([3, 0])
+        assert p.eval([0, 2]) == 4
+
+    def test_laurent_point(self):
+        p = Poly(2, {(-1, 2): Fraction(2, 3), (3, -1): -1, (0, 0): 5}, laurent=True)
+        assert p.eval([Fraction(-2, 3), Fraction(5, 4)]) == Fraction(
+            2, 3) * Fraction(-3, 2) * Fraction(25, 16) + Fraction(8, 27) * Fraction(4, 5) + 5
+
+
+def reference_eval(p, pt):
+    """Term by term on Fractions: sum of c * prod_k pt_k^e_k."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = c
+        for base, k in zip(pt, e):
+            v *= Fraction(base) ** k
+        total += v
+    return total
+
+
+def sparse_points(dim):
+    # each coordinate zero or with a denominator of its own
+    return st.lists(st.one_of(st.just(0), fractions(7, 7)),
+                    min_size=dim, max_size=dim).map(tuple)
+
+
+@st.composite
+def laurent_eval_cases(draw):
+    m = draw(st.integers(min_value=0, max_value=3))
+    return (draw(polys(m, max_degree=4, max_terms=6, laurent=True)),
+            draw(sparse_points(m)))
+
+
+@settings(max_examples=200)
+@given(laurent_eval_cases())
+def test_eval_matches_the_term_by_term_reference(case):
+    # Poly.eval runs on ints over one common denominator; a negative power of a
+    # zero coordinate raises ZeroDivisionError there as it does on Fractions
+    p, pt = case
+    try:
+        want = reference_eval(p, pt)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.eval(pt)
+        return
+    got = p.eval(pt)
+    assert got == want and type(got) is Fraction
+
 
 class TestComposeSeries:
     def test_truncated_square(self):

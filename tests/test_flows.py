@@ -16,8 +16,8 @@ from jetlift.errors import DimensionError, JetliftError, OrderError, Preconditio
 from jetlift.flows import (flow_jet, flow_series_picard, jet_defect,
                            stratum_invariance_check, verify_dj)
 from jetlift.frobenius import Distribution
-from jetlift.jets import Jet, jet_from_series, jet_project
-from jetlift.vectorfields import VectorField, apply_derivation, iterated_bracket
+from jetlift.jets import Jet, jet_difference, jet_from_series, jet_project
+from jetlift.vectorfields import JetTower, VectorField, apply_derivation, iterated_bracket
 
 from strategies import fractions, points, polys, vector_fields
 
@@ -113,6 +113,31 @@ def test_recentre_builds_only_the_binomials_it_reads(monkeypatch):
     jet = flow_jet(VectorField([Poly.variable(1, 0) ** 3000]), [3], 2)
     assert calls == [(3000, 0), (3000, 1)]
     assert jet == Jet(1, 2, [(3,), (3 ** 3000,), (3000 * 3 ** 5999,)])
+
+
+@st.composite
+def recentre_cases(draw):
+    """Components, some zero, with mixed coefficient denominators; a point with
+    a denominator of its own per coordinate, some coordinates zero; a degree."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    comps = draw(st.lists(st.one_of(st.just(Poly.zero(m)), polys(m, max_degree=5)),
+                          min_size=m, max_size=m))
+    pt = draw(st.lists(st.one_of(st.just(Fraction(0)), fractions(5, 7)),
+                       min_size=m, max_size=m))
+    return comps, tuple(pt), draw(st.integers(min_value=0, max_value=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(recentre_cases())
+def test_recentre_is_the_truncated_substitution(case):
+    comps, pt, n = case
+    m = len(pt)
+    shift = [Poly.variable(m, k) + Poly.constant(m, c) for k, c in enumerate(pt)]
+    for p in comps:
+        moved = flows._recentre(p.terms, pt, n)
+        assert moved == {e: c for e, c in p.substitute(shift).terms.items()
+                         if sum(e) <= n}
+        assert all(type(c) is Fraction for c in moved.values())
 
 
 @st.composite
@@ -344,6 +369,48 @@ def test_randomized_defect_identity():
         report = verify_dj(d1, d2, pt, n)
         assert report.agree
         assert report.from_bracket == iterated_bracket(d1, d2, n + 1).value_at(pt)
+
+
+def _defect_cases():
+    rng = random.Random(5150)
+    for _ in range(12):
+        m = rng.choice([1, 2, 3])
+        n = rng.choice([1, 2, 3])
+        pt = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m))
+        d1 = _random_field(rng, m)
+        yield d1, d1 + perturbation_in_maximal_ideal_power(rng, m, pt, n), pt, n
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("an independent evaluation called shared code")
+
+
+def test_defect_evaluations_are_independent(monkeypatch):
+    # ROADMAP aim 3: the Picard oracle and the bracket check (c) must run
+    # without the jet engine, and the engine and the oracle without Poly.eval
+    cases = [(d1, d2, pt, n, verify_dj(d1, d2, pt, n)) for d1, d2, pt, n in _defect_cases()]
+    assert any(any(pt) and any(report.from_jets) for _, _, pt, _, report in cases)
+
+    def picard_defect(d1, d2, pt, n):
+        return jet_difference(jet_from_series(flow_series_picard(d2, pt, n + 1)),
+                              jet_from_series(flow_series_picard(d1, pt, n + 1))).vec
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_recentre", _raises)
+        patch.setattr(JetTower, "extended", _raises)
+        for d1, d2, pt, n, report in cases:
+            assert picard_defect(d1, d2, pt, n) == report.from_jets
+            moved = [VectorField([flows._taylor_shift(c, pt, n) for c in d.components])
+                     for d in (d1, d2)]
+            bracket = iterated_bracket(*moved, n + 1, (1,) * len(pt))
+            assert tuple(c.constant_term() for c in bracket.components) == \
+                report.from_bracket
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "eval", _raises)
+        for d1, d2, pt, n, report in cases:
+            assert picard_defect(d1, d2, pt, n) == report.from_jets
+            top = [flow_jet(d, pt, n + 1).coords[-1] for d in (d1, d2)]
+            assert tuple(b - a for a, b in zip(*top)) == report.from_derivation_powers
 
 
 def test_verify_dj_precondition_message():
