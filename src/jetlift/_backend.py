@@ -7,5 +7,3 @@ the package, and the tracer imports this one.  `_kernel_py` is the only kernel
 the package runs."""
 
 from . import _kernel_py as kernel
-
-BACKEND: str = kernel.BACKEND

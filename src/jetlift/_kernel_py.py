@@ -61,22 +61,8 @@ def mul_terms(a, b):
 
 
 def partial_terms(a, k):
-    out = {}
-    for e, c in a.items():
-        ek = e[k]
-        if ek == 0:
-            continue
-        e2 = e[:k] + (ek - 1,) + e[k + 1:]
-        prev = out.get(e2)
-        if prev is None:
-            out[e2] = c * ek
-        else:
-            s = prev + c * ek
-            if s:
-                out[e2] = s
-            else:
-                del out[e2]
-    return out
+    # distinct exponents with e_k != 0 stay distinct after e_k -> e_k - 1
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in a.items() if e[k]}
 
 
 def derive_terms(components, a):

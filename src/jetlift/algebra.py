@@ -66,13 +66,12 @@ class Poly:
 
     __slots__ = ("num_vars", "terms")
 
-    def __init__(self, num_vars: int, terms: Mapping[Tuple[int, ...], Scalar] = (),
+    def __init__(self, num_vars: int, terms: Mapping[Tuple[int, ...], Scalar],
                  *, laurent: bool = False):
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
         canonical = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
+        for e, c in terms.items():
             e = tuple(e)
             if len(e) != num_vars:
                 raise DimensionError(
@@ -85,15 +84,7 @@ class Poly:
                         f"negative exponent {k} requires a Laurent constructor")
             c = as_fraction(c)
             if c:
-                s = canonical.get(e)
-                if s is None:
-                    canonical[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        canonical[e] = s
-                    else:
-                        del canonical[e]
+                canonical[e] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", canonical)
 
@@ -476,28 +467,36 @@ def series_compose(term_dicts: Sequence[Mapping[Tuple[int, ...], Scalar]],
     return out
 
 
+def exact_rows(dim: int, order: int, rows: Iterable[Sequence[Scalar]],
+               what: str) -> Tuple[Tuple[Fraction, ...], ...]:
+    """`rows` as order + 1 tuples of dim Fractions, checked; `what` names a row
+    ("coordinate", "coefficient") in the errors."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    out = []
+    for row in rows:
+        row = tuple(as_fraction(c) for c in row)
+        if len(row) != dim:
+            raise DimensionError(f"{what} vector {row} does not have dim {dim}")
+        out.append(row)
+    if len(out) != order + 1:
+        raise DimensionError(
+            f"{len(out)} {what} vectors for order {order} (need {order + 1})")
+    return tuple(out)
+
+
 class TruncSeries:
     """Truncated vector power series: coeffs[j] is the j-th Taylor coefficient in Q^dim."""
 
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs: Iterable[Sequence[Scalar]]):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        rows = []
-        for row in coeffs:
-            row = tuple(as_fraction(c) for c in row)
-            if len(row) != dim:
-                raise DimensionError(f"coefficient vector {row} does not have dim {dim}")
-            rows.append(row)
-        if len(rows) != order + 1:
-            raise DimensionError(
-                f"{len(rows)} coefficient vectors for order {order} (need {order + 1})")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(rows))
+        object.__setattr__(self, "coeffs",
+                           exact_rows(dim, order, coeffs, "coefficient"))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")

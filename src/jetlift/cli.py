@@ -25,6 +25,7 @@ from .flows import (flow_jet, jet_defect, stratum_invariance_check, verify_dj)
 from .frobenius import (CounterexamplePoint, Distribution, InvolutivityCertificate,
                         NotFoundUpTo, grid_points, involutivity_certificate,
                         rank_at, strata_sample)
+from .jets import render_vector
 from .lifting import lift_to_order
 from .parsing import (parse_field, parse_grid, parse_integer, parse_names,
                       parse_point, parse_poly, parse_window, split_list)
@@ -38,23 +39,28 @@ def _vars(text: str) -> Tuple[str, ...]:
     return parse_names(text, where=" in --vars")
 
 
-def _parse_gens(text: str, names: Sequence[str]):
-    return [parse_field(part, names, col_offset=offset)
-            for part, offset in split_list(text, ";")]
+def _field_pair(args):
+    """The names of --vars and the fields of --f1 and --f2."""
+    names = _vars(args.vars)
+    return names, parse_field(args.f1, names), parse_field(args.f2, names)
+
+
+def _distribution(args):
+    """The names of --vars and the distribution of --gens, fields separated by ';'."""
+    names = _vars(args.vars)
+    gens = [parse_field(part, names, col_offset=offset)
+            for part, offset in split_list(args.gens, ";")]
+    return names, Distribution(len(names), gens)
 
 
 def _cmd_bracket(args) -> int:
-    names = _vars(args.vars)
-    d1 = parse_field(args.f1, names)
-    d2 = parse_field(args.f2, names)
+    names, d1, d2 = _field_pair(args)
     print(lie_bracket(d1, d2).render(names))
     return 0
 
 
 def _cmd_iterbracket(args) -> int:
-    names = _vars(args.vars)
-    d1 = parse_field(args.f1, names)
-    d2 = parse_field(args.f2, names)
+    names, d1, d2 = _field_pair(args)
     print(iterated_bracket(d1, d2, args.n).render(names))
     return 0
 
@@ -68,9 +74,7 @@ def _cmd_flowjet(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    names = _vars(args.vars)
-    d1 = parse_field(args.f1, names)
-    d2 = parse_field(args.f2, names)
+    names, d1, d2 = _field_pair(args)
     point = parse_point(args.point, len(names))
     try:
         print(jet_defect(d1, d2, point, args.n).render())
@@ -81,9 +85,7 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_verify_dj(args) -> int:
-    names = _vars(args.vars)
-    d1 = parse_field(args.f1, names)
-    d2 = parse_field(args.f2, names)
+    names, d1, d2 = _field_pair(args)
     point = parse_point(args.point, len(names))
     try:
         report = verify_dj(d1, d2, point, args.n)
@@ -95,16 +97,14 @@ def _cmd_verify_dj(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    names = _vars(args.vars)
-    dist = Distribution(len(names), _parse_gens(args.gens, names))
+    names, dist = _distribution(args)
     point = parse_point(args.point, len(names))
     print(rank_at(dist, point))
     return 0
 
 
 def _cmd_involutive(args) -> int:
-    names = _vars(args.vars)
-    dist = Distribution(len(names), _parse_gens(args.gens, names))
+    names, dist = _distribution(args)
     verdict = involutivity_certificate(dist, args.degree)
     if isinstance(verdict, InvolutivityCertificate):
         if not verdict.pairs:
@@ -116,10 +116,9 @@ def _cmd_involutive(args) -> int:
                   f"[D{i + 1},D{j + 1}] = {combo}")
         return 0
     if isinstance(verdict, CounterexamplePoint):
-        pt = "(" + ",".join(str(c) for c in verdict.point) + ")"
         print(f"REFUTED: [D{verdict.pair[0] + 1},D{verdict.pair[1] + 1}] leaves "
-              f"the span at {pt} (rank {verdict.rank_without} -> "
-              f"{verdict.rank_with})")
+              f"the span at {render_vector(verdict.point)} (rank "
+              f"{verdict.rank_without} -> {verdict.rank_with})")
         return 1
     assert isinstance(verdict, NotFoundUpTo)
     print(f"INCONCLUSIVE up to degree {verdict.degree_bound}")
@@ -127,8 +126,7 @@ def _cmd_involutive(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    names = _vars(args.vars)
-    dist = Distribution(len(names), _parse_gens(args.gens, names))
+    names, dist = _distribution(args)
     ranges = parse_grid(args.grid, names)
     report = strata_sample(dist, grid_points(ranges))
     print(report.render())
@@ -136,8 +134,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    names = _vars(args.vars)
-    dist = Distribution(len(names), _parse_gens(args.gens, names))
+    names, dist = _distribution(args)
     combo = [parse_poly(part, names, col_offset=offset)
              for part, offset in split_list(args.combo, ";")]
     point = parse_point(args.point, len(names))
@@ -188,15 +185,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("bracket", _cmd_bracket, help="Lie bracket of two fields")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
+    field_pair = argparse.ArgumentParser(add_help=False)
+    field_pair.add_argument("--vars", required=True)
+    field_pair.add_argument("--f1", required=True)
+    field_pair.add_argument("--f2", required=True)
+    generators = argparse.ArgumentParser(add_help=False)
+    generators.add_argument("--vars", required=True)
+    generators.add_argument("--gens", required=True, help="fields separated by ';'")
 
-    p = add("iterbracket", _cmd_iterbracket, help="iterated Lie bracket")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
+    add("bracket", _cmd_bracket, parents=[field_pair], help="Lie bracket of two fields")
+
+    p = add("iterbracket", _cmd_iterbracket, parents=[field_pair],
+            help="iterated Lie bracket")
     p.add_argument("--n", required=True)
 
     p = add("flowjet", _cmd_flowjet, help="jet of the integral curve")
@@ -205,40 +205,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--order", required=True)
 
-    p = add("defect", _cmd_defect, help="top-order difference of two flows")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
+    p = add("defect", _cmd_defect, parents=[field_pair],
+            help="top-order difference of two flows")
     p.add_argument("--point", required=True)
     p.add_argument("--n", required=True)
 
-    p = add("verify-dj", _cmd_verify_dj,
+    p = add("verify-dj", _cmd_verify_dj, parents=[field_pair],
             help="defect three ways: jets, derivation powers, bracket")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--n", required=True)
 
-    p = add("rank", _cmd_rank, help="pointwise rank of a distribution")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--gens", required=True, help="fields separated by ';'")
+    p = add("rank", _cmd_rank, parents=[generators],
+            help="pointwise rank of a distribution")
     p.add_argument("--point", required=True)
 
-    p = add("involutive", _cmd_involutive, help="involutivity certificate search")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--gens", required=True)
+    p = add("involutive", _cmd_involutive, parents=[generators],
+            help="involutivity certificate search")
     p.add_argument("--degree", default="0")
 
-    p = add("strata", _cmd_strata, help="rank stratification on a grid")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--gens", required=True)
+    p = add("strata", _cmd_strata, parents=[generators],
+            help="rank stratification on a grid")
     p.add_argument("--grid", required=True, help='e.g. "x=-1:1:1, y=-1:1:1"')
 
-    p = add("invariance", _cmd_invariance,
+    p = add("invariance", _cmd_invariance, parents=[generators],
             help="rank minors along the flow of a generator combination")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--gens", required=True)
     p.add_argument("--combo", required=True, help="coefficients separated by ';'")
     p.add_argument("--point", required=True)
     p.add_argument("--order", default="10")

@@ -158,6 +158,7 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
     pt = _check_point(field, point)
     if order < 0:
         raise OrderError("order must be >= 0")
+    check_limit("Picard series order", order, "MAX_ORDER", MAX_ORDER)
     components = field.components
     if not all(c.is_polynomial() for c in components):
         raise ValueError("Picard series need non-negative exponents")

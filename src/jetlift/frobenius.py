@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Poly, Scalar, as_fraction
 from .errors import DimensionError, InternalCheckError, OrderError
+from .jets import render_vector
 from .limits import (MAX_CERTIFICATE_UNKNOWNS, MAX_GRID_POINTS, MAX_SEARCH_VARS,
                      check_limit)
 from .vectorfields import VectorField, lie_bracket
@@ -243,8 +244,7 @@ class StratumReport:
     def render(self) -> str:
         lines = []
         for r in sorted(self.by_rank):
-            pts = " ".join("(" + ",".join(str(c) for c in p) + ")"
-                           for p in self.by_rank[r])
+            pts = " ".join(map(render_vector, self.by_rank[r]))
             lines.append(f"rank {r}: {pts}")
         return "\n".join(lines)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-from .algebra import Scalar, TruncSeries, as_fraction
+from .algebra import Scalar, TruncSeries, as_fraction, exact_rows
 from .errors import DimensionError, PreconditionError
 
 __all__ = [
@@ -38,22 +38,10 @@ class Jet:
     __slots__ = ("dim", "order", "coords")
 
     def __init__(self, dim: int, order: int, coords: Sequence[Sequence[Scalar]]):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        rows = []
-        for row in coords:
-            row = tuple(as_fraction(c) for c in row)
-            if len(row) != dim:
-                raise DimensionError(f"coordinate vector {row} does not have dim {dim}")
-            rows.append(row)
-        if len(rows) != order + 1:
-            raise DimensionError(
-                f"{len(rows)} coordinate vectors for order {order} (need {order + 1})")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", tuple(rows))
+        object.__setattr__(self, "coords",
+                           exact_rows(dim, order, coords, "coordinate"))
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")

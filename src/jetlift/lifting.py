@@ -52,8 +52,8 @@ from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, LiftObstructedError, OrderError)
 from .limits import MAX_ORDER, check_limit
-from .vectorfields import (JetTower, TimeClass, VectorField, iterated_bracket,
-                           time_component_class)
+from .vectorfields import (JetTower, TimeClass, VectorField, extend_constant_flow,
+                           iterated_bracket, time_component_class)
 
 __all__ = [
     "LiftScenario",
@@ -379,9 +379,7 @@ def initial_state(scenario: LiftScenario) -> LiftState:
             if chart == 1:
                 pert_field = field_to_chart1(atlas, pert_field)
             space = space + pert_field
-        comps = list(space.components)
-        comps[q] = Poly.one(q + 1)
-        fields.append(VectorField(comps))
+        fields.append(extend_constant_flow(space))
     morphisms = [sheaf.morphism.components(chart) for chart in (0, 1)]
     towers = (_chart_tower(fields[0], morphisms[0]).extended(1),
               _chart_tower(fields[1], morphisms[1], atlas).extended(1))

@@ -9,8 +9,8 @@ limit; the CLI reports it on one line with exit code 2.
 from .errors import LimitError
 
 MAX_ORDER = 64
-"""Jet order of `flow_jet`, `stratum_invariance_check` and `lift_to_order`, and
-the n of `iterated_bracket`."""
+"""Jet order of `flow_jet`, `flow_series_picard`, `stratum_invariance_check` and
+`lift_to_order`, and the n of `iterated_bracket`."""
 
 MAX_WINDOW_SPAN = 10_000
 """hi - lo of a declared window, checked on input only ([window], `cech.check_window`),

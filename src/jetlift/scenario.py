@@ -322,7 +322,7 @@ def _parse_morphism(clause_list: List[_Clause], x_names: Sequence[str]):
 def _only(clause_list: List[_Clause], tag: str) -> Optional[_Clause]:
     """The section's one clause, or None when the section is absent."""
     if len(clause_list) > 1:
-        raise ParseError(f"multiple [{tag}] clauses")
+        raise clause_list[1].error(f"multiple [{tag}] clauses")
     return clause_list[0] if clause_list else None
 
 

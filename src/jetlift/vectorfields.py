@@ -367,15 +367,12 @@ class JetTower:
         tower = self._copy()
         tower._use(components, scale, max(bits, _digit_bits(self.starts, components)))
         grow = scale // self._scale
-        if tower._keys.bits != bits:
+        repack = tower._keys.bits != bits
+        if repack or grow != 1:
             pack, unpack = tower._keys.pack, self._keys.unpack
             tower._rows = tuple(
-                tuple({d: {pack(unpack(key)): c * grow ** i for key, c in part.items()}
-                       for d, part in slices.items()} for slices in row)
-                for i, row in enumerate(self._rows))
-        elif grow != 1:
-            tower._rows = tuple(
-                tuple({d: {key: c * grow ** i for key, c in part.items()}
+                tuple({d: {pack(unpack(key)) if repack else key: c * grow ** i
+                           for key, c in part.items()}
                        for d, part in slices.items()} for slices in row)
                 for i, row in enumerate(self._rows))
         return tower

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jetlift.algebra import Poly
+from jetlift.algebra import Poly, TruncSeries
 from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary,
                           negate_exponents, restrict_section, solve_coboundary,
                           uni, uni_x, window_of)
 from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
+from jetlift.frobenius import Distribution
+from jetlift.jets import Jet, TangentVector
 from jetlift.vectorfields import VectorField
 
 from strategies import fractions, polys
@@ -392,3 +394,23 @@ def test_transition_combines_pushed_generators(case):
                          for k in range(len(gens0))), Poly.zero(1))
                     for i in range(atlas.num_coords)]
         assert combined == pushed
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly.one(1),
+    lambda: TruncSeries(1, 0, [(1,)]),
+    lambda: Jet(1, 0, [(1,)]),
+    lambda: TangentVector((0,), (1,)),
+    lambda: VectorField([Poly.one(1)]),
+    lambda: TargetAtlas(("x",), [uni_x(-1)]),
+    lambda: TRIVIAL,
+    lambda: Cochain0(TRIVIAL, [Poly.zero(1)], [Poly.zero(1)], W),
+    lambda: Cochain1(TRIVIAL, [uni_x(-1)], W),
+    lambda: Distribution(1, [VectorField([Poly.one(1)])]),
+], ids=["Poly", "TruncSeries", "Jet", "TangentVector", "VectorField", "TargetAtlas",
+        "PresentedSheaf", "Cochain0", "Cochain1", "Distribution"])
+def test_immutable_types_refuse_attribute_assignment(make):
+    value = make()
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)

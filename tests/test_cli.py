@@ -298,6 +298,50 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("parse error: " + message)
 
+    @pytest.mark.parametrize("replacements,message", [
+        ([("charts 2 ;", "charts 1 ;")],
+         "error: a one-chart target cannot declare a transition\n"),
+        ([("vars x ;", "vars x,u ;"),
+          ("transition x -> 1/x ;", "transition x -> 1/x ; transition u -> u ;"),
+          ("chart0: x = z ; chart1: x = w",
+           "chart0: x = z ; chart0: u = z ; chart1: x = w ; chart1: u = w")],
+         "error: a jacobian clause is only supported for one target coordinate\n"),
+        ([("charts 2 ;", "charts 3 ;")],
+         "parse error: charts must be 1 or 2 (line 2, column 28)\n"),
+        ([("transition x -> 1/x", "transition x 1/x")],
+         "parse error: transition clause needs 'var -> expr' (line 2, column 32)\n"),
+        ([(" ; transition x -> 1/x ; jacobian -x^-2", "")],
+         "error: no transition formula for target coordinate x\n"),
+        ([("charts z w ; ", "")],
+         "parse error: the [y] section needs a charts clause (line 1, column 1)\n"),
+        ([("chart0: 1 ; chart1: 1", "chart0: 1 ; chart0: 1")],
+         "parse error: duplicate [sigma] for chart0 (line 5, column 24)\n"),
+        ([("chart0: 1 ; chart1: 1", "chart0: 1")],
+         "error: sigma is missing for chart1\n"),
+        ([("gen chart0: x ; gen chart1: -x", "")],
+         "error: at least one generator is required\n"),
+        ([("[order]    4", "[order]    0")],
+         "parse error: order must be >= 1 (line 7, column 12)\n"),
+        ([("x = z ; chart1: x = w", "x = z^3 ; chart1: x = w^3"),
+          ("[window]", "[perturb]  chart1: t * x^2\n[window]")],
+         "error: chart 0 has no identity coordinate; flag the scenario "
+         "non-immersive so the graph embedding provides one\n"),
+    ], ids=["one-chart-transition", "jacobian-two-coordinates", "charts-3",
+            "transition-without-arrow", "no-transition", "y-without-charts",
+            "sigma-chart0-twice", "sigma-chart0-only", "no-generator", "order-0",
+            "correction-without-identity-coordinate"])
+    def test_scenario_rejected_exit_code(self, capsys, tmp_path, replacements,
+                                         message):
+        text = FLAGSHIP
+        for old, new in replacements:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "bad.scn"
+        path.write_text(text, encoding="utf-8")
+        code = main(["lift", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err == message
+
     @pytest.mark.parametrize("order", ["0", "-3"])
     def test_lift_order_out_of_range_exit_code(self, capsys, tmp_path, order):
         path = tmp_path / "flagship.scn"
@@ -330,8 +374,13 @@ class TestCommands:
         (["invariance", "--vars", "x,y", "--gens", "x,0", "--combo", "1",
           "--point", "1,1", "--order", "-5"],
          "error: order must be >= 0\n"),
+        (["strata", "--vars", "x,y", "--gens", "x,0; 0,x", "--grid", "x=1:0:1,y=0:1:1"],
+         "parse error: start exceeds stop (line 1, column 3)\n"),
+        (["strata", "--vars", "x,y", "--gens", "x,0; 0,x", "--grid", "x=0:1:1,x=0:1:1"],
+         "parse error: duplicate range for 'x' (line 1, column 9)\n"),
     ], ids=["negative-degree", "duplicate-vars", "stray-star", "window-underscore",
-            "power-as-name", "negative-invariance-order"])
+            "power-as-name", "negative-invariance-order", "grid-start-above-stop",
+            "grid-repeated-range"])
     def test_rejected_input_exit_code(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from jetlift import flows
 from jetlift.algebra import Poly, TruncSeries, series_compose
-from jetlift.errors import DimensionError, JetliftError, OrderError, PreconditionError
+from jetlift.errors import (DimensionError, JetliftError, LimitError, OrderError,
+                            PreconditionError)
 from jetlift.flows import (flow_jet, flow_series_picard, jet_defect,
                            stratum_invariance_check, verify_dj)
 from jetlift.frobenius import Distribution
 from jetlift.jets import Jet, jet_difference, jet_from_series, jet_project
+from jetlift.limits import MAX_ORDER
 from jetlift.vectorfields import JetTower, VectorField, apply_derivation, iterated_bracket
 
 from strategies import fractions, points, polys, vector_fields
@@ -183,6 +185,14 @@ class TestPicard:
         s = flow_series_picard(d, [0, 0], 3)
         assert s.component(0) == [0, 1, 0, 0]
         assert s.component(1) == [0, 0, Fraction(1, 2), 0]
+
+    def test_order_limit(self):
+        # checked before the (order + 1)^2 binomial table is built
+        d = VectorField([Poly.variable(1, 0)])
+        with pytest.raises(LimitError, match=f"Picard series order is {MAX_ORDER + 1}, "
+                                             f"above the limit MAX_ORDER = {MAX_ORDER}"):
+            flow_series_picard(d, [1], MAX_ORDER + 1)
+        assert flow_series_picard(d, [1], MAX_ORDER).order == MAX_ORDER
 
 
 def reference_picard(d, point, order):

@@ -164,6 +164,14 @@ class TestInvolutivity:
         assert verdict.pairs[(0, 1)] == (Poly.zero(2), Poly.one(2))
         assert verdict.verify(dist)
 
+    def test_changed_coefficient_fails_verification(self):
+        dist = Distribution(2, [X_DX, X_DY])
+        verdict = involutivity_certificate(dist, 0)
+        ((pair, coeffs),) = verdict.pairs.items()
+        changed = InvolutivityCertificate(
+            verdict.degree_bound, {pair: (coeffs[0] + 1,) + coeffs[1:]})
+        assert verdict.verify(dist) and not changed.verify(dist)
+
     def test_certificate_commuting(self):
         dist = Distribution(2, [D_X, D_Y])
         verdict = involutivity_certificate(dist, 0)

@@ -237,6 +237,8 @@ class TestScenarioParsing:
         ("[order]    4", "[order]    1_0", "order needs an integer", 12),
         ("[order]    4", "[order]    \u0664", "order needs an integer", 12),
         ("[window]   -8 8", "[window]   -8 +8", "window needs two integers", 12),
+        ("[order]    4", "[order]    4 ; 5", "multiple [order] clauses", 16),
+        ("[window]   -8 8", "[window]   -8 8 ; -4 4", "multiple [window] clauses", 19),
         ("vars x ;", "vars x y ;", "invalid variable name 'x y'", 17),
         ("vars x ;", "vars x, t ;", "the coordinate name 't' is reserved for time", 20),
         ("charts z w ; transition w = 1/z", "charts z^2 w ; transition w = 1/z^2",
@@ -246,6 +248,7 @@ class TestScenarioParsing:
     ], ids=["assignment", "transition", "undeclared-transition", "jacobian",
             "vars", "x-charts", "y-charts", "charts-plus", "charts-arabic-indic",
             "order-plus", "order-underscore", "order-arabic-indic", "window-plus",
+            "order-twice", "window-twice",
             "vars-blank-inside", "vars-time", "y-charts-power", "y-charts-duplicate"])
     def test_repeated_or_undeclared_clause_rejected(self, old, new, message,
                                                     column):
