@@ -6,6 +6,11 @@ the pure-Python term kernels of `_kernel_py`, which are generic over int and
 Fraction; `jetlift.KERNEL_BACKEND` names them and is always "python".  The jet
 engine runs fraction-free on Python ints with its own product loop on packed
 exponent keys.
+
+Every value is immutable.  A type whose constructor validates its input is a
+slotted class that refuses attribute assignment; a record that validates
+nothing and compares field by field (a report, certificate, obstruction, lift
+state, step or result) is a `typing.NamedTuple`.
 """
 
 # loaded with the package although nothing here uses it: see `_backend`

@@ -19,7 +19,6 @@ coordinates need no window (`solve_section_coordinates`), only cochains do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -100,8 +99,7 @@ def check_window(polys: Sequence[Poly], window: Window, what: str):
 
 # -- atlases ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveAtlas:
+class CurveAtlas(NamedTuple):
     """Two charts with parameters z and w, glued by w = 1/z away from the origins."""
     z_name: str = "z"
     w_name: str = "w"
@@ -180,8 +178,7 @@ def _read_monomial_map(transition: Sequence[Poly]):
     return tuple(inverse), (tuple(forward), tuple(backward))
 
 
-@dataclass(frozen=True)
-class MorphismData:
+class MorphismData(NamedTuple):
     """Per chart, the map into target coordinates as Laurent polynomials in the parameter."""
     chart0: Tuple[Poly, ...]
     chart1: Tuple[Poly, ...]
@@ -190,21 +187,17 @@ class MorphismData:
         return (self.chart0, self.chart1)[chart]
 
     def verify(self, atlas: TargetAtlas):
-        """Both chart representations must agree on the overlap, both ways."""
+        """Chart 1 pushed through the transition, read at w = 1/z, must be chart 0;
+        `atlas.inverse` is the transition's exact inverse, so chart 0 pulled back
+        is then chart 1."""
         if len(self.chart0) != atlas.num_coords or len(self.chart1) != atlas.num_coords:
             raise DimensionError("morphism components do not match target coordinates")
-        # chart-1 data pushed through the transition, read at w = 1/z
         try:
             pushed = [g.substitute(self.chart1) for g in atlas.transition]
-            pulled = [g.substitute(self.chart0) for g in atlas.inverse]
         except ValueError as exc:
             raise LiftError(f"cannot push the morphism through the transition: {exc}")
-        expect0 = tuple(negate_exponents(p) for p in pushed)
-        if expect0 != self.chart0:
+        if tuple(negate_exponents(p) for p in pushed) != self.chart0:
             raise LiftError("morphism charts disagree on the overlap (chart1 -> chart0)")
-        expect1 = tuple(negate_exponents(p) for p in pulled)
-        if expect1 != self.chart1:
-            raise LiftError("morphism charts disagree on the overlap (chart0 -> chart1)")
 
 
 # -- crossing the target overlap ---------------------------------------------------
@@ -280,13 +273,19 @@ def evaluate_along_curve(p: Poly, morphism: Sequence[Poly]) -> Poly:
     """Restrict a function of (space coords, t) to the curve: space -> f(param), t -> 0.
 
     Only the t^0 terms survive t -> 0, so the others are dropped before the
-    morphism is substituted into the space coordinates.
+    morphism is substituted into the space coordinates.  A negative power of a
+    coordinate restricts only along a monomial component; any other raises
+    `LiftError`.
     """
     q = len(morphism)
     if q + 1 != p.num_vars:
         raise DimensionError("function does not live on space coordinates plus time")
     space = Poly._raw(q, {e[:q]: c for e, c in p.terms.items() if not e[q]})
-    return space.substitute(morphism)
+    try:
+        return space.substitute(morphism)
+    except ValueError:
+        raise LiftError("cannot restrict a negative power of a coordinate along a "
+                        "curve component that is not a monomial") from None
 
 
 class PresentedSheaf:
@@ -297,10 +296,11 @@ class PresentedSheaf:
     vectors are read in the chart-0 frame as T(z) . c(1/z); T is solved from the
     chart-1 generators pushed by `field_to_chart0` and read along the curve.
     T must be a unit over Q[z, 1/z], det T = c*z^k with c != 0 (`det`); any other
-    T raises TransitionError.
+    T raises TransitionError.  `from_charts` stores the chart-0 generators read
+    along the curve once (`gens_along_curve`); a formal presentation has none.
     """
 
-    __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition", "det", "_along")
+    __slots__ = ("atlas", "morphism", "gens0", "gens1", "transition", "det", "_along0")
 
     def __init__(self, atlas: Optional[TargetAtlas], morphism: Optional[MorphismData],
                  gens0: Sequence[VectorField], gens1: Sequence[VectorField],
@@ -323,7 +323,7 @@ class PresentedSheaf:
         object.__setattr__(self, "gens1", gens1)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "_along", {})
+        object.__setattr__(self, "_along0", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedSheaf is immutable")
@@ -360,21 +360,18 @@ class PresentedSheaf:
         base = tuple(_along_curve(g, f0) for g in gens0)
         sheaf = cls(atlas, morphism, gens0, gens1,
                     _coefficient_transition(atlas, morphism, base, gens1))
-        sheaf._along[0] = base
+        object.__setattr__(sheaf, "_along0", base)
         return sheaf
 
-    def gens_along_curve(self, chart: int) -> Tuple[Tuple[Poly, ...], ...]:
-        """Values of the chart's generators along the curve, in chart coordinates.
+    def gens_along_curve(self) -> Tuple[Tuple[Poly, ...], ...]:
+        """Values of the chart-0 generators along the curve, in chart-0 coordinates.
 
         Returns, per generator, the q space components as Laurent polynomials in
-        that chart's parameter.  They are computed once per chart and sheaf.
+        z, computed once by `from_charts`.
         """
-        if self.atlas is None or self.morphism is None:
+        if self._along0 is None:
             raise LiftError("formal presentation carries no geometric data")
-        if chart not in self._along:
-            f = self.morphism.components(chart)
-            self._along[chart] = tuple(_along_curve(g, f) for g in self.gens(chart))
-        return self._along[chart]
+        return self._along0
 
 
 def _along_curve(field: VectorField, morphism: Sequence[Poly]) -> Tuple[Poly, ...]:
@@ -388,8 +385,9 @@ def _coefficient_transition(atlas: TargetAtlas, morphism: MorphismData,
     """Solve gen1_j (pushed to the chart-0 frame along the curve) = sum_k T[k][j] gen0_k,
     with `base` the chart-0 generators along the curve.
 
-    `MorphismData.verify` has checked back(f0(z)) = f1(1/z), so a pushed
-    generator read along f0 is its chart-1 value along f1 at w = 1/z.
+    `MorphismData.verify` has checked that f1(1/z) pushed through the
+    transition is f0(z), so a pushed generator read along f0 is its chart-1
+    value along f1 at w = 1/z.
     """
     f0 = morphism.components(0)
     pushed = [_along_curve(field_to_chart0(atlas, g), f0) for g in gens1]
@@ -531,8 +529,7 @@ def coboundary(cochain: Cochain0) -> Cochain1:
     return Cochain1(cochain.sheaf, nu01, cochain.window)
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """Nonzero class of a 1-cochain modulo coboundaries; cokernel_dim is h^1."""
     residual: Tuple[Poly, ...]
     cokernel_dim: int

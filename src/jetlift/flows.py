@@ -42,12 +42,11 @@ of the bracket check is shared with the Picard oracle or the jet engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb, lcm
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (Poly, Scalar, TruncSeries, as_fraction, poly_det,
                       series_compose)
@@ -228,8 +227,7 @@ def jet_defect(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     return TangentVector(report.point, report.from_jets)
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Three independent evaluations of the same defect vector.
 
     `from_jets` comes from the Picard oracle, `from_derivation_powers` from the
@@ -322,16 +320,14 @@ def _taylor_shift(p: Poly, pt: Tuple[Fraction, ...], max_degree: int) -> Poly:
 
 # -- rank-stratum invariance along flows -------------------------------------
 
-@dataclass(frozen=True)
-class MinorViolation:
+class MinorViolation(NamedTuple):
     rows: Tuple[int, ...]
     cols: Tuple[int, ...]
     first_nonzero_order: int
     coefficient: Fraction
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     rank: int
     order: int
     minors_checked: int
@@ -355,7 +351,7 @@ class InvarianceReport:
 
 
 def stratum_invariance_check(distribution, combo: Sequence[Poly],
-                             point: Sequence[Scalar], order: int = 10) -> InvarianceReport:
+                             point: Sequence[Scalar], order: int) -> InvarianceReport:
     """Check that rank minors vanish along the flow of a combination of generators.
 
     `combo` gives D = sum_k combo[k] * gens[k]; requiring the combination up front is

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Poly, Scalar, as_fraction
@@ -124,8 +123,7 @@ def rank_at(distribution: Distribution, point: Sequence[Scalar]) -> int:
     return linalg.rank(_point_matrix(_integer_columns(distribution.gens), pt))
 
 
-@dataclass(frozen=True)
-class InvolutivityCertificate:
+class InvolutivityCertificate(NamedTuple):
     """For each pair i<j, coefficients with [D_i, D_j] = sum_k c_k D_k (re-checked)."""
     degree_bound: int
     pairs: Dict[Tuple[int, int], Tuple[Poly, ...]]
@@ -141,14 +139,12 @@ class InvolutivityCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class NotFoundUpTo:
+class NotFoundUpTo(NamedTuple):
     """Inconclusive verdict: no certificate with coefficients of degree <= bound."""
     degree_bound: int
 
 
-@dataclass(frozen=True)
-class CounterexamplePoint:
+class CounterexamplePoint(NamedTuple):
     """A point where some bracket leaves the pointwise generator span."""
     pair: Tuple[int, int]
     point: Tuple[Fraction, ...]
@@ -235,8 +231,7 @@ def involutivity_certificate(distribution: Distribution, degree_bound: int):
     return NotFoundUpTo(degree_bound)
 
 
-@dataclass(frozen=True)
-class StratumReport:
+class StratumReport(NamedTuple):
     """Grid sample of the rank stratification: each point appears under exactly one rank."""
     grid: Tuple[Tuple[Fraction, ...], ...]
     by_rank: Dict[int, Tuple[Tuple[Fraction, ...], ...]]

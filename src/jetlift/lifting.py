@@ -33,15 +33,16 @@ the crossing; nothing is inverted.  Every reading of the target overlap
 (pushing fields, which starts chart 0 reads, c * row) comes from `cech`, next
 to the atlas it reads; this module runs the towers and the loop.  The state
 also carries chart 1's field pushed into chart 0 for the bracket, pushed again
-only when a correction changes that field.
+only when a correction changes that field.  States, steps and results are
+immutable records: `lift_to_order` collects the steps and builds its
+`LiftResult` once, from the final state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Poly
 from .cech import (Cochain0, Cochain1, CurveAtlas, JetSection, MorphismData,
@@ -67,8 +68,7 @@ __all__ = [
     "lift_to_order",
 ]
 
-@dataclass(frozen=True)
-class LiftScenario:
+class LiftScenario(NamedTuple):
     """Everything the lifting engine needs, already in engine form."""
     curve: CurveAtlas
     sheaf: PresentedSheaf
@@ -85,8 +85,7 @@ class LiftScenario:
         return self.sheaf.morphism
 
 
-@dataclass(frozen=True)
-class LiftState:
+class LiftState(NamedTuple):
     """Order-n lift: per chart the witness field, its jet tower at level n and
     its jet section; chart 1's tower starts from `cech.crossing_starts`, and
     `pushed` is chart 1's field read in chart 0.  `window` is the exponent range
@@ -101,8 +100,7 @@ class LiftState:
     pushed: VectorField
 
 
-@dataclass(frozen=True)
-class LiftStep:
+class LiftStep(NamedTuple):
     order_from: int
     nu: Cochain1
     lam: Optional[Cochain0]
@@ -110,11 +108,11 @@ class LiftStep:
     corrections: Tuple[Optional[VectorField], Optional[VectorField]]
 
 
-@dataclass
-class LiftResult:
+class LiftResult(NamedTuple):
+    """A finished lift: the final state and every step taken."""
     scenario: LiftScenario
     state: LiftState
-    steps: List[LiftStep] = dataclass_field(default_factory=list)
+    steps: List[LiftStep]
 
     def render(self) -> str:
         sc = self.scenario
@@ -235,7 +233,7 @@ def defect_cochain(sheaf: PresentedSheaf, row: Sequence[Poly],
         raise LiftError("defect has a nonzero time component")
     tangent = diff[:-1]
 
-    coeffs = solve_section_coordinates(sheaf.gens_along_curve(0), tangent)
+    coeffs = solve_section_coordinates(sheaf.gens_along_curve(), tangent)
     if coeffs is None:
         raise LiftError(
             "defect is not a generator combination; "
@@ -423,9 +421,8 @@ def lift_to_order(scenario: LiftScenario, order: Optional[int] = None) -> LiftRe
         raise OrderError("lift order must be >= 1")
     check_limit("lift order", target, "MAX_ORDER", MAX_ORDER)
     state = initial_state(scenario)
-    result = LiftResult(scenario, state)
+    steps = []
     while state.order < target:
         state, step = lift_step(state)
-        result.steps.append(step)
-        result.state = state
-    return result
+        steps.append(step)
+    return LiftResult(scenario, state, steps)

@@ -225,14 +225,13 @@ def read_names(pieces: Sequence[Tuple[str, int]], line: int = 1, col_offset: int
     return names
 
 
-def parse_field(text: str, names: Sequence[str], allow_laurent: bool = False,
-                line: int = 1, col_offset: int = 0) -> VectorField:
+def parse_field(text: str, names: Sequence[str], col_offset: int = 0) -> VectorField:
     """Comma-separated component polynomials, one per variable."""
     pieces = split_list(text)
     if len(pieces) != len(names):
         raise ParseError(f"{len(pieces)} components for {len(names)} variables",
-                         line=line, column=col_offset + 1)
-    comps = [parse_poly(part, names, allow_laurent, line, col_offset + offset)
+                         column=col_offset + 1)
+    comps = [parse_poly(part, names, col_offset=col_offset + offset)
              for part, offset in pieces]
     return VectorField(comps)
 
@@ -277,15 +276,15 @@ def parse_window(text: str, line: int = 1, col_offset: int = 0) -> Tuple[int, in
     return lo, hi
 
 
-def parse_point(text: str, dim: int, line: int = 1) -> Tuple[Fraction, ...]:
+def parse_point(text: str, dim: int) -> Tuple[Fraction, ...]:
     pieces = split_list(text)
     if len(pieces) != dim:
-        raise ParseError(f"{len(pieces)} coordinates for dimension {dim}", line=line)
-    return tuple(parse_rational(part, line, offset) for part, offset in pieces)
+        raise ParseError(f"{len(pieces)} coordinates for dimension {dim}")
+    return tuple(parse_rational(part, col_offset=offset) for part, offset in pieces)
 
 
-def parse_grid(text: str, names: Sequence[str],
-               line: int = 1) -> List[Tuple[Fraction, Fraction, Fraction]]:
+def parse_grid(text: str,
+               names: Sequence[str]) -> List[Tuple[Fraction, Fraction, Fraction]]:
     """Grid literal 'x=-1:1:1, y=0:2:1' -> per-variable (start, stop, step).
 
     Every declared variable must get a range; ranges are exact rationals with a
@@ -293,7 +292,7 @@ def parse_grid(text: str, names: Sequence[str],
     """
     ranges = {}
     for part, offset in split_list(text):
-        sc = _Scanner(part, line, offset)
+        sc = _Scanner(part, col_offset=offset)
         name_pos = sc.pos
         name = sc.read_name()
         if name not in names:
@@ -307,7 +306,7 @@ def parse_grid(text: str, names: Sequence[str],
             raise sc.error("range must be start:stop:step")
         seg_offset = sc.pos
         for seg in segments:
-            bounds.append(parse_rational(seg, line, offset + seg_offset))
+            bounds.append(parse_rational(seg, col_offset=offset + seg_offset))
             seg_offset += len(seg) + 1
         start, stop, step = bounds
         if step <= 0:
@@ -319,5 +318,5 @@ def parse_grid(text: str, names: Sequence[str],
         ranges[name] = (start, stop, step)
     missing = [n for n in names if n not in ranges]
     if missing:
-        raise ParseError(f"no range for variable(s): {', '.join(missing)}", line=line)
+        raise ParseError(f"no range for variable(s): {', '.join(missing)}")
     return [ranges[n] for n in names]

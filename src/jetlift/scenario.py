@@ -76,19 +76,20 @@ def parse_scenario_file(path: str) -> LiftScenario:
 
 
 def parse_scenario(text: str) -> LiftScenario:
-    clauses = _split_clauses(text)
-    curve = CurveAtlas(*_parse_curve(clauses["y"]))
+    clauses, tag_lines = _split_clauses(text)
+    curve = CurveAtlas(*_parse_curve(clauses["y"], tag_lines.get("y", 1)))
     non_immersive = any(clause.text == "non-immersive" for clause in clauses["f"])
     reserved = {"t": "the coordinate name 't' is reserved for time"}
     if non_immersive:
         reserved["y"] = "graph embedding reserves the coordinate name 'y'"
-    x_names, charts, transition_texts, jacobian = _parse_target(clauses["x"],
-                                                                 reserved)
+    x_names, charts, transition_texts, jacobian = _parse_target(
+        clauses["x"], tag_lines.get("x", 1), reserved)
     morphism_texts = _parse_morphism(clauses["f"], x_names)
     gen_texts = _per_chart(clauses["sheaf"], "sheaf")
     sigma_texts = _per_chart(clauses["sigma"], "sigma")
     if not any(sigma_texts):
-        raise ParseError("the [sigma] section is required")
+        raise ParseError("the [sigma] section is required",
+                         line=tag_lines.get("sigma", 1))
     perturb_texts = _per_chart(clauses["perturb"], "perturb")
     window_clause = _only(clauses["window"], "window")
     if window_clause is not None:
@@ -161,9 +162,12 @@ def parse_scenario(text: str) -> LiftScenario:
     return LiftScenario(curve, sheaf, (sigma[0], sigma[1]), tuple(perturb), order)
 
 
-def _split_clauses(text: str) -> Dict[str, List[_Clause]]:
-    """Clauses of each tag, each with its line and the column where it starts."""
+def _split_clauses(text: str) -> Tuple[Dict[str, List[_Clause]], Dict[str, int]]:
+    """Clauses of each tag, each with its line and the column where it starts,
+    and the line of each tag's first [tag] line, where a missing clause is
+    reported."""
     clauses: Dict[str, List[_Clause]] = {tag: [] for tag in _KNOWN_TAGS}
+    tag_lines: Dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         stripped = body.lstrip()
@@ -176,13 +180,14 @@ def _split_clauses(text: str) -> Dict[str, List[_Clause]]:
         tag = match.group(1)
         if tag not in _KNOWN_TAGS:
             raise ParseError(f"unknown tag [{tag}]", line=line_no)
+        tag_lines.setdefault(tag, line_no)
         start = len(body) - len(stripped) + match.start(2)
         for piece, offset in split_list(match.group(2), ";"):
             clause = piece.lstrip()
             if clause:
                 clauses[tag].append(_Clause(clause.rstrip(), line_no,
                                             start + offset + len(piece) - len(clause)))
-    return clauses
+    return clauses, tag_lines
 
 
 def _formulas(texts: Dict[str, _Clause], x_names: Sequence[str],
@@ -206,7 +211,7 @@ def _components(clause: _Clause, names: Sequence[str], count: int, what: str,
                             clause.col + offset) for piece, offset in pieces)
 
 
-def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
+def _parse_curve(clause_list: List[_Clause], tag_line: int) -> Tuple[str, str]:
     z_name, w_name = "z", "w"
     saw_charts = False
     for clause in clause_list:
@@ -227,11 +232,12 @@ def _parse_curve(clause_list: List[_Clause]) -> Tuple[str, str]:
         else:
             raise clause.error(f"unknown [y] clause {clause.text!r}")
     if not saw_charts:
-        raise ParseError("the [y] section needs a charts clause")
+        raise ParseError("the [y] section needs a charts clause", line=tag_line)
     return z_name, w_name
 
 
-def _parse_target(clause_list: List[_Clause], reserved: Dict[str, str]):
+def _parse_target(clause_list: List[_Clause], tag_line: int,
+                  reserved: Dict[str, str]):
     names: Optional[Tuple[str, ...]] = None
     charts = 1
     transitions: Dict[str, _Clause] = {}    # 'x -> expr', at the column of x
@@ -265,7 +271,7 @@ def _parse_target(clause_list: List[_Clause], reserved: Dict[str, str]):
         else:
             raise clause.error(f"unknown [x] clause {clause.text!r}")
     if names is None:
-        raise ParseError("the [x] section needs a vars clause")
+        raise ParseError("the [x] section needs a vars clause", line=tag_line)
     for var, at in transitions.items():
         if var not in names:
             raise at.error(f"unknown target coordinate {var!r}")

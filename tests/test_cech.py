@@ -1,19 +1,27 @@
 """Cochains, restriction, coboundaries, and exact splitting/obstruction solving."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import jetlift
 from jetlift.algebra import Poly, TruncSeries
-from jetlift.cech import (Cochain0, Cochain1, MorphismData, Obstruction,
+from jetlift.cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary,
                           negate_exponents, restrict_section, solve_coboundary,
                           uni, uni_x, window_of)
 from jetlift.errors import JetliftError, LiftError, TransitionError, WindowOverflowError
-from jetlift.frobenius import Distribution
+from jetlift.flows import DefectReport, InvarianceReport, MinorViolation
+from jetlift.frobenius import (CounterexamplePoint, Distribution,
+                               InvolutivityCertificate, NotFoundUpTo, StratumReport)
 from jetlift.jets import Jet, TangentVector
+from jetlift.lifting import LiftResult, LiftScenario, LiftState, LiftStep
 from jetlift.vectorfields import VectorField
 
 from strategies import fractions, polys
@@ -396,6 +404,12 @@ def test_transition_combines_pushed_generators(case):
         assert combined == pushed
 
 
+RECORDS = (CurveAtlas, MorphismData, Obstruction, DefectReport, MinorViolation,
+           InvarianceReport, InvolutivityCertificate, NotFoundUpTo,
+           CounterexamplePoint, StratumReport, LiftScenario, LiftState, LiftStep,
+           LiftResult)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Poly.one(1),
     lambda: TruncSeries(1, 0, [(1,)]),
@@ -407,10 +421,24 @@ def test_transition_combines_pushed_generators(case):
     lambda: Cochain0(TRIVIAL, [Poly.zero(1)], [Poly.zero(1)], W),
     lambda: Cochain1(TRIVIAL, [uni_x(-1)], W),
     lambda: Distribution(1, [VectorField([Poly.one(1)])]),
+    *(lambda record=record: record(*(None,) * len(record._fields))
+      for record in RECORDS),
 ], ids=["Poly", "TruncSeries", "Jet", "TangentVector", "VectorField", "TargetAtlas",
-        "PresentedSheaf", "Cochain0", "Cochain1", "Distribution"])
+        "PresentedSheaf", "Cochain0", "Cochain1", "Distribution",
+        *(record.__name__ for record in RECORDS)])
 def test_immutable_types_refuse_attribute_assignment(make):
     value = make()
-    for name in (*type(value).__slots__, "extra"):
-        with pytest.raises(AttributeError, match="is immutable"):
+    # a record is a NamedTuple: its fields are read-only and it has no __dict__
+    record = isinstance(value, tuple)
+    for name in (*(value._fields if record else type(value).__slots__), "extra"):
+        with pytest.raises(AttributeError, match=None if record else "is immutable"):
             setattr(value, name, None)
+
+
+def test_package_import_loads_no_dataclasses():
+    script = ("import sys, jetlift, jetlift.cli\n"
+              "assert 'dataclasses' not in sys.modules\n")
+    src = pathlib.Path(jetlift.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr

@@ -19,6 +19,10 @@ FLAGSHIP = """\
 """
 
 
+NOT_MONOMIAL = ("error: cannot restrict a negative power of a coordinate along a "
+                "curve component that is not a monomial\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -326,10 +330,40 @@ class TestCommands:
           ("[window]", "[perturb]  chart1: t * x^2\n[window]")],
          "error: chart 0 has no identity coordinate; flag the scenario "
          "non-immersive so the graph embedding provides one\n"),
+        ([("charts z w ; ", ""), ("[y]", "# the curve\n[y]")],
+         "parse error: the [y] section needs a charts clause (line 2, column 1)\n"),
+        ([("vars x ; ", "")],
+         "parse error: the [x] section needs a vars clause (line 2, column 1)\n"),
+        ([("chart0: 1 ; chart1: 1", "")],
+         "parse error: the [sigma] section is required (line 5, column 1)\n"),
+        ([("chart0: x = z", "chart0: z")],
+         "parse error: morphism clause needs 'coord = expr' (line 3, column 20)\n"),
+        ([(" ; transition x -> 1/x ; jacobian -x^-2", ""), ("charts 2", "charts 1"),
+          ("x = z ; chart1: x = w", "x = z + z^2 ; chart1: x = w^-1 + w^-2"),
+          ("gen chart0: x ; gen chart1: -x", "gen chart0: x^-1 ; gen chart1: x^-1")],
+         NOT_MONOMIAL),
+        ([(" ; transition x -> 1/x ; jacobian -x^-2", ""), ("charts 2", "charts 1"),
+          ("x = z ; chart1: x = w",
+           "x = z + z^2 ; chart1: x = w^-1 + w^-2 ; non-immersive"),
+          ("gen chart0: x ; gen chart1: -x", "gen chart0: 1 ; gen chart1: 1"),
+          ("[window]", "[perturb]  chart0: t*x^-1\n[window]")],
+         NOT_MONOMIAL),
+        ([(" ; transition x -> 1/x ; jacobian -x^-2", ""), ("charts 2", "charts 1"),
+          ("x = z ; chart1: x = w", "x = 0 ; chart1: x = 0 ; non-immersive"),
+          ("gen chart0: x ; gen chart1: -x", "gen chart0: x^-1 ; gen chart1: x^-1")],
+         NOT_MONOMIAL),
+        ([(" ; transition x -> 1/x ; jacobian -x^-2", ""), ("charts 2", "charts 1"),
+          ("x = z ; chart1: x = w", "x = 0 ; chart1: x = 0 ; non-immersive"),
+          ("gen chart0: x ; gen chart1: -x", "gen chart0: 1 ; gen chart1: 1"),
+          ("[window]", "[perturb]  chart0: t*x^-1\n[window]")],
+         NOT_MONOMIAL),
     ], ids=["one-chart-transition", "jacobian-two-coordinates", "charts-3",
             "transition-without-arrow", "no-transition", "y-without-charts",
             "sigma-chart0-twice", "sigma-chart0-only", "no-generator", "order-0",
-            "correction-without-identity-coordinate"])
+            "correction-without-identity-coordinate", "y-without-charts-at-its-tag",
+            "x-without-vars", "empty-sigma", "morphism-without-equals",
+            "inverse-along-binomial", "perturbation-inverse-along-binomial",
+            "inverse-along-zero", "perturbation-inverse-along-zero"])
     def test_scenario_rejected_exit_code(self, capsys, tmp_path, replacements,
                                          message):
         text = FLAGSHIP
@@ -378,9 +412,12 @@ class TestCommands:
          "parse error: start exceeds stop (line 1, column 3)\n"),
         (["strata", "--vars", "x,y", "--gens", "x,0; 0,x", "--grid", "x=0:1:1,x=0:1:1"],
          "parse error: duplicate range for 'x' (line 1, column 9)\n"),
+        (["invariance", "--vars", "x,y", "--gens", "1,0; 0,x", "--combo", "1",
+          "--point", "0,0"],
+         "error: 1 coefficients for 2 generators\n"),
     ], ids=["negative-degree", "duplicate-vars", "stray-star", "window-underscore",
             "power-as-name", "negative-invariance-order", "grid-start-above-stop",
-            "grid-repeated-range"])
+            "grid-repeated-range", "invariance-combination-count"])
     def test_rejected_input_exit_code(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

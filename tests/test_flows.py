@@ -56,6 +56,8 @@ class TestFlowJet:
     def test_negative_order(self):
         with pytest.raises(OrderError, match="order must be >= 0"):
             flow_jet(field(X, Y), [1, 0], -1)
+        with pytest.raises(OrderError, match="order must be >= 0"):
+            flow_series_picard(field(X, Y), [1, 0], -1)
         assert issubclass(OrderError, JetliftError)
         assert issubclass(OrderError, ValueError)
 
@@ -475,3 +477,9 @@ class TestStratumInvariance:
         assert report.rank == 1 and not report.invariant
         v = report.violations[0]
         assert v.first_nonzero_order == 1 and v.coefficient == 1
+
+    def test_combination_on_the_wrong_space_rejected(self):
+        z2 = Poly.zero(2)
+        dist = Distribution(2, [VectorField([Poly.one(2), z2]), VectorField([z2, X])])
+        with pytest.raises(DimensionError, match="live on the wrong space"):
+            stratum_invariance_check(dist, [Poly.one(3), Poly.zero(2)], [0, 0], 4)

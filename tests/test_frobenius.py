@@ -298,6 +298,13 @@ def test_grid_points_row_major():
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("step", [Fraction(0), Fraction(-1, 2)])
+def test_grid_points_rejects_non_positive_step(step):
+    with pytest.raises(ValueError, match="grid step must be positive"):
+        grid_points([(Fraction(0), Fraction(1), Fraction(1)),
+                     (Fraction(0), Fraction(1), step)])
+
+
 def test_default_search_grid_is_cached_and_unshared():
     values = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
     expected = sorted(((a, b) for a in values for b in values),

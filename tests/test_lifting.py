@@ -618,7 +618,27 @@ def test_lift_steps_compute_one_new_level_per_tower(monkeypatch, text):
                                   for c in step.corrections))
 
 
+def test_lift_builds_its_result_once(monkeypatch):
+    built = []
+    record = lifting.LiftResult
+
+    def counting(*fields):
+        built.append(fields)
+        return record(*fields)
+    monkeypatch.setattr(lifting, "LiftResult", counting)
+    result = lift_to_order(parse_scenario(PERTURBED), 4)
+    assert len(built) == 1
+    assert result.state.order == 4 and len(result.steps) == 3
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("counts", [(2, 1), (1, 0)])
+    def test_sigma_needs_one_coefficient_per_generator(self, counts):
+        scenario = parse_scenario(FLAGSHIP)
+        sigma = tuple((Poly.one(1),) * n for n in counts)
+        with pytest.raises(DimensionError, match="sigma needs 1 coefficients per chart"):
+            lift_to_order(scenario._replace(sigma=sigma), 2)
+
     def test_sigma_must_be_global(self):
         bad = FLAGSHIP.replace("[sigma]    chart0: 1 ; chart1: 1",
                                "[sigma]    chart0: z ; chart1: 1")
