@@ -143,6 +143,9 @@ class TargetAtlas:
     def __setattr__(self, name, value):
         raise AttributeError("TargetAtlas is immutable")
 
+    def __repr__(self):
+        return f"TargetAtlas(names={self.names!r}, transition={self.transition!r})"
+
     @property
     def num_coords(self) -> int:
         return len(self.names)
@@ -328,6 +331,11 @@ class PresentedSheaf:
     def __setattr__(self, name, value):
         raise AttributeError("PresentedSheaf is immutable")
 
+    def __repr__(self):
+        return (f"PresentedSheaf(atlas={self.atlas!r}, morphism={self.morphism!r}, "
+                f"gens0={self.gens0!r}, gens1={self.gens1!r}, "
+                f"transition={self.transition!r})")
+
     @property
     def num_gens(self) -> int:
         return len(self.gens0)
@@ -447,6 +455,10 @@ class Cochain0:
     def __setattr__(self, name, value):
         raise AttributeError("Cochain0 is immutable")
 
+    def __repr__(self):
+        return (f"Cochain0(chart0={self.chart0!r}, chart1={self.chart1!r}, "
+                f"window={self.window!r})")
+
     def coefficients(self, chart: int) -> Tuple[Poly, ...]:
         return (self.chart0, self.chart1)[chart]
 
@@ -479,6 +491,9 @@ class Cochain1:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain1 is immutable")
+
+    def __repr__(self):
+        return f"Cochain1(nu01={self.nu01!r}, window={self.window!r})"
 
     # an alias of the constructor, kept while perfbench/workloads.py calls it
     @classmethod

@@ -20,12 +20,16 @@ A jet section is the flow jet of the witness field along f(Y) at t = 0.  It
 comes from the jet engine that `flows.flow_jet` uses, `vectorfields.JetTower`,
 graded by t alone: the t-degree-d part of row i is held at level i + d, and a
 step extends the tower by one level, n + 1, computing only the new products.
-Row i is restricted to the curve by reading its t^0 slice, which is exact.  The
-tower runs on Python ints, its own product loop over exponents packed into
+The tower runs on Python ints, its own product loop over exponents packed into
 integer keys: with L the lcm of the witness field's coefficient denominators,
-it holds (L*D)^i and divides row i by L^i as it reads, so the rows it returns
-are the exact rational D^i with exponent tuples.  The bracket cross-check runs
-the tuple-key term kernels, so it checks the packing too.  Chart 1's tower
+it holds (L*D)^i.  Row i is restricted to the curve by reading its t^0 slice,
+which is exact, and `JetTower.along_curve` does that on ints, straight from
+the packed keys: each key's space exponents go through power tables of the
+chart's morphism components, and each term of the row along the curve is
+divided once, by L^i and the morphism's denominators.  The bracket
+cross-check runs the tuple-key term kernels and restricts its bracket through
+`cech.evaluate_along_curve` (`Poly.substitute`), so it checks the packing and
+the packed restriction too.  Chart 1's tower
 also yields the crossing: it starts from chart 1's coordinates and from the
 inverses x_j^-1 that chart 0 reads (`cech.crossing_starts`), so each of its
 rows is one row of chart 1's section and, read by `cech.cross_row`, one row of
@@ -199,7 +203,7 @@ def _chart_tower(field: VectorField, morphism: Sequence[Poly],
 
 def _section_rows(tower: JetTower, morphism: Sequence[Poly]) -> List[Tuple[Poly, ...]]:
     """Every row of the tower along the curve: its t^0 slices."""
-    return [_on_curve(tower.row(i, 0), morphism) for i in range(tower.level + 1)]
+    return [tower.along_curve(i, morphism) for i in range(tower.level + 1)]
 
 
 def _split_crossing(atlas: TargetAtlas, rows: Sequence[Sequence[Poly]]
@@ -208,10 +212,6 @@ def _split_crossing(atlas: TargetAtlas, rows: Sequence[Sequence[Poly]]
     q = atlas.num_coords
     return (tuple(zip(*(row[:q + 1] for row in rows))),
             tuple(zip(*(cross_row(atlas, row) for row in rows))))
-
-
-def _on_curve(row: Sequence[Poly], morphism: Sequence[Poly]) -> Tuple[Poly, ...]:
-    return tuple(evaluate_along_curve(p, morphism) for p in row)
 
 
 # -- defects --------------------------------------------------------------------
@@ -319,9 +319,9 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
     fields = list(state.fields)
     morphisms = [sheaf.morphism.components(chart) for chart in (0, 1)]
     towers = [tower.extended(n + 1) for tower in state.towers]
-    rows = [_on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
-            for chart in (0, 1)]
-    nu, orientation = defect_cochain(sheaf, rows[0], cross_row(atlas, rows[1]), n + 1,
+    rows = [towers[chart].along_curve(n + 1, morphisms[chart]) for chart in (0, 1)]
+    crossing = cross_row(atlas, rows[1])
+    nu, orientation = defect_cochain(sheaf, rows[0], crossing, n + 1,
                                      state.fields[0], state.pushed)
 
     lam = None
@@ -348,11 +348,12 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
                 raise InternalCheckError("correction broke the constant-flow class")
             towers[chart] = state.towers[chart].swapped(
                 fields[chart].components).extended(n + 1)
-            rows[chart] = _on_curve(towers[chart].row(n + 1, 0), morphisms[chart])
+            rows[chart] = towers[chart].along_curve(n + 1, morphisms[chart])
             if chart:
+                crossing = cross_row(atlas, rows[1])
                 pushed = field_to_chart0(atlas, fields[1])
     # glued: rows <= n already agree across the overlap, so row n + 1 must too
-    if cross_row(atlas, rows[1]) != rows[0]:
+    if crossing != rows[0]:
         raise InternalCheckError("corrected candidates still have a nonzero defect")
     sections = (_with_row(state.sections[0], rows[0]),
                 _with_row(state.sections[1], rows[1][:atlas.num_coords + 1]))

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 from . import _kernel_py
 from .algebra import Poly, Scalar, as_fraction
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
-                     OrderError)
+                     LiftError, OrderError)
 from .limits import MAX_ORDER, check_limit
 
 __all__ = [
@@ -193,6 +193,78 @@ class _Keys:
 _keys = lru_cache(maxsize=None)(_Keys)
 
 
+class _Curve:
+    """Packed keys of weighted-degree-0 slices read along a curve, on ints.
+
+    `values` are Laurent polynomials in one parameter, one per weight-0
+    variable of the keys, in order.  With d the lcm of a value's coefficient
+    denominators, the value is N / d with N on ints, and its power e is N^e
+    over d^e for e >= 0, or, for a monomial n z^a / d and e < 0, d^-e z^(a e)
+    over n^-e.  `read(key)` is (terms, den): the product of those powers at
+    the key's weight-0 digits, sum u z^x over den for the (x, u) in terms.
+    Powers and products are cached.  A negative power of a value that is not
+    a monomial raises `LiftError`.
+    """
+
+    __slots__ = ("values", "keys", "_digits", "_powers", "_read")
+
+    def __init__(self, values: Tuple[Poly, ...], keys: _Keys, weights: Tuple[int, ...]):
+        self._digits = [s for s, w in zip(keys.shifts, weights) if not w]
+        if len(values) != len(self._digits):
+            raise DimensionError("one curve value per weight-0 variable required")
+        self.values = values
+        self.keys = keys
+        # per value: its terms (x, u) on ints, d, and its powers so far
+        self._powers = []
+        for value in values:
+            if value.num_vars != 1:
+                raise DimensionError("curve values must be Laurent polynomials "
+                                     "in one parameter")
+            d = lcm(*(c.denominator for c in value.terms.values()))
+            terms = [(x, c.numerator * (d // c.denominator))
+                     for (x,), c in value.terms.items()]
+            self._powers.append((terms, d, {0: ([(0, 1)], 1), 1: (terms, d)}))
+        self._read: dict = {}
+
+    def _power(self, k: int, e: int) -> Tuple[list, int]:
+        terms, d, cache = self._powers[k]
+        got = cache.get(e)
+        if got is not None:
+            return got
+        if len(terms) == 1:
+            ((a, n),) = terms
+            got = cache[e] = (([(a * e, n ** e)], d ** e) if e > 0
+                              else ([(a * e, d ** -e)], n ** -e))
+            return got
+        if e < 0:
+            raise LiftError("cannot restrict a negative power of a coordinate along a "
+                            "curve component that is not a monomial")
+        # a value of 0 or >= 2 terms holds every power 0 .. top
+        top = max(cache)
+        power, den = cache[top]
+        for j in range(top + 1, e + 1):
+            acc: dict = {}
+            for x, u in power:
+                for y, v in terms:
+                    acc[x + y] = acc.get(x + y, 0) + u * v
+            power, den = [(x, u) for x, u in acc.items() if u], den * d
+            cache[j] = power, den
+        return power, den
+
+    def read(self, key: int) -> Tuple[list, int]:
+        got = self._read.get(key)
+        if got is None:
+            keys = self.keys
+            digits = key + keys.off
+            terms, den = [(0, 1)], 1
+            for k, s in enumerate(self._digits):
+                power, d = self._power(k, (digits >> s & keys.mask) - keys.half)
+                terms = [(x + y, u * v) for x, u in terms for y, v in power]
+                den *= d
+            got = self._read[key] = terms, den
+        return got
+
+
 def _derive_into(out: dict, band, part: dict, keys: _Keys) -> None:
     """Add sum_k band_k * d(part)/dx_k to `out`, on packed keys; zero sums stay.
 
@@ -253,13 +325,16 @@ class JetTower:
     held with their key lowered by x_k and by weights[k] in the top digit, so
     a product is one add of keys, d/dx_k reads e_k with one shift and one
     mask, and a new term is filed under its slice with one shift of the key.
-    A swap whose components need wider digits repacks the held slices once;
-    apart from that, only `row` unpacks keys, and only those of the slices it
-    returns.  No term kernel of `_kernel_py` runs on the tower.
+    A swap whose components need wider digits repacks the held slices once.
+    Apart from that, two methods read keys, and only those of the slices
+    they return: `row` unpacks them, and `along_curve` reads the weight-0
+    digits of a weighted-degree-0 slice's keys and takes them to a curve on
+    ints, through power tables that the tower and its copies cache.  No term
+    kernel of `_kernel_py` runs on the tower.
     """
 
     __slots__ = ("components", "weights", "starts", "level",
-                 "_scale", "_keys", "_grade", "_shifts", "_bands", "_rows")
+                 "_scale", "_keys", "_grade", "_shifts", "_bands", "_rows", "_curve")
 
     def __init__(self, components: Sequence[Poly], weights: Sequence[int],
                  starts: Optional[Sequence[Tuple[int, ...]]] = None):
@@ -271,6 +346,7 @@ class JetTower:
         self.level = -1
         self._grade = _grader(self.weights)
         self._rows: Tuple[Tuple[dict, ...], ...] = ()
+        self._curve: Optional[_Curve] = None
         self._use(components, lcm(*(c.denominator for comp in components
                                     for c in comp.terms.values())),
                   _digit_bits(self.starts, components))
@@ -306,6 +382,10 @@ class JetTower:
                 (shift, terms) for shift, terms in zip(self._keys.shifts, by_k)
                 if terms) or None
         return self._bands[key]
+
+    def __repr__(self):
+        return (f"JetTower(components={self.components!r}, weights={self.weights!r}, "
+                f"starts={self.starts!r}, level={self.level!r})")
 
     def _copy(self) -> "JetTower":
         tower = object.__new__(JetTower)
@@ -383,6 +463,47 @@ class JetTower:
         denominator = self._scale ** i
         return tuple(Fraction(slices.get(0, {}).get(0, 0), denominator)
                      for slices in self._rows[i])
+
+    def along_curve(self, i: int, values: Sequence[Poly]) -> Tuple[Poly, ...]:
+        """Row i per start, its weighted-degree-0 slice along a curve, as Fractions.
+
+        `values` are Laurent polynomials in one parameter, one per weight-0
+        variable in order; on that slice every weighted variable is 0.  Each
+        packed key goes to the curve through its weight-0 digits and integer
+        power tables of the values (`_Curve`, cached per tower).  The row is
+        summed on ints over one denominator, L^i times the lcm of its keys'
+        denominators, as `Poly.eval` does; keys that land on one power of the
+        parameter add up, and each output term is divided once.  A negative
+        power along a value that is not a monomial raises `LiftError`.
+        """
+        values = tuple(values)
+        curve = self._curve
+        if curve is None or curve.keys is not self._keys or (
+                curve.values is not values and curve.values != values):
+            curve = self._curve = _Curve(values, self._keys, self.weights)
+        read = curve.read
+        parts = []
+        dens = []
+        for slices in self._rows[i]:
+            part = []
+            for key, c in slices.get(0, {}).items():
+                terms, den = read(key)
+                part.append((c, terms, den))
+                dens.append(den)
+            parts.append(part)
+        common = lcm(*dens)
+        denominator = self._scale ** i * common
+        out = []
+        for part in parts:
+            acc: dict = {}
+            get = acc.get
+            for c, terms, den in part:
+                c *= common // den
+                for x, u in terms:
+                    acc[x] = get(x, 0) + c * u
+            out.append(Poly._raw(1, {(x,): Fraction(u, denominator)
+                                     for x, u in acc.items() if u}))
+        return tuple(out)
 
     def row(self, i: int, degree: Optional[int] = None) -> Tuple[Poly, ...]:
         """Row i per start, as Fractions: its slice of weighted degree `degree`,

@@ -6,7 +6,10 @@ corrected perturbed field is (x + t*x^2) d/dx + d/dt, whose derivative coordinat
 at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by order).
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -629,6 +632,106 @@ def test_lift_builds_its_result_once(monkeypatch):
     result = lift_to_order(parse_scenario(PERTURBED), 4)
     assert len(built) == 1
     assert result.state.order == 4 and len(result.steps) == 3
+
+
+def test_each_step_crosses_chart_one_once_unless_it_corrects_it(monkeypatch):
+    crossed = []
+    cross = lifting.cross_row
+
+    def counting(atlas, row):
+        crossed.append(row)
+        return cross(atlas, row)
+    monkeypatch.setattr(lifting, "cross_row", counting)
+    for text in (DEEP, CHART0_T, PERTURBED):
+        state = initial_state(parse_scenario(text))
+        while state.order < 6:
+            del crossed[:]
+            state, step = lift_step(state)
+            assert len(crossed) == 1 + (step.corrections[1] is not None)
+
+
+SCENARIOS = ROOT / "scenarios"
+
+
+def _refuse(*_args):
+    raise AssertionError("this path must not run")
+
+
+class TestIndependentRestrictions:
+    """Tower rows reach the curve through `JetTower.along_curve` alone, and
+    the bracket cross-check through `Poly.substitute` alone, so each
+    certifies the other."""
+
+    @pytest.mark.parametrize("name", ["deep_perturbed", "log_chart1_correction",
+                                      "graph_embedded", "rank4_frame"])
+    def test_jet_sections_run_no_substitution(self, monkeypatch, name):
+        scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text(encoding="utf-8"))
+        fields = lift_to_order(scenario, 3).state.fields
+        f0, f1 = (scenario.morphism.components(chart) for chart in (0, 1))
+        section1 = reference_local_jet_section(fields[1], f1, 4)
+        expected = (reference_local_jet_section(fields[0], f0, 4), section1,
+                    reference_transition_jet_section(scenario.atlas, section1, 4))
+        monkeypatch.setattr(Poly, "substitute", _refuse)
+        assert (local_jet_section(fields[0], f0, 4),
+                *transition_jet_section(scenario.atlas, fields[1], f1, 4)) == expected
+
+    @pytest.mark.parametrize("text", [DEEP, CHART0_T, PERTURBED],
+                             ids=["deep", "chart0-t", "perturbed"])
+    def test_bracket_check_runs_no_tower_restriction(self, monkeypatch, text):
+        recorded = []
+        orientation = lifting._bracket_orientation
+
+        def recording(*args):
+            recorded.append((args, orientation(*args)))
+            return recorded[-1][1]
+        monkeypatch.setattr(lifting, "_bracket_orientation", recording)
+        lift_to_order(parse_scenario(text), 6)
+        assert any(found.startswith("matched") for _, found in recorded)
+        monkeypatch.setattr(JetTower, "along_curve", _refuse)
+        assert [orientation(*args) for args, _ in recorded] == \
+            [found for _, found in recorded]
+
+    @pytest.mark.parametrize("first, code, message", [
+        (0, 2, "error: first-order deformation does not glue at order 0, coordinate 0"),
+        (1, 2, "error: first-order deformation does not glue at order 1, coordinate 0"),
+        (2, 3, "internal check failed: defect does not match -[D0,D1]^(2) along the curve"),
+        (3, 3, "internal check failed: defect does not match -[D0,D1]^(3) along the curve"),
+    ])
+    def test_a_wrong_restriction_is_caught(self, monkeypatch, capsys, first, code,
+                                           message):
+        # chart 0's rows >= first gain 1 in x; chart 0's tower has no x^-1 start
+        along = JetTower.along_curve
+
+        def faulty(tower, i, values):
+            row = along(tower, i, values)
+            if i >= first and len(tower.starts) == len(values) + 1:
+                row = (row[0] + 1,) + row[1:]
+            return row
+        monkeypatch.setattr(JetTower, "along_curve", faulty)
+        assert cli.main(["lift", "--scenario",
+                         str(SCENARIOS / "flagship_perturbed.scn")]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_lift_result_repr_is_the_same_in_every_process():
+    # every record in a lift's result prints its fields, never an address
+    script = ("import sys\n"
+              "from jetlift.lifting import lift_to_order\n"
+              "from jetlift.scenario import parse_scenario\n"
+              "text = open(sys.argv[1], encoding='utf-8').read()\n"
+              "print(repr(lift_to_order(parse_scenario(text))))\n")
+    src = pathlib.Path(lifting.__file__).resolve().parents[1]
+    reprs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(SCENARIOS / "flagship.scn")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        reprs.append(done.stdout)
+    assert reprs[0] == reprs[1]
+    assert reprs[0].startswith("LiftResult(") and " at 0x" not in reprs[0]
 
 
 class TestScenarioValidation:

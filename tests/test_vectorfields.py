@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from jetlift import vectorfields
 from jetlift.algebra import Poly
-from jetlift.cech import evaluate_along_curve
+from jetlift.cech import TargetAtlas, crossing_starts, evaluate_along_curve
 from jetlift.errors import (ClassificationError, DimensionError,
-                            InternalCheckError, LimitError, OrderError)
+                            InternalCheckError, LiftError, LimitError, OrderError)
 from jetlift.flows import flow_jet, flow_series_picard
 from jetlift.jets import jet_from_series
 from jetlift.limits import MAX_ORDER
@@ -382,6 +382,126 @@ def test_packed_tower_equals_the_tuple_kernel_powers(case):
     swapped = swapped.extended(top)
     assert [list(swapped.row(i)) for i in range(top + 1)] == \
         tuple_kernel_powers(components, weights, starts, top)
+
+
+def curve_value(draw, shape):
+    """One curve component in z of the given shape."""
+    if shape == "monomial":
+        c = draw(fractions().filter(lambda c: c not in (0, 1, -1)))
+        return Poly.monomial(1, (draw(st.integers(min_value=-2, max_value=2)),), c,
+                             laurent=True)
+    if shape == "constant":
+        return Poly.constant(1, draw(fractions().filter(lambda c: c not in (0, 1))))
+    if shape == "zero":
+        return Poly.zero(1)
+    if shape == "one":
+        return Poly.one(1)
+    exponents = draw(st.sets(st.integers(min_value=-2, max_value=2), min_size=2,
+                             max_size=3))
+    return Poly(1, {(e,): draw(fractions().filter(bool)) for e in exponents},
+                laurent=True)
+
+
+CURVE_SHAPES = ("monomial", "constant", "zero", "one", "polynomial")
+
+
+@st.composite
+def curve_restriction_cases(draw):
+    """A constant-flow tower on q space coordinates and t, a curve, and a swap.
+
+    The starts are the coordinates, or an atlas's `crossing_starts`, which
+    add x_j^-1.  Space exponents of components may be negative, so a
+    non-monomial curve component can meet a negative power.  The swap adds
+    terms of t-degree >= the held level with new denominators; with `wide`
+    one has a space exponent above 2 * BIG in size, so it needs wider
+    digits, and that coordinate goes along a monomial.
+    """
+    q = draw(st.integers(min_value=1, max_value=2))
+    m = q + 1
+    weights = (0,) * q + (1,)
+    space = [st.integers(min_value=-2, max_value=2)] * q
+    components = [Poly(m, draw(st.dictionaries(st.tuples(*space, st.integers(0, 2)),
+                                                fractions(), max_size=2)), laurent=True)
+                  for _ in range(q)] + [Poly.one(m)]
+    order = draw(st.permutations(range(q)))
+    transition = [Poly.monomial(q, tuple(draw(st.sampled_from([1, -1])) if j == order[k]
+                                         else 0 for j in range(q)),
+                                draw(fractions().filter(bool)), laurent=True)
+                  for k in range(q)]
+    atlas = TargetAtlas([f"x{k}" for k in range(q)], transition)
+    starts = draw(st.sampled_from([None, crossing_starts(atlas)]))
+    top = draw(st.integers(min_value=0, max_value=4))
+    level = draw(st.integers(min_value=0, max_value=top))
+    wide = draw(st.booleans())
+    shapes = [draw(st.sampled_from(CURVE_SHAPES)) for _ in range(q)]
+    added = []
+    for n in range(draw(st.integers(min_value=1, max_value=2))):
+        e = [0] * m
+        e[-1] = level + draw(st.integers(min_value=0, max_value=1))
+        if wide and not n:
+            j = draw(st.integers(min_value=0, max_value=q - 1))
+            e[j] = (2 * BIG + 1) * draw(st.sampled_from([1, -1]))
+            shapes[j] = "monomial"
+        added.append((draw(st.integers(min_value=0, max_value=q - 1)), tuple(e),
+                      Fraction(draw(st.integers(min_value=1, max_value=6)), (7, 11)[n])))
+    curve = tuple(curve_value(draw, shape) for shape in shapes)
+    return weights, starts, components, curve, top, level, wide, added
+
+
+def restriction_outcome(restrict):
+    try:
+        return restrict()
+    except LiftError as exc:
+        return "LiftError: " + str(exc)
+
+
+def assert_restrictions_match(tower, curve):
+    # every level: the packed restriction equals the Fraction substitution,
+    # and a negative power along a non-monomial raises the same error
+    for i in range(tower.level + 1):
+        reference = restriction_outcome(
+            lambda: tuple(evaluate_along_curve(p, curve) for p in tower.row(i, 0)))
+        assert restriction_outcome(lambda: tower.along_curve(i, curve)) == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_restriction_cases())
+def test_curve_restriction_equals_substitution(case):
+    weights, starts, components, curve, top, level, wide, added = case
+    tower = JetTower(components, weights, starts).extended(level)
+    assert_restrictions_match(tower, curve)
+    components = list(components)
+    for k, e, c in added:
+        components[k] = components[k] + Poly(len(components), {e: c}, laurent=True)
+    swapped = tower.swapped(components)
+    assert swapped._keys.bits > tower._keys.bits or not wide
+    assert_restrictions_match(swapped.extended(top), curve)
+
+
+@pytest.mark.parametrize("value", [Poly(1, {(1,): 1, (2,): 1}), Poly.zero(1)],
+                         ids=["z+z^2", "zero"])
+def test_negative_power_along_a_non_monomial_is_refused(value):
+    # row 0 of the start x^-1 is x^-1 itself
+    tower = JetTower([Poly.zero(2), ONE2], (0, 1), [(-1, 0)]).extended(1)
+    message = ("cannot restrict a negative power of a coordinate along a curve "
+               "component that is not a monomial")
+    with pytest.raises(LiftError, match=message):
+        evaluate_along_curve(tower.row(0, 0)[0], [value])
+    with pytest.raises(LiftError, match=message):
+        tower.along_curve(0, [value])
+
+
+def test_curve_restriction_adds_keys_that_meet_and_drops_zero_sums():
+    # D = (x - y) d/dx + d/dt: row 1 of x is x - y, 0 along x = y = z, and
+    # row 1 of y is 0; along x = 1, y = z, x^0 and x^1 both reach z^0
+    x, y = Poly.variable(3, 0), Poly.variable(3, 1)
+    tower = JetTower([x - y, Poly.zero(3), Poly.one(3)], (0, 0, 1)).extended(2)
+    z = Poly.variable(1, 0)
+    assert tower.along_curve(1, [z, z])[0].terms == {}
+    one = Poly.one(1)
+    assert tower.along_curve(2, [one, z]) == tuple(
+        evaluate_along_curve(p, [one, z]) for p in tower.row(2, 0))
+    assert tower.along_curve(2, [one, z])[0] == one - z
 
 
 @pytest.mark.parametrize("s", [1, -1])
