@@ -8,9 +8,13 @@ engine runs fraction-free on Python ints with its own product loop on packed
 exponent keys.
 
 Every value is immutable.  A type whose constructor validates its input is a
-slotted class that refuses attribute assignment; a record that validates
-nothing and compares field by field (a report, certificate, obstruction, lift
-state, step or result) is a `typing.NamedTuple`.
+slotted subclass of `algebra.Frozen`, which refuses to set or delete any
+attribute.  Those compared field by field derive from `algebra.FrozenValue`,
+which compares and hashes a `_key()` of their fields within one type.  `Poly`
+has its own equality, under which a constant equals its scalar, and the
+atlas, sheaf and distribution types compare by identity.  A record that
+validates nothing and compares field by field (a report, certificate,
+obstruction, lift state, step or result) is a `typing.NamedTuple`.
 """
 
 # loaded with the package although nothing here uses it: see `_backend`

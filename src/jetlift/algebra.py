@@ -5,7 +5,8 @@ Everything in the engine reduces to arithmetic in this module.  Coefficients are
 into an identity check.  Exponents are non-negative integers unless a value is built
 through a `laurent=True` constructor, in which case negative exponents are allowed
 (used by the two-chart Čech machinery).  Equality is purely structural: same variable
-count, same term dict.
+count, same term dict.  `Frozen` and `FrozenValue` hold the immutability and the
+field equality of every validated value type of the package.
 
 The truncated-series helpers work over any exact commutative ring that supports
 + and *.  `series_compose`, the one composer of polynomials with truncated
@@ -57,11 +58,38 @@ def _grevkey(item):
     return (sum(e), e)
 
 
-class Poly:
+class Frozen:
+    """Base of the validated value types: the constructor fills the slots with
+    `object.__setattr__`, and no attribute is set or deleted after that."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class FrozenValue(Frozen):
+    """A `Frozen` type equal to another of its own type when their `_key()`s
+    are equal, and hashed by its `_key()`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Poly(Frozen):
     """Sparse polynomial in `num_vars` variables with Fraction coefficients.
 
-    `terms` maps exponent tuples to nonzero coefficients.  Instances are immutable
-    by convention; all operations return new objects.
+    `terms` maps exponent tuples to nonzero coefficients.  Instances are
+    immutable; all operations return new objects.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -87,9 +115,6 @@ class Poly:
                 canonical[e] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", canonical)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _raw(cls, num_vars: int, terms: dict) -> "Poly":
@@ -487,7 +512,18 @@ def exact_rows(dim: int, order: int, rows: Iterable[Sequence[Scalar]],
     return tuple(out)
 
 
-class TruncSeries:
+def exact_point(point: Sequence[Scalar], num_vars: int,
+                owner: str) -> Tuple[Fraction, ...]:
+    """`point` as num_vars Fractions, checked; `owner` ("field",
+    "distribution") names what has the variables in the error."""
+    pt = tuple(as_fraction(c) for c in point)
+    if len(pt) != num_vars:
+        raise DimensionError(
+            f"point has {len(pt)} coordinates, {owner} has {num_vars} variables")
+    return pt
+
+
+class TruncSeries(FrozenValue):
     """Truncated vector power series: coeffs[j] is the j-th Taylor coefficient in Q^dim."""
 
     __slots__ = ("dim", "order", "coeffs")
@@ -498,26 +534,11 @@ class TruncSeries:
         object.__setattr__(self, "coeffs",
                            exact_rows(dim, order, coeffs, "coefficient"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    @classmethod
-    def constant(cls, point: Sequence[Scalar], order: int) -> "TruncSeries":
-        dim = len(point)
-        zero_row = (Fraction(0),) * dim
-        return cls(dim, order, [tuple(as_fraction(c) for c in point)]
-                   + [zero_row] * order)
+    def _key(self):
+        return (self.dim, self.order, self.coeffs)
 
     def component(self, k: int) -> List[Fraction]:
         return [row[k] for row in self.coeffs]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (self.dim, self.order, self.coeffs) == (other.dim, other.order, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.dim, self.order, self.coeffs))
 
     def __repr__(self):
         return f"TruncSeries(dim={self.dim}, order={self.order}, coeffs={self.coeffs})"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Poly, poly_det
+from .algebra import Frozen, FrozenValue, Poly, poly_det
 from .errors import (DimensionError, InternalCheckError, LiftError, TransitionError,
                      WindowOverflowError)
 from .limits import MAX_WINDOW_SPAN, check_limit
@@ -115,7 +115,7 @@ class Monomial(NamedTuple):
     exponent: int
 
 
-class TargetAtlas:
+class TargetAtlas(Frozen):
     """Two coordinate charts for the target, glued by a monomial transition.
 
     `transition[k]` gives chart-0 coordinate k as c * x_j^(+-1) in the chart-1
@@ -139,9 +139,6 @@ class TargetAtlas:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "reading", reading)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TargetAtlas is immutable")
 
     def __repr__(self):
         return f"TargetAtlas(names={self.names!r}, transition={self.transition!r})"
@@ -291,7 +288,7 @@ def evaluate_along_curve(p: Poly, morphism: Sequence[Poly]) -> Poly:
                         "curve component that is not a monomial") from None
 
 
-class PresentedSheaf:
+class PresentedSheaf(Frozen):
     """Per-chart generator lists with a Laurent transition matrix for coefficients.
 
     A section over chart alpha is an s-vector of Laurent polynomials in that chart's
@@ -327,9 +324,6 @@ class PresentedSheaf:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "_along0", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PresentedSheaf is immutable")
 
     def __repr__(self):
         return (f"PresentedSheaf(atlas={self.atlas!r}, morphism={self.morphism!r}, "
@@ -435,7 +429,7 @@ def solve_section_coordinates(gen_values: Sequence[Sequence[Poly]],
 
 # -- cochains ------------------------------------------------------------------
 
-class Cochain0:
+class Cochain0(FrozenValue):
     """Per chart, an s-vector of generator coefficients in the chart's own parameter."""
 
     __slots__ = ("sheaf", "chart0", "chart1", "window")
@@ -452,8 +446,8 @@ class Cochain0:
         object.__setattr__(self, "chart1", chart1)
         object.__setattr__(self, "window", window)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain0 is immutable")
+    def _key(self):
+        return (self.chart0, self.chart1)
 
     def __repr__(self):
         return (f"Cochain0(chart0={self.chart0!r}, chart1={self.chart1!r}, "
@@ -465,16 +459,8 @@ class Cochain0:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.chart0 + self.chart1)
 
-    def __eq__(self, other):
-        if not isinstance(other, Cochain0):
-            return NotImplemented
-        return (self.chart0, self.chart1) == (other.chart0, other.chart1)
 
-    def __hash__(self):
-        return hash((self.chart0, self.chart1))
-
-
-class Cochain1:
+class Cochain1(FrozenValue):
     """The overlap section nu_(0,1) in the chart-0 frame; nu_(1,0) = -nu_(0,1)."""
 
     __slots__ = ("sheaf", "nu01", "window")
@@ -489,8 +475,8 @@ class Cochain1:
         object.__setattr__(self, "nu01", nu01)
         object.__setattr__(self, "window", window)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain1 is immutable")
+    def _key(self):
+        return self.nu01
 
     def __repr__(self):
         return f"Cochain1(nu01={self.nu01!r}, window={self.window!r})"
@@ -503,14 +489,6 @@ class Cochain1:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.nu01)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain1):
-            return NotImplemented
-        return self.nu01 == other.nu01
-
-    def __hash__(self):
-        return hash(self.nu01)
 
 
 def restrict_section(sheaf: PresentedSheaf, chart: int,

@@ -48,7 +48,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import (Poly, Scalar, TruncSeries, as_fraction, poly_det,
+from .algebra import (Poly, Scalar, TruncSeries, exact_point, poly_det,
                       series_compose)
 from .errors import (DimensionError, InternalCheckError, OrderError,
                      PreconditionError)
@@ -69,14 +69,6 @@ __all__ = [
 ]
 
 Terms = Dict[Tuple[int, ...], Fraction]
-
-
-def _check_point(field: VectorField, point: Sequence[Scalar]) -> Tuple[Fraction, ...]:
-    pt = tuple(as_fraction(c) for c in point)
-    if len(pt) != field.num_vars:
-        raise DimensionError(
-            f"point has {len(pt)} coordinates, field has {field.num_vars} variables")
-    return pt
 
 
 def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
@@ -115,7 +107,7 @@ def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
 
 def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
     """Order-n jet of the integral curve through `point`: x_i[k] = (D^i x_k)(point)."""
-    pt = _check_point(field, point)
+    pt = exact_point(point, field.num_vars, "field")
     if order < 0:
         raise OrderError("order must be >= 0")
     check_limit("flow jet order", order, "MAX_ORDER", MAX_ORDER)
@@ -154,7 +146,7 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
     field nor calls `JetTower` or the term kernels, so a fault in the
     jet engine cannot hide in both `flow_jet` and this series.
     """
-    pt = _check_point(field, point)
+    pt = exact_point(point, field.num_vars, "field")
     if order < 0:
         raise OrderError("order must be >= 0")
     check_limit("Picard series order", order, "MAX_ORDER", MAX_ORDER)
@@ -272,7 +264,7 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     """
     if order < 1:
         raise OrderError("defects need order >= 1")
-    pt = _check_point(d1, point)
+    pt = exact_point(point, d1.num_vars, "field")
     j1 = flow_jet(d1, pt, order + 1)
     j2 = flow_jet(d2, pt, order + 1)
     bad = _first_jet_disagreement(j1, j2, order)
@@ -372,7 +364,7 @@ def stratum_invariance_check(distribution, combo: Sequence[Poly],
     field = VectorField.zero(m)
     for c, g in zip(combo, gens):
         field = field + g.scale(c)
-    pt = _check_point(field, point)
+    pt = exact_point(point, field.num_vars, "field")
     r = rank_at(distribution, pt)
     size = r + 1
     if size > m or size > len(gens):

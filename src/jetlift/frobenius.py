@@ -17,7 +17,7 @@ from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Poly, Scalar, as_fraction
+from .algebra import Frozen, Poly, Scalar, exact_point
 from .errors import DimensionError, InternalCheckError, OrderError
 from .jets import render_vector
 from .limits import (MAX_CERTIFICATE_UNKNOWNS, MAX_GRID_POINTS, MAX_SEARCH_VARS,
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class Distribution:
+class Distribution(Frozen):
     """Finitely many polynomial vector fields presenting a subsheaf of the tangent sheaf."""
 
     __slots__ = ("num_vars", "gens")
@@ -52,8 +52,8 @@ class Distribution:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "gens", gens)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
+    def __repr__(self):
+        return f"Distribution(num_vars={self.num_vars}, gens={self.gens!r})"
 
     def matrix_at(self, point: Sequence[Scalar]) -> List[List[Fraction]]:
         """m x s matrix whose columns are the generator values at the point."""
@@ -108,18 +108,9 @@ def _point_matrix(columns, point: Sequence[Fraction]) -> List[List[int]]:
     return matrix
 
 
-def _check_point(distribution: Distribution, point: Sequence[Scalar]) -> Tuple[Fraction, ...]:
-    pt = tuple(as_fraction(c) for c in point)
-    if len(pt) != distribution.num_vars:
-        raise DimensionError(
-            f"point has {len(pt)} coordinates, distribution has "
-            f"{distribution.num_vars} variables")
-    return pt
-
-
 def rank_at(distribution: Distribution, point: Sequence[Scalar]) -> int:
     """Rank over Q of the generators' values at a rational point."""
-    pt = _check_point(distribution, point)
+    pt = exact_point(point, distribution.num_vars, "distribution")
     return linalg.rank(_point_matrix(_integer_columns(distribution.gens), pt))
 
 
@@ -248,7 +239,7 @@ def strata_sample(distribution: Distribution,
                   grid: Sequence[Sequence[Scalar]]) -> StratumReport:
     """The rank at every grid point, grouped by rank; the generators' integer
     terms are built once for the whole grid."""
-    points = [_check_point(distribution, p) for p in grid]
+    points = [exact_point(p, distribution.num_vars, "distribution") for p in grid]
     if not points:
         raise ValueError("empty grid")
     columns = _integer_columns(distribution.gens)

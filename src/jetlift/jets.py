@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-from .algebra import Scalar, TruncSeries, as_fraction, exact_rows
+from .algebra import FrozenValue, Scalar, TruncSeries, as_fraction, exact_rows
 from .errors import DimensionError, PreconditionError
 
 __all__ = [
@@ -32,7 +32,7 @@ def render_vector(vec: Sequence[Scalar]) -> str:
     return "(" + ",".join(str(c) for c in vec) + ")"
 
 
-class Jet:
+class Jet(FrozenValue):
     """Derivative coordinates (x_0, ..., x_n) of a curve germ; x_0 is the basepoint."""
 
     __slots__ = ("dim", "order", "coords")
@@ -43,20 +43,12 @@ class Jet:
         object.__setattr__(self, "coords",
                            exact_rows(dim, order, coords, "coordinate"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
+    def _key(self):
+        return (self.dim, self.order, self.coords)
 
     @property
     def basepoint(self):
         return self.coords[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return (self.dim, self.order, self.coords) == (other.dim, other.order, other.coords)
-
-    def __hash__(self):
-        return hash((self.dim, self.order, self.coords))
 
     def render(self) -> str:
         if self.dim == 1:
@@ -70,7 +62,7 @@ class Jet:
         return f"Jet(dim={self.dim}, order={self.order}, {self.render()})"
 
 
-class TangentVector:
+class TangentVector(FrozenValue):
     """A vector attached to a basepoint (difference of two jets at top order)."""
 
     __slots__ = ("basepoint", "vec")
@@ -83,16 +75,8 @@ class TangentVector:
         object.__setattr__(self, "basepoint", bp)
         object.__setattr__(self, "vec", v)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentVector is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TangentVector):
-            return NotImplemented
-        return (self.basepoint, self.vec) == (other.basepoint, other.vec)
-
-    def __hash__(self):
-        return hash((self.basepoint, self.vec))
+    def _key(self):
+        return (self.basepoint, self.vec)
 
     def __add__(self, other):
         if not isinstance(other, TangentVector):

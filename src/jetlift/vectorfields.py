@@ -23,7 +23,7 @@ from operator import itemgetter, mul
 from typing import Optional, Sequence, Tuple
 
 from . import _kernel_py
-from .algebra import Poly, Scalar, as_fraction
+from .algebra import FrozenValue, Poly, Scalar, as_fraction
 from .errors import (ClassificationError, DimensionError, InternalCheckError,
                      LiftError, OrderError)
 from .limits import MAX_ORDER, check_limit
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class VectorField:
+class VectorField(FrozenValue):
     """Tuple of component polynomials; component k multiplies d/dx_k."""
 
     __slots__ = ("num_vars", "components")
@@ -60,8 +60,8 @@ class VectorField:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "components", comps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
+    def _key(self):
+        return self.components
 
     @classmethod
     def zero(cls, num_vars: int) -> "VectorField":
@@ -97,14 +97,6 @@ class VectorField:
     def scale(self, c) -> "VectorField":
         c = c if isinstance(c, Poly) else as_fraction(c)
         return VectorField([comp * c for comp in self.components])
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

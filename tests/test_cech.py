@@ -1,5 +1,6 @@
 """Cochains, restriction, coboundaries, and exact splitting/obstruction solving."""
 
+import enum
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jetlift
-from jetlift.algebra import Poly, TruncSeries
+from jetlift.algebra import Frozen, Poly, TruncSeries
 from jetlift.cech import (Cochain0, Cochain1, CurveAtlas, MorphismData, Obstruction,
                           PresentedSheaf, TargetAtlas, coboundary,
                           negate_exponents, restrict_section, solve_coboundary,
@@ -410,7 +411,7 @@ RECORDS = (CurveAtlas, MorphismData, Obstruction, DefectReport, MinorViolation,
            LiftResult)
 
 
-@pytest.mark.parametrize("make", [
+VALUES = [
     lambda: Poly.one(1),
     lambda: TruncSeries(1, 0, [(1,)]),
     lambda: Jet(1, 0, [(1,)]),
@@ -423,9 +424,13 @@ RECORDS = (CurveAtlas, MorphismData, Obstruction, DefectReport, MinorViolation,
     lambda: Distribution(1, [VectorField([Poly.one(1)])]),
     *(lambda record=record: record(*(None,) * len(record._fields))
       for record in RECORDS),
-], ids=["Poly", "TruncSeries", "Jet", "TangentVector", "VectorField", "TargetAtlas",
-        "PresentedSheaf", "Cochain0", "Cochain1", "Distribution",
-        *(record.__name__ for record in RECORDS)])
+]
+VALUE_IDS = ["Poly", "TruncSeries", "Jet", "TangentVector", "VectorField",
+             "TargetAtlas", "PresentedSheaf", "Cochain0", "Cochain1",
+             "Distribution", *(record.__name__ for record in RECORDS)]
+
+
+@pytest.mark.parametrize("make", VALUES, ids=VALUE_IDS)
 def test_immutable_types_refuse_attribute_assignment(make):
     value = make()
     # a record is a NamedTuple: its fields are read-only and it has no __dict__
@@ -433,6 +438,64 @@ def test_immutable_types_refuse_attribute_assignment(make):
     for name in (*(value._fields if record else type(value).__slots__), "extra"):
         with pytest.raises(AttributeError, match=None if record else "is immutable"):
             setattr(value, name, None)
+    for name in value._fields if record else type(value).__slots__:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError, match=None if record else "is immutable"):
+            delattr(value, name)
+        assert getattr(value, name) is before
+
+
+@pytest.mark.parametrize("make", VALUES, ids=VALUE_IDS)
+def test_value_reprs_carry_no_address(make):
+    assert " at 0x" not in repr(make())
+
+
+def test_public_classes_are_records_enums_errors_or_frozen():
+    """Every public class is immutable by one of four means, and only `Frozen`
+    states the refusal; among its subclasses only `Poly` has its own equality."""
+    for name in jetlift.__all__:
+        cls = getattr(jetlift, name)
+        if not isinstance(cls, type) or issubclass(cls, (Exception, enum.Enum)):
+            continue
+        if issubclass(cls, tuple):
+            assert hasattr(cls, "_fields"), name
+            continue
+        assert issubclass(cls, Frozen), name
+        assert "__setattr__" not in vars(cls) and "__delattr__" not in vars(cls), name
+        own_equality = "__eq__" in vars(cls) or "__hash__" in vars(cls)
+        assert own_equality == (cls is Poly), name
+    assert not {"Frozen", "FrozenValue"} & set(jetlift.__all__)
+
+
+def test_value_equality_is_field_equality_within_one_type():
+    rows = [(1, 2), (3, 4)]
+    series, jet = TruncSeries(2, 1, rows), Jet(2, 1, rows)
+    vector = TangentVector((1, 2), (3, 4))
+    field = VectorField([uni_x(2)])
+    other = PresentedSheaf.line_bundle(uni_x(3))
+    c0 = Cochain0(TRIVIAL, [uni_x(1)], [uni_x(-1)], W)
+    c1 = Cochain1(TRIVIAL, [uni_x(-1)], W)
+    # the hash of each value is the one of its fields that its equality reads
+    assert hash(series) == hash((series.dim, series.order, series.coeffs))
+    assert hash(jet) == hash((jet.dim, jet.order, jet.coords))
+    assert hash(vector) == hash((vector.basepoint, vector.vec))
+    assert hash(field) == hash(field.components)
+    assert hash(c0) == hash((c0.chart0, c0.chart1))
+    assert hash(c1) == hash(c1.nu01)
+    assert series == TruncSeries(2, 1, rows) and jet == Jet(2, 1, rows)
+    assert series != jet and jet != series
+    assert vector == TangentVector((1, 2), (3, 4)) != TangentVector((1, 2), (3, 5))
+    assert field == VectorField([uni_x(2)]) != VectorField([uni_x(1)])
+    # a cochain's equality ignores its window and its sheaf
+    for same in (Cochain0(other, [uni_x(1)], [uni_x(-1)], (-2, 2)),
+                 Cochain0(TRIVIAL, [uni_x(1)], [uni_x(-1)], (-1, 1))):
+        assert same == c0 and hash(same) == hash(c0)
+    for same in (Cochain1(other, [uni_x(-1)], (-3, 3)),
+                 Cochain1(TRIVIAL, [uni_x(-1)], (-1, 1))):
+        assert same == c1 and hash(same) == hash(c1)
+    assert c0 != Cochain0(TRIVIAL, [uni_x(1)], [uni_x(1)], W)
+    assert c1 != Cochain1(TRIVIAL, [uni_x(-2)], W)
+    assert c1 != Cochain0(TRIVIAL, [uni_x(-1)], [uni_x(-1)], W)
 
 
 def test_package_import_loads_no_dataclasses():

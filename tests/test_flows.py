@@ -53,6 +53,13 @@ class TestFlowJet:
         with pytest.raises(DimensionError):
             flow_jet(field(X, Y), [1], 2)
 
+    def test_dimension_mismatch_names_the_field(self):
+        text = "^point has 1 coordinates, field has 2 variables$"
+        with pytest.raises(DimensionError, match=text):
+            flow_jet(field(X, Y), [1], 2)
+        with pytest.raises(DimensionError, match=text):
+            flow_series_picard(field(X, Y), [1], 2)
+
     def test_negative_order(self):
         with pytest.raises(OrderError, match="order must be >= 0"):
             flow_jet(field(X, Y), [1, 0], -1)
@@ -200,7 +207,7 @@ class TestPicard:
 def reference_picard(d, point, order):
     """Full-order Picard iteration: order + 1 rounds, each at the full order."""
     pt = tuple(Fraction(c) for c in point)
-    gamma = TruncSeries.constant(pt, order)
+    gamma = TruncSeries(d.num_vars, order, [pt] + [(0,) * d.num_vars] * order)
     for _ in range(order + 1):
         cols = []
         for k, comp in enumerate(d.components):

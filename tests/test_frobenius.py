@@ -46,6 +46,13 @@ class TestRank:
         with pytest.raises(DimensionError):
             rank_at(Distribution(2, [D_X]), [1])
 
+    def test_dimension_mismatch_names_the_distribution(self):
+        text = "^point has 3 coordinates, distribution has 2 variables$"
+        with pytest.raises(DimensionError, match=text):
+            rank_at(Distribution(2, [D_X]), [1, 2, 3])
+        with pytest.raises(DimensionError, match=text):
+            strata_sample(Distribution(2, [D_X]), [(0, 0), (1, 2, 3)])
+
 
 # -- dense reference: Gauss–Jordan over Fraction, sharing no code with the
 # integer point matrices and the fraction-free elimination behind rank_at ------
