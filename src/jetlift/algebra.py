@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import _kernel_py
@@ -319,10 +320,12 @@ class Poly(Frozen):
     def substitute(self, values: Sequence["Poly"]) -> "Poly":
         """Substitute a polynomial (or Laurent monomial) for each variable.
 
-        All entries must share a variable count; negative exponents of a variable are
-        only allowed when the substituted value is an invertible monomial.  When
-        every value is a single term, each term of self maps to one term: its
-        exponents through the values' exponents, its coefficient times theirs.
+        All entries must share a variable count.  Each value's power is built
+        once per exponent, as a list of (exponents, coefficient): a single-term
+        value's directly, and any other value's through `**`, so a negative
+        exponent needs a single-term value.  Each term of self is its
+        coefficient times one power per nonzero exponent; the products are
+        added one at a time, as `add_terms` adds them.
         """
         if len(values) != self.num_vars:
             raise DimensionError(
@@ -333,33 +336,37 @@ class Poly(Frozen):
         for v in values:
             if v.num_vars != out_vars:
                 raise DimensionError("substitution values disagree on variable count")
-        monomials = [v.as_monomial() for v in values]
-        if None not in monomials:
-            return Poly._raw(out_vars, _substitute_monomials(self.terms, monomials))
+        origin = (0,) * out_vars
         powers: dict = {}
-
-        def power(k: int, e: int) -> "Poly":
-            if e == 1:
-                return values[k]
-            p = powers.get((k, e))
-            if p is None:
-                if e >= 0:
-                    p = values[k] ** e
-                elif e == -1:
-                    p = monomial_inverse(values[k])
-                else:
-                    p = power(k, -1) ** (-e)
-                powers[k, e] = p
-            return p
-
-        acc = Poly.zero(out_vars)
+        out: dict = {}
         for e, c in self.terms.items():
-            term = Poly.constant(out_vars, c)
+            products = [(origin, c)]
             for k, ek in enumerate(e):
-                if ek:
-                    term = term * power(k, ek)
-            acc = acc + term
-        return acc
+                if not ek:
+                    continue
+                power = powers.get((k, ek))
+                if power is None:
+                    mono = values[k].as_monomial()
+                    if mono is not None:
+                        power = [(tuple(ek * x for x in mono[0]), mono[1] ** ek)]
+                    elif ek < 0:
+                        raise ValueError(f"not an invertible monomial: {values[k]}")
+                    else:
+                        power = list((values[k] ** ek).terms.items())
+                    powers[k, ek] = power
+                products = [(tuple(map(add, ea, eb)), ca * cb)
+                            for ea, ca in products for eb, cb in power]
+            for key, ck in products:
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = ck
+                else:
+                    s = prev + ck
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return Poly._raw(out_vars, out)
 
     # -- rendering ----------------------------------------------------------
 
@@ -396,38 +403,6 @@ class Poly(Frozen):
 
     def __repr__(self):
         return f"Poly({self.num_vars}, {self.render()!r})"
-
-
-def _substitute_monomials(terms, monomials) -> dict:
-    """Terms of a substitution whose values are the single terms `monomials`.
-
-    Equal exponents are accumulated as `add_terms` adds one term at a time, so
-    the keys come out in the order of the general path of `Poly.substitute`.
-    """
-    out: dict = {}
-    for e, c in terms.items():
-        exps = None
-        for ek, (ve, vc) in zip(e, monomials):
-            if not ek:
-                continue
-            if ek == 1:
-                c = c * vc
-                shifted = ve
-            else:
-                c = c * vc ** ek
-                shifted = [ek * x for x in ve]
-            exps = shifted if exps is None else [a + b for a, b in zip(exps, shifted)]
-        key = tuple(exps) if exps is not None else (0,) * len(monomials[0][0])
-        prev = out.get(key)
-        if prev is None:
-            out[key] = c
-        else:
-            s = prev + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
 
 
 def monomial_inverse(p: Poly) -> Poly:

@@ -264,38 +264,76 @@ def reference_substitute(p, values):
     return acc
 
 
-@st.composite
-def monomial_substitutions(draw):
-    """A Laurent polynomial in 1-3 variables and one Laurent monomial per variable.
+VALUE_COEFFICIENTS = st.sampled_from((1, -1, Fraction(3, 2)))
 
+
+def monomial_values(m):
+    """A Laurent monomial in m variables."""
+    return st.builds(lambda e, c: Poly.monomial(m, e, c, laurent=True),
+                     exponent_tuples(m, 1, laurent=True), VALUE_COEFFICIENTS)
+
+
+def every_value_shape(m):
+    """A Laurent monomial, a Laurent polynomial of 2-3 terms, 0 or a nonzero constant."""
+    return st.one_of(
+        monomial_values(m),
+        st.dictionaries(exponent_tuples(m, 1, laurent=True), VALUE_COEFFICIENTS,
+                        min_size=2, max_size=3).map(
+            lambda t: Poly(m, t, laurent=True)),
+        st.just(Poly.zero(m)),
+        VALUE_COEFFICIENTS.map(lambda c: Poly.constant(m, c)))
+
+
+@st.composite
+def substitutions(draw, value_shapes):
+    """A Laurent polynomial in 1-3 variables and one value per variable.
+
+    A variable's exponents are negative only when its value is a single term.
     Exponents and coefficients are small, so distinct terms often land on one
     key.  The first two values are often equal, and then a term and its mirror
     in the first two variables are added with opposite signs: they cancel.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=1, max_value=3))
-    small = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3), 2))
-    p = draw(st.dictionaries(exponent_tuples(n, 2, laurent=True), small,
-                             max_size=8).map(lambda t: Poly(n, t, laurent=True)))
-    values = [Poly.monomial(m, draw(exponent_tuples(m, 1, laurent=True)),
-                            draw(st.sampled_from((1, -1, Fraction(3, 2)))),
-                            laurent=True)
-              for _ in range(n)]
+    values = [draw(value_shapes(m)) for _ in range(n)]
     if n > 1 and draw(st.booleans()):
         values[1] = values[0]
+    invertible = [v.as_monomial() is not None for v in values]
+
+    def admissible(e):
+        return tuple(x if ok else abs(x) for x, ok in zip(e, invertible))
+    small = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3), 2))
+    terms = draw(st.dictionaries(exponent_tuples(n, 2, laurent=True), small,
+                                 max_size=8))
+    p = Poly(n, {admissible(e): c for e, c in terms.items()}, laurent=True)
+    if values[1:2] == values[:1]:
         for e in draw(st.lists(exponent_tuples(n, 2, laurent=True), max_size=3)):
+            e = admissible(e)
             p = p + Poly(n, {e: 1, (e[1], e[0]) + e[2:]: -1}, laurent=True)
     return p, values
 
 
 @settings(max_examples=150, deadline=None)
-@given(monomial_substitutions())
+@given(substitutions(monomial_values))
 def test_monomial_substitution_maps_exponents(case):
     p, values = case
     image = p.substitute(values)
     expected = reference_substitute(p, values)
     assert image == expected
     assert list(image.terms) == list(expected.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions(every_value_shape))
+def test_substitution_of_every_value_shape(case):
+    # one term loop for every value; with no value of two or more terms the
+    # keys also come out in the reference's order
+    p, values = case
+    image = p.substitute(values)
+    expected = reference_substitute(p, values)
+    assert image == expected
+    if all(len(v.terms) <= 1 for v in values):
+        assert list(image.terms) == list(expected.terms)
 
 
 class TestSubstitute:
@@ -312,6 +350,10 @@ class TestSubstitute:
             p.substitute([X + 1])
         with pytest.raises(ValueError, match="not an invertible monomial"):
             Poly(2, {(1, -2): 1}, laurent=True).substitute([X, X + 1])
+        with pytest.raises(ValueError, match="not an invertible monomial: 0"):
+            p.substitute([Poly.zero(1)])
+        with pytest.raises(ValueError, match="not an invertible monomial: x \\+ 1"):
+            Poly(1, {(-2,): 1}, laurent=True).substitute([X + 1])
 
 
 @settings(max_examples=60)

@@ -6,6 +6,7 @@ corrected perturbed field is (x + t*x^2) d/dx + d/dt, whose derivative coordinat
 at (z, 0) are z, z, z + z^2, z + 5z^2, z + 17z^2 + 6z^3 (chain rule, order by order).
 """
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -69,6 +70,17 @@ EMBEDDED = """
 [perturb]  chart1: t
 [window]   -8 8
 [order]    3
+"""
+
+# chart 0's curve component is a polynomial of two terms, chart 1's a Laurent one
+NON_MONOMIAL = """
+[y]        charts z w ; transition w = 1/z
+[x]        vars x ; charts 1
+[f]        chart0: x = z + z^2 ; chart1: x = w^-1 + w^-2 ; non-immersive
+[sheaf]    gen chart0: 1 ; gen chart1: 1
+[sigma]    chart0: 1 ; chart1: 1
+[perturb]  chart0: t*x^2 + 2*t^2*x
+[order]    6
 """
 
 
@@ -675,8 +687,8 @@ class TestIndependentRestrictions:
         assert (local_jet_section(fields[0], f0, 4),
                 *transition_jet_section(scenario.atlas, fields[1], f1, 4)) == expected
 
-    @pytest.mark.parametrize("text", [DEEP, CHART0_T, PERTURBED],
-                             ids=["deep", "chart0-t", "perturbed"])
+    @pytest.mark.parametrize("text", [DEEP, CHART0_T, PERTURBED, NON_MONOMIAL],
+                             ids=["deep", "chart0-t", "perturbed", "non-monomial"])
     def test_bracket_check_runs_no_tower_restriction(self, monkeypatch, text):
         recorded = []
         orientation = lifting._bracket_orientation
@@ -712,6 +724,27 @@ class TestIndependentRestrictions:
                          str(SCENARIOS / "flagship_perturbed.scn")]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_lift_along_a_non_monomial_curve_component(monkeypatch, capsys, tmp_path):
+    # the bracket check substitutes the polynomial curve component z + z^2
+    seen = []
+    substitute = Poly.substitute
+
+    def spying(p, values):
+        seen.append(any(len(v.terms) > 1 for v in values))
+        return substitute(p, values)
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "substitute", spying)
+        lift_to_order(parse_scenario(NON_MONOMIAL), 6)
+    assert any(seen)
+    path = tmp_path / "non_monomial.scn"
+    path.write_text(NON_MONOMIAL, encoding="utf-8")
+    assert cli.main(["lift", "--scenario", str(path), "--order", "12"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == (
+        "21b951b2da4a29d3ea8d8bf0061ddb293ea558a653e396d41c2cef50fd7f72a0")
 
 
 def test_lift_result_repr_is_the_same_in_every_process():
