@@ -1,19 +1,16 @@
 """Jets of integral curves, the Picard oracle, and defect/invariance checks.
 
-`flow_jet` reads the jet off the constant slices of a `vectorfields.JetTower`,
-the one jet engine that `lifting` shares, built to the order in one call.  The
-i-th derivative of coordinate k along the integral curve of D is (D^i x_k) at
-the basepoint.  `flow_jet` moves the field to the basepoint once
-(x -> x + point) and grades every variable with weight 1, so every row is a
-constant term: a polynomial field lowers total degree by at most 1 per
-application, and after the i-th of n derivations a term of total degree above
-n - i can never reach the constant term; such terms are never formed, and
-`_recentre` builds only the shifts (x + p)^e -> x^j with j < n, however large e
-is.  Recentring runs on ints: it clears the denominators of the point and of
-the coefficients once and divides once per output term.  The engine clears
-the denominators of the recentred field: with L their lcm it builds
-(L*D)^i x_k on Python ints and divides row i by L^i once, reading each row's
-constant straight off its packed slice.
+The i-th derivative of coordinate k along the integral curve of D is
+(D^i x_k) at the basepoint.  `flow_jet` reads it off the Taylor recurrence,
+the point's own engine: the jet tower of `vectorfields` serves the curve of
+`lifting` alone.  The recurrence clears the denominators of the point and of
+the coefficients once, rescaling the curve to y = q * x and the time to
+s = t / R as the Picard oracle does, and carries y as a divided-power series
+h_j = j! * [s^j] y, on Python ints.  Each step reads one new coefficient of
+every monomial of the field along the curve, each held as a series that is
+the Leibniz product of two halves, so y^e costs O(log |e|) series and each
+new coefficient O(n) products; a row is divided once.  It calls neither
+`JetTower` nor the term kernels nor any code of the oracle.
 
 `flow_series_picard` integrates the same curve by Picard iteration on truncated
 series, and every round runs on Python ints.  It rescales the curve to
@@ -24,20 +21,20 @@ as a divided-power series h_j = j! * [s^j] y: products are binomial
 convolutions and integration is an index shift, so no round divides.  A round
 is one `algebra.series_compose` over that product, the composer that
 `Poly.compose_series` runs on Fractions with the Cauchy product.  It never
-calls `JetTower` or the term kernels; its only inputs are the field's
-term dicts, so the two evaluations of a flow jet share no code and certify each
-other.
+calls `JetTower`, the term kernels or the recurrence; its only inputs are the
+field's term dicts, so the two evaluations of a flow jet share no code and
+certify each other.
 
 The defect machinery compares flows of two fields whose n-jets agree.  The first
 disagreement is a tangent vector equal to an iterated Lie bracket.  `verify_dj`
-computes it three independent ways: from the Picard oracle, from the truncated
-engine, and from the bracket.  The bracket is read at the point only: both
+computes it three independent ways: from the Picard oracle, from the Taylor
+recurrence, and from the bracket.  The bracket is read at the point only: both
 fields are moved there by a Taylor shift through `Poly.partial` and
-`Poly.eval` that stops at the total degree the bracket reads, not by the
-binomial recentring of `flow_jet`, and `vectorfields.iterated_bracket` graded
-by total degree keeps only the terms that can reach the constant term.  That
-truncation is the bracket's own code, on its own integer scaling, so no part
-of the bracket check is shared with the Picard oracle or the jet engine.
+`Poly.eval` that stops at the total degree the bracket reads, and
+`vectorfields.iterated_bracket` graded by total degree keeps only the terms
+that can reach the constant term.  That truncation is the bracket's own code,
+on its own integer scaling, so no part of the bracket check is shared with the
+Picard oracle or the recurrence.
 """
 
 from __future__ import annotations
@@ -46,7 +43,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb, lcm
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (Poly, Scalar, TruncSeries, exact_point, poly_det,
                       series_compose)
@@ -55,7 +53,7 @@ from .errors import (DimensionError, InternalCheckError, OrderError,
 from .frobenius import rank_at
 from .jets import Jet, TangentVector, jet_difference, jet_from_series, render_vector
 from .limits import MAX_ORDER, check_limit
-from .vectorfields import JetTower, VectorField, iterated_bracket
+from .vectorfields import VectorField, iterated_bracket
 
 __all__ = [
     "flow_jet",
@@ -68,58 +66,67 @@ __all__ = [
     "MinorViolation",
 ]
 
-Terms = Dict[Tuple[int, ...], Fraction]
-
-
-def _recentre(terms: Terms, pt: Tuple[Fraction, ...], max_degree: int) -> Terms:
-    """Terms of f(x + pt) of total degree <= max_degree, by binomial expansion.
-
-    The expansion runs on ints.  With q the lcm of the point's denominators, L
-    that of the coefficients and D the top total degree, q * pt is an integer
-    vector and c x^e becomes the integer a_e = L * c * q^(D - |e|).  Its shift
-    to x^j is a_e * prod_k C(e_k, j_k) (q * pt_k)^(e_k - j_k), which is
-    L * q^(D - |j|) times the Fraction term, so the terms that land on x^j
-    share that denominator and each output term is divided once.
-    """
-    if not terms:
-        return {}
-    q = lcm(*(p.denominator for p in pt))
-    big_l = lcm(*(c.denominator for c in terms.values()))
-    top = max(map(sum, terms))
-    nums = [p.numerator * (q // p.denominator) for p in pt]
-    out: dict = {}
-    for e, c in terms.items():
-        # (exponent prefix, its degree, integer coefficient)
-        partial = [((), 0, c.numerator * (big_l // c.denominator) * q ** (top - sum(e)))]
-        for ek, nk in zip(e, nums):
-            if not ek or not nk:
-                partial = [(t + (ek,), d + ek, v) for t, d, v in partial
-                           if d + ek <= max_degree]
-                continue
-            shifts = [comb(ek, j) * nk ** (ek - j)
-                      for j in range(min(ek, max_degree) + 1)]
-            partial = [(t + (j,), d + j, v * shifts[j]) for t, d, v in partial
-                       for j in range(min(ek, max_degree - d) + 1)]
-        for t, _, v in partial:
-            out[t] = out.get(t, 0) + v
-    return {t: Fraction(v, big_l * q ** (top - sum(t))) for t, v in out.items() if v}
-
-
 def flow_jet(field: VectorField, point: Sequence[Scalar], order: int) -> Jet:
-    """Order-n jet of the integral curve through `point`: x_i[k] = (D^i x_k)(point)."""
+    """Order-n jet of the integral curve through `point`: x_i[k] = (D^i x_k)(point).
+
+    The Taylor recurrence on the scaled curve of `flow_series_picard`: y = q * x
+    and s = t / R solve dy/ds = H(y) with H on ints and y(0) = q * point.  With
+    h_n = n! * [s^n] y, h_(n+1) = n! * [s^n] H(y), so each step reads
+    coefficient n of every monomial y^e in H.  Each is held as a divided-power
+    series, the Leibniz product of two halves y^a * y^b with |a| = |e| // 2
+    (a coordinate's series is y's own column), so y^e costs O(log |e|) series.
+    Every step appends coefficient n to every series, lower total degree
+    first, then h_(n+1) to y.  Row i of the jet is h_i / (q * R^i).
+    """
     pt = exact_point(point, field.num_vars, "field")
     if order < 0:
         raise OrderError("order must be >= 0")
     check_limit("flow jet order", order, "MAX_ORDER", MAX_ORDER)
     m = field.num_vars
     components = field.components
-    if order and not all(c.is_polynomial() for c in components):
+    if not order:
+        return Jet(m, 0, [pt])
+    if not all(c.is_polynomial() for c in components):
         raise ValueError("flow jets need non-negative exponents")
-    if any(pt):
-        components = [Poly._raw(m, _recentre(c.terms, pt, order - 1))
-                      for c in components]
-    tower = JetTower(components, (1,) * m).extended(order)
-    rows = [pt] + [tower.constants(i) for i in range(1, order + 1)]
+    q = lcm(*(c.denominator for c in pt))
+    big_l = lcm(*(c.denominator for comp in components for c in comp.terms.values()))
+    d = max([1] + [sum(e) for comp in components for e in comp.terms])
+    r = big_l * q ** (d - 1)
+    rhs = [[(e, c.numerator * (big_l // c.denominator) * q ** (d - sum(e)))
+            for e, c in comp.terms.items()] for comp in components]
+    cols = [[c.numerator * (q // c.denominator)] for c in pt]   # cols[k][n]: h_n of y_k
+    series = {(0,) * m: [1] + [0] * order}
+    for k, col in enumerate(cols):
+        series[tuple(int(j == k) for j in range(m))] = col
+    halves = []                 # (e, a, b): y^e = y^a * y^b, |a| = |e| // 2
+    todo = [e for comp in rhs for e, _ in comp]
+    while todo:
+        e = todo.pop()
+        if e in series:
+            continue
+        need, a = sum(e) // 2, []
+        for ek in e:
+            a.append(min(ek, need))
+            need -= a[-1]
+        a = tuple(a)
+        b = tuple(x - y for x, y in zip(e, a))
+        series[e] = []
+        halves.append((e, a, b))
+        todo += [a, b]
+    plan = [(series[e], series[a], series[b])
+            for e, a, b in sorted(halves, key=lambda h: sum(h[0]))]
+    rhs = [[(series[e], c) for e, c in comp] for comp in rhs]
+    for n in range(order):
+        binom = [comb(n, i) for i in range(n + 1)]
+        for out, a, b in plan:
+            out.append(sum(map(mul, binom, map(mul, a, reversed(b)))))
+        for col, comp in zip(cols, rhs):
+            col.append(sum([c * s[n] for s, c in comp]))
+    rows = [pt]
+    scale = q
+    for i in range(1, order + 1):
+        scale *= r
+        rows.append(tuple(Fraction(col[i], scale) for col in cols))
     return Jet(m, order, rows)
 
 
@@ -142,9 +149,9 @@ def flow_series_picard(field: VectorField, point: Sequence[Scalar],
     order must reproduce the series; that fixed point is asserted, and it
     certifies the result.
 
-    The oracle reads only the field's term dicts.  It neither recentres the
-    field nor calls `JetTower` or the term kernels, so a fault in the
-    jet engine cannot hide in both `flow_jet` and this series.
+    The oracle reads only the field's term dicts.  It calls neither
+    `flow_jet`'s recurrence nor `JetTower` nor the term kernels, so a fault
+    in the recurrence cannot hide in both `flow_jet` and this series.
     """
     pt = exact_point(point, field.num_vars, "field")
     if order < 0:
@@ -223,7 +230,9 @@ class DefectReport(NamedTuple):
     """Three independent evaluations of the same defect vector.
 
     `from_jets` comes from the Picard oracle, `from_derivation_powers` from the
-    truncated jet engine, and `from_bracket` from the iterated Lie bracket.
+    Taylor recurrence of `flow_jet` (the top rows of its jets are the
+    derivation powers at the point), and `from_bracket` from the iterated Lie
+    bracket.
     """
     order: int
     point: Tuple[Fraction, ...]
@@ -252,14 +261,15 @@ def verify_dj(d1: VectorField, d2: VectorField, point: Sequence[Scalar],
     precondition (the order-n prefixes agree) is checked on it, not assumed.
     (a) jet difference: the order-(n+1) Picard series of both fields, read as
     jets and subtracted.  (b) derivation powers: ((D2^{n+1} - D1^{n+1}) x_k) at
-    the point, the top rows of the truncated jets.  (c) the iterated bracket
+    the point, the top rows of the `flow_jet` jets, which the Taylor
+    recurrence computes without the oracle's code.  (c) the iterated bracket
     [d1, d2]^(n+1) at the point: both fields are moved to the point by a
     Taylor shift (`_taylor_shift`, through `Poly.partial` and `Poly.eval`) that
     keeps only the terms of total degree <= n, all the bracket reads, and
     `iterated_bracket` with every weight 1 builds only the terms that can
     reach the constant term, which is read off.
-    (c) neither calls `JetTower` nor `_recentre`, and its truncation
-    and integer scaling are the bracket's own, so a fault in the jet engine or
+    (c) calls neither the recurrence nor `JetTower`, and its truncation
+    and integer scaling are the bracket's own, so a fault in the recurrence or
     in the Picard oracle cannot hide in it.  The three share no jet code.
     """
     if order < 1:

@@ -17,7 +17,7 @@ every carried row, since row 1 of x_k is component k.  Any other correction
 raises `InternalCheckError` where it is made.
 
 A jet section is the flow jet of the witness field along f(Y) at t = 0.  It
-comes from the jet engine that `flows.flow_jet` uses, `vectorfields.JetTower`,
+comes from the jet engine of the curve, `vectorfields.JetTower`,
 graded by t alone: the t-degree-d part of row i is held at level i + d, and a
 step extends the tower by one level, n + 1, computing only the new products.
 The tower runs on Python ints, its own product loop over exponents packed into

@@ -5,11 +5,12 @@ computed on components, with the derivation identity kept as a cross-check in th
 test suite rather than as the definition.  Fields on m+1 variables whose last
 variable plays the role of time are classified by their time component: identically 0
 ("time dependent" sections of the spatial subsheaf), identically 1 ("constant flow in
-time"), or neither.  The truncated powers of a field, the one jet engine of
-`flows` and `lifting`, are held by a `JetTower`, computed one level at a time
+time"), or neither.  The truncated powers of a field, the jet engine of the
+curve in `lifting`, are held by a `JetTower`, computed one level at a time
 on integer coefficients and packed integer exponent keys, by a product loop of
-its own.  `apply_derivation` and `iterated_bracket` run the term kernels on
-exponent tuples and share no code with it, so they can certify it.
+its own; `flows.flow_jet` has an engine of its own at a point.
+`apply_derivation` and `iterated_bracket` run the term kernels on exponent
+tuples and share no code with the tower, so they can certify it.
 """
 
 from __future__ import annotations
@@ -129,16 +130,6 @@ def apply_derivation(field: VectorField, f: Poly) -> Poly:
     return Poly._raw(f.num_vars, terms)
 
 
-def _grader(weights: Sequence[int]):
-    """x^e -> sum_k weights[k] * e_k, for weights of 0 or 1."""
-    graded = [k for k, w in enumerate(weights) if w]
-    if len(graded) == len(weights):
-        return sum
-    if len(graded) == 1:
-        return itemgetter(graded[0])
-    return lambda e: sum([e[k] for k in graded])  # noqa: E731
-
-
 def _digit_bits(starts: Sequence[Tuple[int, ...]], components: Sequence[Poly]) -> int:
     """The digit width b of a tower's keys: every exponent of a row below
     MAX_ORDER + 1 is smaller in size than 2^(b-1), the balanced digit's bound."""
@@ -149,25 +140,21 @@ def _digit_bits(starts: Sequence[Tuple[int, ...]], components: Sequence[Poly]) -
 
 
 class _Keys:
-    """Packed keys of digit width b for `weights` on m variables.
+    """Packed keys of digit width b on m variables.
 
-    The key of x^e is sum_k e_k * places[k], places[k] = 2^(b*k) +
-    weights[k] * 2^(b*m): m balanced base-2^b digits, digit k holding e_k in
-    [-2^(b-1), 2^(b-1)), under a top digit that holds the weighted degree.
-    Adding `off` makes each digit non-negative, e_k + half, so that one shift
-    and one mask read it, and one shift by `top` reads the weighted degree.
+    The key of x^e is sum_k e_k * 2^(b*k): m balanced base-2^b digits, digit
+    k holding e_k in [-2^(b-1), 2^(b-1)).  Adding `off` makes each digit
+    non-negative, e_k + half, so that one shift and one mask read it.
     """
 
-    __slots__ = ("bits", "places", "top", "half", "mask", "off", "shifts")
+    __slots__ = ("bits", "places", "half", "mask", "off", "shifts")
 
-    def __init__(self, bits: int, weights: Tuple[int, ...]):
+    def __init__(self, bits: int, m: int):
         self.bits = bits
-        self.top = bits * len(weights)
-        self.places = tuple((1 << bits * k) + (w << self.top)
-                            for k, w in enumerate(weights))
+        self.shifts = tuple(range(0, bits * m, bits))
+        self.places = tuple(1 << s for s in self.shifts)
         self.half = 1 << bits - 1
         self.mask = (1 << bits) - 1
-        self.shifts = tuple(range(0, self.top, bits))
         self.off = sum(self.half << s for s in self.shifts)
 
     def pack(self, e: Tuple[int, ...]) -> int:
@@ -287,46 +274,46 @@ class JetTower:
     every weighted degree as it was.  The weighted-degree-d part of row i is
     the slice (i, d), at level i + d.  A term of weighted degree g of
     components[k] times d/dx_k of a slice at level l lands at level
-    l + g - weights[k] + 1 >= l, and at least g + 1: d/dx_k of a weighted term
-    has weighted degree >= 1, so l >= weights[k].  So every slice at a level
+    l + s, s = g - weights[k] + 1 >= 0, the term's shift: d/dx_k of a weighted
+    term lowers its weighted degree by weights[k].  So every slice at a level
     <= N is exact, they make up the powers cut to weighted degree <= N - i in
     row i, and they read only the component terms of weighted degree < N.
     The weighted-degree-0 slices are what the callers read.
 
     A tower at `level` N holds every slice at a level <= N and is never
-    changed.  `extended(M)` computes levels N + 1 .. M only: row by row, per
-    (row, start), every product of a held slice with the band of component
-    terms whose products land in the new levels.  From level -1, the empty
-    tower, that is the truncated loop over every row; one new level forms
-    only the new products.  `swapped(components)` keeps every held slice for
-    a field that differs from this one only at weighted degree >= N, and
-    raises `InternalCheckError` for any other field: a changed term of degree
-    g < N on a coordinate start moves the slice (1, g) at level g + 1 <= N.
+    changed.  `extended(M)` computes levels N + 1 .. M, one at a time, lowest
+    row first: at level L, row 0 takes the starts of weighted degree L, and
+    the new slice (i, L - i) is the sum over shifts s of the band of shift s
+    times d/dx_k of row i - 1's slice at level L - s, held already or, for
+    s = 0, computed just before at this level.  So each product is formed
+    once, however the levels are reached.  `swapped(components)` keeps every
+    held slice for a field that differs from this one only at weighted degree
+    >= N, and raises `InternalCheckError` for any other field: a changed term
+    of degree g < N on a coordinate start moves the slice (1, g) at level
+    g + 1 <= N.
 
     The tower runs on Python ints.  With L the lcm of the components'
     coefficient denominators (1 for integer or zero components), L * D has
     integer coefficients and slice (i, d) is held as L^i times itself; a swap
     that grows L rescales the held slices once, and `row` divides by L^i as
-    it reads.  A slice is a dict from packed keys to ints.  The key of x^e on
-    m variables is sum_k e_k * 2^(b*k) + g * 2^(b*m), g its weighted degree:
-    m balanced base-2^b digits, each in [-2^(b-1), 2^(b-1)), under a top
-    digit that holds g.  Row i multiplies a start by i component terms, each
-    with one exponent lowered by 1, so |e_k| <= max|start| + (MAX_ORDER + 1)
-    * (max|component exponent| + 1) on every row a tower can hold, and b is
-    the least width whose digits hold that bound.  Component k's terms are
-    held with their key lowered by x_k and by weights[k] in the top digit, so
-    a product is one add of keys, d/dx_k reads e_k with one shift and one
-    mask, and a new term is filed under its slice with one shift of the key.
-    A swap whose components need wider digits repacks the held slices once.
-    Apart from that, two methods read keys, and only those of the slices
-    they return: `row` unpacks them, and `along_curve` reads the weight-0
-    digits of a weighted-degree-0 slice's keys and takes them to a curve on
-    ints, through power tables that the tower and its copies cache.  No term
-    kernel of `_kernel_py` runs on the tower.
+    it reads.  A slice is a dict from packed keys to ints (`_Keys`): the key
+    of x^e on m variables is sum_k e_k * 2^(b*k), m balanced base-2^b digits,
+    each in [-2^(b-1), 2^(b-1)).  Row i multiplies a start by i component
+    terms, each with one exponent lowered by 1, so |e_k| <= max|start| +
+    (MAX_ORDER + 1) * (max|component exponent| + 1) on every row a tower can
+    hold, and b is the least width whose digits hold that bound.  Component
+    k's terms are held with their key lowered by x_k, in one band per shift,
+    so a product is one add of keys and d/dx_k reads e_k with one shift and
+    one mask.  A swap whose components need wider digits repacks the held
+    slices once.  Apart from that, two methods read keys, and only those of
+    the slices they return: `row` unpacks them, and `along_curve` reads the
+    weight-0 digits of a weighted-degree-0 slice's keys and takes them to a
+    curve on ints, through power tables that the tower and its copies cache.
+    No term kernel of `_kernel_py` runs on the tower.
     """
 
     __slots__ = ("components", "weights", "starts", "level",
-                 "_scale", "_keys", "_grade", "_shifts", "_bands", "_rows", "_curve")
+                 "_scale", "_keys", "_bands", "_rows", "_curve")
 
     def __init__(self, components: Sequence[Poly], weights: Sequence[int],
                  starts: Optional[Sequence[Tuple[int, ...]]] = None):
@@ -336,7 +323,6 @@ class JetTower:
         self.weights = tuple(weights)
         self.starts = tuple(starts)
         self.level = -1
-        self._grade = _grader(self.weights)
         self._rows: Tuple[Tuple[dict, ...], ...] = ()
         self._curve: Optional[_Curve] = None
         self._use(components, lcm(*(c.denominator for comp in components
@@ -344,36 +330,24 @@ class JetTower:
                   _digit_bits(self.starts, components))
 
     def _use(self, components: Sequence[Poly], scale: int, bits: int) -> None:
-        # _shifts[s][k]: scale * the terms of components[k] whose products land
-        # s levels above their source slice, as (key of x^e / x_k, coefficient)
+        # _bands[s]: (b * k, terms) per component k with a term of shift s,
+        # each term held as (key of x^e / x_k, scale * coefficient)
         self.components = tuple(components)
         self._scale = scale
-        self._keys = keys = _keys(bits, self.weights)
-        self._shifts: dict = {}
-        for k, (comp, w, place) in enumerate(zip(self.components, self.weights,
+        self._keys = keys = _keys(bits, len(self.weights))
+        weights = self.weights
+        by_shift: dict = {}
+        for k, (comp, w, place) in enumerate(zip(self.components, weights,
                                                  keys.places)):
             for e, c in comp.terms.items():
-                s = self._grade(e) + 1 - w
-                if s not in self._shifts:
-                    self._shifts[s] = [[] for _ in self.weights]
-                self._shifts[s][k].append((keys.pack(e) - place,
-                                           c.numerator * (scale // c.denominator)))
-        self._bands: dict = {}
-
-    def _band(self, lo: int, hi: int) -> Optional[tuple]:
-        """(b * k, terms) per component k with a term whose shift lies in lo .. hi,
-        or None when no component has one."""
-        key = (lo, hi)
-        if key not in self._bands:
-            by_k: list = [[] for _ in self.weights]
-            for s, parts in self._shifts.items():
-                if lo <= s <= hi:
-                    for terms, part in zip(by_k, parts):
-                        terms += part
-            self._bands[key] = tuple(
-                (shift, terms) for shift, terms in zip(self._keys.shifts, by_k)
-                if terms) or None
-        return self._bands[key]
+                s = sum(map(mul, weights, e)) + 1 - w
+                if s not in by_shift:
+                    by_shift[s] = [[] for _ in weights]
+                by_shift[s][k].append((keys.pack(e) - place,
+                                       c.numerator * (scale // c.denominator)))
+        self._bands = {s: tuple((shift, terms) for shift, terms
+                                in zip(keys.shifts, parts) if terms)
+                       for s, parts in by_shift.items()}
 
     def __repr__(self):
         return (f"JetTower(components={self.components!r}, weights={self.weights!r}, "
@@ -390,36 +364,25 @@ class JetTower:
         if upto < 0:
             raise OrderError("order must be >= 0")
         check_limit("jet order", upto, "MAX_ORDER", MAX_ORDER)
-        lo = self.level + 1
-        if upto < lo:
+        if upto <= self.level:
             return self
-        grade, keys = self._grade, self._keys
-        off, top = keys.off, keys.top
-        skip_constants = all(self.weights)
-        held = [[dict(slices) for slices in row] for row in self._rows]
-        rows = held + [[{} for _ in self.starts] for _ in range(upto + 1 - len(held))]
-        for s, e in enumerate(self.starts):
-            if lo <= grade(e) <= upto:
-                rows[0][s][grade(e)] = {keys.pack(e): 1}
-        # bands[l]: the terms that take a slice at level l into the new levels
-        bands = [self._band(max(lo - l, 0), upto - l) for l in range(upto + 1)]
-        for i in range(1, upto + 1):
-            for source, target in zip(rows[i - 1], rows[i]):
-                out: dict = {}
-                for d, part in source.items():
-                    band = bands[i - 1 + d]
-                    # with every variable graded a degree-0 part is a constant
-                    if band is None or not d and skip_constants:
-                        continue
-                    _derive_into(out, band, part, keys)
-                for key, c in out.items():
-                    if c:
-                        d = (key + off) >> top
-                        part = target.get(d)
-                        if part is None:
-                            target[d] = {key: c}
-                        else:
-                            part[key] = c
+        weights, keys, bands = self.weights, self._keys, self._bands
+        rows = [[dict(slices) for slices in row] for row in self._rows]
+        for level in range(self.level + 1, upto + 1):
+            rows.append([{} for _ in self.starts])
+            for slices, e in zip(rows[0], self.starts):
+                if sum(map(mul, weights, e)) == level:
+                    slices[level] = {keys.pack(e): 1}
+            for i in range(1, level + 1):
+                for source, target in zip(rows[i - 1], rows[i]):
+                    out: dict = {}
+                    for s, band in bands.items():
+                        part = source.get(level - s - i + 1)
+                        if part:
+                            _derive_into(out, band, part, keys)
+                    out = {key: c for key, c in out.items() if c}
+                    if out:
+                        target[level - i] = out
         tower = self._copy()
         tower.level = upto
         tower._rows = tuple(tuple(row) for row in rows)
@@ -427,12 +390,12 @@ class JetTower:
 
     def swapped(self, components: Sequence[Poly]) -> "JetTower":
         """The held levels under a field that differs only at weighted degree >= level."""
-        grade, level = self._grade, self.level
-        for old, new in zip(self.components, components):
-            if ({e: c for e, c in old.terms.items() if grade(e) < level}
-                    != {e: c for e, c in new.terms.items() if grade(e) < level}):
-                raise InternalCheckError(
-                    "carried jet sections differ from a recomputation")
+        weights, level = self.weights, self.level
+
+        def below(p):
+            return {e: c for e, c in p.terms.items() if sum(map(mul, weights, e)) < level}
+        if any(below(old) != below(new) for old, new in zip(self.components, components)):
+            raise InternalCheckError("carried jet sections differ from a recomputation")
         scale = lcm(self._scale, *(c.denominator for comp in components
                                    for c in comp.terms.values()))
         bits = self._keys.bits
@@ -448,13 +411,6 @@ class JetTower:
                        for d, part in slices.items()} for slices in row)
                 for i, row in enumerate(self._rows))
         return tower
-
-    def constants(self, i: int) -> Tuple[Fraction, ...]:
-        """Row i per start, its coefficient of x^0 as a Fraction, read off the
-        packed weighted-degree-0 slice (the key of x^0 is 0) without unpacking."""
-        denominator = self._scale ** i
-        return tuple(Fraction(slices.get(0, {}).get(0, 0), denominator)
-                     for slices in self._rows[i])
 
     def along_curve(self, i: int, values: Sequence[Poly]) -> Tuple[Poly, ...]:
         """Row i per start, its weighted-degree-0 slice along a curve, as Fractions.

@@ -117,38 +117,50 @@ def test_truncated_engine_matches_untruncated_reference(case):
     assert flow_jet(d, pt, order) == reference_flow_jet(d, pt, order)
 
 
-def test_recentre_builds_only_the_binomials_it_reads(monkeypatch):
-    # an order-2 jet reads (x + 3)^3000 to degree 1: C(3000, 0) and C(3000, 1)
-    calls = []
-    monkeypatch.setattr(flows, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
-    jet = flow_jet(VectorField([Poly.variable(1, 0) ** 3000]), [3], 2)
-    assert calls == [(3000, 0), (3000, 1)]
-    assert jet == Jet(1, 2, [(3,), (3 ** 3000,), (3000 * 3 ** 5999,)])
+def test_flow_jet_halves_each_power(monkeypatch):
+    # y^k is the product of y^(k // 2) and y^(k - k // 2), down to y, so the
+    # recurrence holds at most two series per halving, and a series takes
+    # 2 * (n + 1) products at step n, n < order; a chain that multiplies in
+    # one coordinate at a time would build about k series
+    products = []
+    monkeypatch.setattr(flows, "mul", lambda a, b: products.append(1) or a * b)
+    x = Poly.variable(1, 0)
+    assert flow_jet(VectorField([x ** 3000]), [3], 2) == \
+        Jet(1, 2, [(3,), (3 ** 3000,), (3000 * 3 ** 5999,)])
+    assert len(products) <= 2 * (3000).bit_length() * 2 * 3
+    products.clear()
+    k = 2 ** 20
+    assert flow_jet(VectorField([x ** k]), [1], 3) == \
+        Jet(1, 3, [(1,), (1,), (k,), (k * (2 * k - 1),)])
+    assert len(products) <= 2 * k.bit_length() * 3 * 4
 
 
 @st.composite
-def recentre_cases(draw):
-    """Components, some zero, with mixed coefficient denominators; a point with
-    a denominator of its own per coordinate, some coordinates zero; a degree."""
-    m = draw(st.integers(min_value=1, max_value=3))
-    comps = draw(st.lists(st.one_of(st.just(Poly.zero(m)), polys(m, max_degree=5)),
+def recurrence_cases(draw):
+    """A field on 1-4 variables, some components zero, with mixed coefficient
+    denominators and one monomial of total degree up to 12; a point with a
+    denominator of its own per coordinate, some coordinates zero; an order."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    comps = draw(st.lists(st.one_of(st.just(Poly.zero(m)),
+                                    polys(m, max_degree=2, max_terms=3)),
                           min_size=m, max_size=m))
+    degree = draw(st.integers(min_value=0, max_value=12))
+    exps = [0] * m
+    for k in draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                           min_size=degree, max_size=degree)):
+        exps[k] += 1
+    k = draw(st.integers(min_value=0, max_value=m - 1))
+    comps[k] = comps[k] + Poly.monomial(m, exps, draw(fractions(5, 7).filter(bool)))
     pt = draw(st.lists(st.one_of(st.just(Fraction(0)), fractions(5, 7)),
                        min_size=m, max_size=m))
-    return comps, tuple(pt), draw(st.integers(min_value=0, max_value=6))
+    return VectorField(comps), tuple(pt), draw(st.integers(min_value=0, max_value=8))
 
 
 @settings(max_examples=100, deadline=None)
-@given(recentre_cases())
-def test_recentre_is_the_truncated_substitution(case):
-    comps, pt, n = case
-    m = len(pt)
-    shift = [Poly.variable(m, k) + Poly.constant(m, c) for k, c in enumerate(pt)]
-    for p in comps:
-        moved = flows._recentre(p.terms, pt, n)
-        assert moved == {e: c for e, c in p.substitute(shift).terms.items()
-                         if sum(e) <= n}
-        assert all(type(c) is Fraction for c in moved.values())
+@given(recurrence_cases())
+def test_recurrence_equals_the_picard_oracle(case):
+    d, pt, order = case
+    assert flow_jet(d, pt, order) == jet_from_series(flow_series_picard(d, pt, order))
 
 
 @st.composite
@@ -406,7 +418,8 @@ def _raises(*args, **kwargs):
 
 def test_defect_evaluations_are_independent(monkeypatch):
     # ROADMAP aim 3: the Picard oracle and the bracket check (c) must run
-    # without the jet engine, and the engine and the oracle without Poly.eval
+    # without the point recurrence or the jet tower, the recurrence and the
+    # oracle without Poly.eval, and the recurrence without the oracle's code
     cases = [(d1, d2, pt, n, verify_dj(d1, d2, pt, n)) for d1, d2, pt, n in _defect_cases()]
     assert any(any(pt) and any(report.from_jets) for _, _, pt, _, report in cases)
 
@@ -415,7 +428,7 @@ def test_defect_evaluations_are_independent(monkeypatch):
                               jet_from_series(flow_series_picard(d1, pt, n + 1))).vec
 
     with monkeypatch.context() as patch:
-        patch.setattr(flows, "_recentre", _raises)
+        patch.setattr(flows, "flow_jet", _raises)
         patch.setattr(JetTower, "extended", _raises)
         for d1, d2, pt, n, report in cases:
             assert picard_defect(d1, d2, pt, n) == report.from_jets
@@ -428,6 +441,14 @@ def test_defect_evaluations_are_independent(monkeypatch):
         patch.setattr(Poly, "eval", _raises)
         for d1, d2, pt, n, report in cases:
             assert picard_defect(d1, d2, pt, n) == report.from_jets
+            top = [flow_jet(d, pt, n + 1).coords[-1] for d in (d1, d2)]
+            assert tuple(b - a for a, b in zip(*top)) == report.from_derivation_powers
+    with monkeypatch.context() as patch:
+        for name in ("flow_series_picard", "_hurwitz_mul", "_hurwitz_round",
+                     "series_compose"):
+            patch.setattr(flows, name, _raises)
+        patch.setattr(JetTower, "extended", _raises)
+        for d1, d2, pt, n, report in cases:
             top = [flow_jet(d, pt, n + 1).coords[-1] for d in (d1, d2)]
             assert tuple(b - a for a, b in zip(*top)) == report.from_derivation_powers
 
