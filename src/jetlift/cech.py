@@ -241,7 +241,7 @@ def crossing_starts(atlas: TargetAtlas) -> Tuple[Tuple[int, ...], ...]:
 
     Chart 1's q space coordinates and time, then x_j^-1 for every coordinate j
     that chart 0 reads with exponent -1, in the order of `atlas.reading[0]`.
-    Every start is a chart-1 coordinate or its inverse, of t-weight 0 or 1.
+    Every start is a chart-1 coordinate or its inverse, of t-degree 0 or 1.
     """
     q = atlas.num_coords
 

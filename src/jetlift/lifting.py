@@ -17,16 +17,17 @@ every carried row, since row 1 of x_k is component k.  Any other correction
 raises `InternalCheckError` where it is made.
 
 A jet section is the flow jet of the witness field along f(Y) at t = 0.  It
-comes from the jet engine of the curve, `vectorfields.JetTower`,
-graded by t alone: the t-degree-d part of row i is held at level i + d, and a
-step extends the tower by one level, n + 1, computing only the new products.
-The tower runs on Python ints, its own product loop over exponents packed into
-integer keys: with L the lcm of the witness field's coefficient denominators,
-it holds (L*D)^i.  Row i is restricted to the curve by reading its t^0 slice,
-which is exact, and `JetTower.along_curve` does that on ints, straight from
-the packed keys: each key's space exponents go through power tables of the
-chart's morphism components, and each term of the row along the curve is
-divided once, by L^i and the morphism's denominators.  The bracket
+comes from the jet engine of the curve, `vectorfields.JetTower`, the tower of
+D = d/dt + A built from the witness field's space components A alone and
+graded by t: the t-degree-d part of row i is held at level i + d, and a step
+extends the tower by one level, n + 1, computing only the new products.  The
+tower runs on Python ints, its own product loop over space exponents packed
+into integer keys: with L the lcm of A's coefficient denominators, it holds
+(L*D)^i.  Row i is restricted to the curve by reading its t^0 slice, which is
+exact, and `JetTower.along_curve` does that on ints, straight from the packed
+keys: each key's space exponents go through power tables of the chart's
+morphism components, and each term of the row along the curve is divided
+once, by L^i and the morphism's denominators.  The bracket
 cross-check runs the tuple-key term kernels and restricts its bracket through
 `cech.evaluate_along_curve` (`Poly.substitute`), so it checks the packing and
 the packed restriction too.  Chart 1's tower
@@ -189,16 +190,15 @@ def transition_jet_section(atlas: TargetAtlas, field: VectorField,
 
 def _chart_tower(field: VectorField, morphism: Sequence[Poly],
                  atlas: Optional[TargetAtlas] = None) -> JetTower:
-    """The empty tower of the coordinates, or with `atlas` of `cech.crossing_starts`."""
+    """The empty tower of D = d/dt + A, from A = the field's space components:
+    of the coordinates, or with `atlas` of `cech.crossing_starts`."""
     if time_component_class(field) is not TimeClass.CONSTANT_FLOW:
         raise ClassificationError(
             "jet sections require a field with constant flow in time")
-    n_coords = field.num_vars
-    if len(morphism) != n_coords - 1:
+    if len(morphism) != field.num_vars - 1:
         raise DimensionError("morphism must cover every space coordinate")
-    weights = (0,) * (n_coords - 1) + (1,)
     starts = None if atlas is None else crossing_starts(atlas)
-    return JetTower(field.components, weights, starts)
+    return JetTower(field.components[:-1], starts)
 
 
 def _section_rows(tower: JetTower, morphism: Sequence[Poly]) -> List[Tuple[Poly, ...]]:
@@ -347,7 +347,7 @@ def lift_step(state: LiftState) -> Tuple[LiftState, LiftStep]:
             if time_component_class(fields[chart]) is not TimeClass.CONSTANT_FLOW:
                 raise InternalCheckError("correction broke the constant-flow class")
             towers[chart] = state.towers[chart].swapped(
-                fields[chart].components).extended(n + 1)
+                fields[chart].components[:-1]).extended(n + 1)
             rows[chart] = towers[chart].along_curve(n + 1, morphisms[chart])
             if chart:
                 crossing = cross_row(atlas, rows[1])

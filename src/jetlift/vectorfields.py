@@ -5,10 +5,12 @@ computed on components, with the derivation identity kept as a cross-check in th
 test suite rather than as the definition.  Fields on m+1 variables whose last
 variable plays the role of time are classified by their time component: identically 0
 ("time dependent" sections of the spatial subsheaf), identically 1 ("constant flow in
-time"), or neither.  The truncated powers of a field, the jet engine of the
-curve in `lifting`, are held by a `JetTower`, computed one level at a time
-on integer coefficients and packed integer exponent keys, by a product loop of
-its own; `flows.flow_jet` has an engine of its own at a point.
+time"), or neither.  The truncated powers of a constant-flow field
+D = d/dt + A, the jet engine of the curve in `lifting`, are held by a
+`JetTower`, graded by t alone: one slice per row and t-degree, on integer
+coefficients and integer keys packed from the space exponents, computed one
+level at a time by a product loop of its own; `flows.flow_jet` has an engine
+of its own at a point.
 `apply_derivation` and `iterated_bracket` run the term kernels on exponent
 tuples and share no code with the tower, so they can certify it.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence, Tuple
@@ -130,28 +131,28 @@ def apply_derivation(field: VectorField, f: Poly) -> Poly:
     return Poly._raw(f.num_vars, terms)
 
 
-def _digit_bits(starts: Sequence[Tuple[int, ...]], components: Sequence[Poly]) -> int:
-    """The digit width b of a tower's keys: every exponent of a row below
-    MAX_ORDER + 1 is smaller in size than 2^(b-1), the balanced digit's bound."""
-    start = max(map(abs, chain.from_iterable(starts)), default=0)
-    comp = max(map(abs, chain.from_iterable(chain.from_iterable(
-        c.terms for c in components))), default=0)
+def _digit_bits(starts: Sequence[Tuple[int, ...]], space: Sequence[Poly]) -> int:
+    """The digit width b of a tower's keys: every space exponent of a row below
+    MAX_ORDER + 1 is smaller in size than 2^(b-1), the balanced digit's bound.
+    t-exponents are not in the keys, so they never widen the digits."""
+    start = max((abs(x) for e in starts for x in e[:-1]), default=0)
+    comp = max((abs(x) for c in space for e in c.terms for x in e[:-1]), default=0)
     return (start + (MAX_ORDER + 1) * (comp + 1)).bit_length() + 1
 
 
 class _Keys:
-    """Packed keys of digit width b on m variables.
+    """Packed keys of digit width b on q variables.
 
-    The key of x^e is sum_k e_k * 2^(b*k): m balanced base-2^b digits, digit
+    The key of x^e is sum_k e_k * 2^(b*k): q balanced base-2^b digits, digit
     k holding e_k in [-2^(b-1), 2^(b-1)).  Adding `off` makes each digit
     non-negative, e_k + half, so that one shift and one mask read it.
     """
 
     __slots__ = ("bits", "places", "half", "mask", "off", "shifts")
 
-    def __init__(self, bits: int, m: int):
+    def __init__(self, bits: int, q: int):
         self.bits = bits
-        self.shifts = tuple(range(0, bits * m, bits))
+        self.shifts = tuple(range(0, bits * q, bits))
         self.places = tuple(1 << s for s in self.shifts)
         self.half = 1 << bits - 1
         self.mask = (1 << bits) - 1
@@ -173,24 +174,23 @@ _keys = lru_cache(maxsize=None)(_Keys)
 
 
 class _Curve:
-    """Packed keys of weighted-degree-0 slices read along a curve, on ints.
+    """Packed keys of space exponents read along a curve, on ints.
 
-    `values` are Laurent polynomials in one parameter, one per weight-0
-    variable of the keys, in order.  With d the lcm of a value's coefficient
-    denominators, the value is N / d with N on ints, and its power e is N^e
-    over d^e for e >= 0, or, for a monomial n z^a / d and e < 0, d^-e z^(a e)
-    over n^-e.  `read(key)` is (terms, den): the product of those powers at
-    the key's weight-0 digits, sum u z^x over den for the (x, u) in terms.
-    Powers and products are cached.  A negative power of a value that is not
-    a monomial raises `LiftError`.
+    `values` are Laurent polynomials in one parameter, one per digit of the
+    keys, in order.  With d the lcm of a value's coefficient denominators,
+    the value is N / d with N on ints, and its power e is N^e over d^e for
+    e >= 0, or, for a monomial n z^a / d and e < 0, d^-e z^(a e) over n^-e.
+    `read(key)` is (terms, den): the product of those powers at the key's
+    digits, sum u z^x over den for the (x, u) in terms.  Powers and products
+    are cached.  A negative power of a value that is not a monomial raises
+    `LiftError`.
     """
 
-    __slots__ = ("values", "keys", "_digits", "_powers", "_read")
+    __slots__ = ("values", "keys", "_powers", "_read")
 
-    def __init__(self, values: Tuple[Poly, ...], keys: _Keys, weights: Tuple[int, ...]):
-        self._digits = [s for s, w in zip(keys.shifts, weights) if not w]
-        if len(values) != len(self._digits):
-            raise DimensionError("one curve value per weight-0 variable required")
+    def __init__(self, values: Tuple[Poly, ...], keys: _Keys):
+        if len(values) != len(keys.shifts):
+            raise DimensionError("one curve value per space variable required")
         self.values = values
         self.keys = keys
         # per value: its terms (x, u) on ints, d, and its powers so far
@@ -236,7 +236,7 @@ class _Curve:
             keys = self.keys
             digits = key + keys.off
             terms, den = [(0, 1)], 1
-            for k, s in enumerate(self._digits):
+            for k, s in enumerate(keys.shifts):
                 power, d = self._power(k, (digits >> s & keys.mask) - keys.half)
                 terms = [(x + y, u * v) for x, u in terms for y, v in power]
                 den *= d
@@ -244,12 +244,18 @@ class _Curve:
         return got
 
 
+def _time_band(part: dict, factor: int) -> dict:
+    """The band of d/dt on a slice of t-degree d + 1: each term times
+    factor = L * (d + 1), one scalar product per term, on the same keys."""
+    return {key: c * factor for key, c in part.items()}
+
+
 def _derive_into(out: dict, band, part: dict, keys: _Keys) -> None:
     """Add sum_k band_k * d(part)/dx_k to `out`, on packed keys; zero sums stay.
 
-    `band` holds (b * k, terms) per component k, each term's key that of
-    x^e / x_k, so d/dx_k of x^e reads e_k with one shift and one mask, and a
-    product is one add of keys.
+    `band` holds (b * k, terms) per space component k, each term's key that
+    of x^e / x_k, so d/dx_k of x^e reads e_k with one shift and one mask, and
+    a product is one add of keys.
     """
     off, mask, half = keys.off, keys.mask, keys.half
     get = out.get
@@ -264,94 +270,87 @@ def _derive_into(out: dict, band, part: dict, keys: _Keys) -> None:
 
 
 class JetTower:
-    """Truncated powers of D = sum_k components[k] d/dx_k, built level by level.
+    """Truncated powers of D = d/dt + sum_k space[k] d/dx_k, graded by t alone.
 
-    Row i of start s is D^i of the monomial x^starts[s] (by default the
-    coordinates, so row i of start k is D^i x_k).  x^e has weighted degree
-    sum_k weights[k] * e_k, each weight is 0 or 1, and weighted exponents are
-    non-negative; a start or a component may carry negative exponents on
-    weight-0 variables only (e.g. x^-1 with x of weight 0), where they leave
-    every weighted degree as it was.  The weighted-degree-d part of row i is
-    the slice (i, d), at level i + d.  A term of weighted degree g of
-    components[k] times d/dx_k of a slice at level l lands at level
-    l + s, s = g - weights[k] + 1 >= 0, the term's shift: d/dx_k of a weighted
-    term lowers its weighted degree by weights[k].  So every slice at a level
-    <= N is exact, they make up the powers cut to weighted degree <= N - i in
-    row i, and they read only the component terms of weighted degree < N.
-    The weighted-degree-0 slices are what the callers read.
+    The variables are q space coordinates x and then time t, and `space`
+    holds D's q space components, polynomials on all q + 1 variables,
+    Laurent in x only; the time component is 1.  Row i of start s is D^i of
+    the monomial x^e t^g = starts[s] (by default the coordinates x_k and t).
+    The t-degree-d part of row i is the slice (i, d), at level i + d.  d/dt
+    lowers t-degree by 1, so the time band takes slice (i - 1, d + 1), at
+    the same level, to slice (i, d).  A space term t^g x^e times d/dx_k of a
+    slice at level l lands at level l + g + 1, its band's shift.  So every
+    slice at a level <= N is exact, they make up the powers cut to t-degree
+    <= N - i in row i, and they read only the space terms of t-degree < N.
+    The t^0 slices are what the curve reads.
 
     A tower at `level` N holds every slice at a level <= N and is never
     changed.  `extended(M)` computes levels N + 1 .. M, one at a time, lowest
-    row first: at level L, row 0 takes the starts of weighted degree L, and
-    the new slice (i, L - i) is the sum over shifts s of the band of shift s
-    times d/dx_k of row i - 1's slice at level L - s, held already or, for
-    s = 0, computed just before at this level.  So each product is formed
-    once, however the levels are reached.  `swapped(components)` keeps every
-    held slice for a field that differs from this one only at weighted degree
+    row first: at level L, row 0 takes the starts of t-degree L, and the new
+    slice (i, L - i) is first the time band of slice (i - 1, L - i + 1), just
+    computed at this level, and then adds each band of shift s times d/dx_k
+    of row i - 1's slice at level L - s, held already.  So each product is
+    formed once, however the levels are reached.  `swapped(space)` keeps
+    every held slice for a field that differs from this one only at t-degree
     >= N, and raises `InternalCheckError` for any other field: a changed term
-    of degree g < N on a coordinate start moves the slice (1, g) at level
+    of t-degree g < N on a coordinate start moves the slice (1, g) at level
     g + 1 <= N.
 
-    The tower runs on Python ints.  With L the lcm of the components'
+    The tower runs on Python ints.  With L the lcm of the space components'
     coefficient denominators (1 for integer or zero components), L * D has
     integer coefficients and slice (i, d) is held as L^i times itself; a swap
-    that grows L rescales the held slices once, and `row` divides by L^i as
-    it reads.  A slice is a dict from packed keys to ints (`_Keys`): the key
-    of x^e on m variables is sum_k e_k * 2^(b*k), m balanced base-2^b digits,
-    each in [-2^(b-1), 2^(b-1)).  Row i multiplies a start by i component
-    terms, each with one exponent lowered by 1, so |e_k| <= max|start| +
-    (MAX_ORDER + 1) * (max|component exponent| + 1) on every row a tower can
-    hold, and b is the least width whose digits hold that bound.  Component
-    k's terms are held with their key lowered by x_k, in one band per shift,
-    so a product is one add of keys and d/dx_k reads e_k with one shift and
-    one mask.  A swap whose components need wider digits repacks the held
-    slices once.  Apart from that, two methods read keys, and only those of
-    the slices they return: `row` unpacks them, and `along_curve` reads the
-    weight-0 digits of a weighted-degree-0 slice's keys and takes them to a
-    curve on ints, through power tables that the tower and its copies cache.
-    No term kernel of `_kernel_py` runs on the tower.
+    that grows L rescales the held slices once.  A slice maps the packed key
+    of its terms' space exponents (`_Keys`) to ints; its t-exponent is d.
+    Row i multiplies a start by i space terms, each with one exponent lowered
+    by 1, so |e_k| <= max|start| + (MAX_ORDER + 1) * (max|space exponent| + 1)
+    on every row a tower can hold, and the digits are the least width that
+    holds that bound (`_digit_bits`).  Component k's terms are held with their
+    key lowered by x_k, in one band per shift, so a product is one add of
+    keys and d/dx_k reads e_k with one shift and one mask.  A swap whose
+    space exponents need wider digits repacks the held slices once; a term's
+    t-degree never does.  Two methods read keys, and only those of the slices
+    they return: `row` unpacks them, and `along_curve` takes them to a curve
+    on ints, through power tables that the tower and its copies cache.  No
+    term kernel of `_kernel_py` runs on the tower.
     """
 
-    __slots__ = ("components", "weights", "starts", "level",
+    __slots__ = ("space", "starts", "level",
                  "_scale", "_keys", "_bands", "_rows", "_curve")
 
-    def __init__(self, components: Sequence[Poly], weights: Sequence[int],
+    def __init__(self, space: Sequence[Poly],
                  starts: Optional[Sequence[Tuple[int, ...]]] = None):
-        m = len(components)
+        m = len(space) + 1
         if starts is None:
             starts = [tuple(int(j == k) for j in range(m)) for k in range(m)]
-        self.weights = tuple(weights)
         self.starts = tuple(starts)
         self.level = -1
         self._rows: Tuple[Tuple[dict, ...], ...] = ()
         self._curve: Optional[_Curve] = None
-        self._use(components, lcm(*(c.denominator for comp in components
-                                    for c in comp.terms.values())),
-                  _digit_bits(self.starts, components))
+        self._use(space, lcm(*(c.denominator for comp in space
+                               for c in comp.terms.values())),
+                  _digit_bits(self.starts, space))
 
-    def _use(self, components: Sequence[Poly], scale: int, bits: int) -> None:
-        # _bands[s]: (b * k, terms) per component k with a term of shift s,
-        # each term held as (key of x^e / x_k, scale * coefficient)
-        self.components = tuple(components)
+    def _use(self, space: Sequence[Poly], scale: int, bits: int) -> None:
+        # _bands[s]: (b * k, terms) per space component k with a term of
+        # t-degree s - 1, each held as (key of x^e / x_k, scale * coefficient)
+        self.space = tuple(space)
         self._scale = scale
-        self._keys = keys = _keys(bits, len(self.weights))
-        weights = self.weights
+        self._keys = keys = _keys(bits, len(self.space))
         by_shift: dict = {}
-        for k, (comp, w, place) in enumerate(zip(self.components, weights,
-                                                 keys.places)):
+        for k, (comp, place) in enumerate(zip(self.space, keys.places)):
             for e, c in comp.terms.items():
-                s = sum(map(mul, weights, e)) + 1 - w
+                s = e[-1] + 1
                 if s not in by_shift:
-                    by_shift[s] = [[] for _ in weights]
-                by_shift[s][k].append((keys.pack(e) - place,
+                    by_shift[s] = [[] for _ in self.space]
+                by_shift[s][k].append((keys.pack(e[:-1]) - place,
                                        c.numerator * (scale // c.denominator)))
         self._bands = {s: tuple((shift, terms) for shift, terms
                                 in zip(keys.shifts, parts) if terms)
                        for s, parts in by_shift.items()}
 
     def __repr__(self):
-        return (f"JetTower(components={self.components!r}, weights={self.weights!r}, "
-                f"starts={self.starts!r}, level={self.level!r})")
+        return (f"JetTower(space={self.space!r}, starts={self.starts!r}, "
+                f"level={self.level!r})")
 
     def _copy(self) -> "JetTower":
         tower = object.__new__(JetTower)
@@ -366,41 +365,43 @@ class JetTower:
         check_limit("jet order", upto, "MAX_ORDER", MAX_ORDER)
         if upto <= self.level:
             return self
-        weights, keys, bands = self.weights, self._keys, self._bands
+        keys, bands, scale = self._keys, self._bands, self._scale
         rows = [[dict(slices) for slices in row] for row in self._rows]
         for level in range(self.level + 1, upto + 1):
             rows.append([{} for _ in self.starts])
             for slices, e in zip(rows[0], self.starts):
-                if sum(map(mul, weights, e)) == level:
-                    slices[level] = {keys.pack(e): 1}
+                if e[-1] == level:
+                    slices[level] = {keys.pack(e[:-1]): 1}
             for i in range(1, level + 1):
+                d = level - i
                 for source, target in zip(rows[i - 1], rows[i]):
-                    out: dict = {}
+                    part = source.get(d + 1)
+                    out = _time_band(part, scale * (d + 1)) if part else {}
                     for s, band in bands.items():
-                        part = source.get(level - s - i + 1)
+                        part = source.get(d + 1 - s)
                         if part:
                             _derive_into(out, band, part, keys)
                     out = {key: c for key, c in out.items() if c}
                     if out:
-                        target[level - i] = out
+                        target[d] = out
         tower = self._copy()
         tower.level = upto
         tower._rows = tuple(tuple(row) for row in rows)
         return tower
 
-    def swapped(self, components: Sequence[Poly]) -> "JetTower":
-        """The held levels under a field that differs only at weighted degree >= level."""
-        weights, level = self.weights, self.level
+    def swapped(self, space: Sequence[Poly]) -> "JetTower":
+        """The held levels under space components that differ only at t-degree >= level."""
+        level = self.level
 
         def below(p):
-            return {e: c for e, c in p.terms.items() if sum(map(mul, weights, e)) < level}
-        if any(below(old) != below(new) for old, new in zip(self.components, components)):
+            return {e: c for e, c in p.terms.items() if e[-1] < level}
+        if any(below(old) != below(new) for old, new in zip(self.space, space)):
             raise InternalCheckError("carried jet sections differ from a recomputation")
-        scale = lcm(self._scale, *(c.denominator for comp in components
+        scale = lcm(self._scale, *(c.denominator for comp in space
                                    for c in comp.terms.values()))
         bits = self._keys.bits
         tower = self._copy()
-        tower._use(components, scale, max(bits, _digit_bits(self.starts, components)))
+        tower._use(space, scale, max(bits, _digit_bits(self.starts, space)))
         grow = scale // self._scale
         repack = tower._keys.bits != bits
         if repack or grow != 1:
@@ -413,22 +414,22 @@ class JetTower:
         return tower
 
     def along_curve(self, i: int, values: Sequence[Poly]) -> Tuple[Poly, ...]:
-        """Row i per start, its weighted-degree-0 slice along a curve, as Fractions.
+        """Row i per start, its t^0 slice along a curve, as Fractions.
 
-        `values` are Laurent polynomials in one parameter, one per weight-0
-        variable in order; on that slice every weighted variable is 0.  Each
-        packed key goes to the curve through its weight-0 digits and integer
-        power tables of the values (`_Curve`, cached per tower).  The row is
-        summed on ints over one denominator, L^i times the lcm of its keys'
-        denominators, as `Poly.eval` does; keys that land on one power of the
-        parameter add up, and each output term is divided once.  A negative
-        power along a value that is not a monomial raises `LiftError`.
+        `values` are Laurent polynomials in one parameter, one per space
+        coordinate in order; the curve lies at t = 0.  Each packed key goes
+        to the curve through integer power tables of the values (`_Curve`,
+        cached per tower).  The row is summed on ints over one denominator,
+        L^i times the lcm of its keys' denominators, as `Poly.eval` does;
+        keys that land on one power of the parameter add up, and each output
+        term is divided once.  A negative power along a value that is not a
+        monomial raises `LiftError`.
         """
         values = tuple(values)
         curve = self._curve
         if curve is None or curve.keys is not self._keys or (
                 curve.values is not values and curve.values != values):
-            curve = self._curve = _Curve(values, self._keys, self.weights)
+            curve = self._curve = _Curve(values, self._keys)
         read = curve.read
         parts = []
         dens = []
@@ -454,16 +455,17 @@ class JetTower:
         return tuple(out)
 
     def row(self, i: int, degree: Optional[int] = None) -> Tuple[Poly, ...]:
-        """Row i per start, as Fractions: its slice of weighted degree `degree`,
-        or with None every held slice (D^i x^s cut to weighted degree <= level - i)."""
+        """Row i per start, as Fractions on (x, t): its slice of t-degree
+        `degree`, or with None every held slice (D^i of the start cut to
+        t-degree <= level - i); each unpacked key gains its slice's t-exponent."""
         unpack = self._keys.unpack
         denominator = self._scale ** i
         out = []
         for slices in self._rows[i]:
-            parts = slices.values() if degree is None else [slices.get(degree, {})]
-            out.append(Poly._raw(len(self.weights),
-                                 {unpack(key): Fraction(c, denominator)
-                                  for part in parts for key, c in part.items()}))
+            parts = slices.items() if degree is None else [(degree, slices.get(degree, {}))]
+            out.append(Poly._raw(len(self.space) + 1,
+                                 {unpack(key) + (d,): Fraction(c, denominator)
+                                  for d, part in parts for key, c in part.items()}))
         return tuple(out)
 
 
@@ -481,10 +483,11 @@ def iterated_bracket(d1: VectorField, d2: VectorField, n: int,
                      weights: Optional[Sequence[int]] = None) -> VectorField:
     """[D1, D2]^(n): the base case n=2 is the plain bracket, then [D1, . ] repeatedly.
 
-    Without `weights` the result is the whole bracket.  With `weights`, read as
-    in `JetTower` (x^e has weighted degree sum_k weights[k] * e_k, each
-    weight is 0 or 1, weighted exponents are non-negative), only the
-    weighted-degree-0 part of the result is exact.  Level 1 is D2 and level j is
+    Without `weights` the result is the whole bracket.  With `weights`, one
+    0 or 1 per variable, x^e has weighted degree sum_k weights[k] * e_k; the
+    exponents of weight-1 variables must be non-negative, and those of
+    weight-0 variables may be negative.  Then only the weighted-degree-0 part
+    of the result is exact.  Level 1 is D2 and level j is
     [D1, level j-1].  A term of degree g of a field's component i times d/dx_i
     of a degree-d term has degree g + d - weights[i], at least g - 1 and at
     least d - 1, so a bracket lowers weighted degree by at most 1: of level j

@@ -26,6 +26,7 @@ X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
 ZERO2 = Poly.zero(2)
 ONE2 = Poly.one(2)
+T = Poly.variable(2, 1)  # time on (x, t)
 
 
 def field(*comps):
@@ -118,79 +119,82 @@ def test_derivation_identity(d1, d2, f):
     assert lhs == rhs
 
 
+def constant_flow(space):
+    """D = d/dt + sum_k space[k] d/dx_k on (x, t): the field of `JetTower(space)`."""
+    return VectorField(list(space) + [Poly.one(len(space) + 1)])
+
+
+def tuple_kernel_powers(space, starts, top):
+    """Row i per start: D^i x^start by `apply_derivation`, D = `constant_flow(space)`,
+    cut to t-degree <= top - i, for i <= top; the starts default to the coordinates."""
+    d = constant_flow(space)
+    m = d.num_vars
+    if starts is None:
+        starts = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+    row = [Poly(m, {e: 1}, laurent=True) for e in starts]
+    rows = []
+    for i in range(top + 1):
+        rows.append([Poly(m, {e: c for e, c in p.terms.items() if e[-1] <= top - i},
+                          laurent=True) for p in row])
+        row = [apply_derivation(d, p) for p in row]
+    return rows
+
+
+def tower_rows(space, order, starts=None):
+    """Every row of a tower built to `order` in one call: the truncated powers."""
+    tower = JetTower(space, starts).extended(order)
+    return [list(tower.row(i)) for i in range(order + 1)]
+
+
 @st.composite
 def weighted_power_cases(draw):
-    m = draw(st.integers(min_value=1, max_value=3))
-    weights = draw(st.lists(st.integers(min_value=0, max_value=1),
-                            min_size=m, max_size=m))
+    """Space components on q = 1-3 coordinates and t, and an order."""
+    q = draw(st.integers(min_value=1, max_value=3))
     # denominators 1-9 mixed within one field, integer fields (scale 1) and the
     # zero field: every scale of the fraction-free engine, including none
     max_den = draw(st.sampled_from([1, 9]))
     coefficients = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
                              st.integers(min_value=1, max_value=max_den))
-    components = st.lists(
-        st.dictionaries(exponent_tuples(m, 4 - m), coefficients, max_size=3),
-        min_size=m, max_size=m)
-    terms = draw(st.one_of(st.just([{}] * m), components))
-    return (VectorField([Poly(m, t) for t in terms]), weights,
-            draw(st.integers(min_value=0, max_value=5)))
-
-
-def tower_rows(components, order, weights, starts=None):
-    """Every row of a tower built to `order` in one call: the truncated powers."""
-    tower = JetTower(components, weights, starts).extended(order)
-    return [list(tower.row(i)) for i in range(order + 1)]
+    space = st.lists(
+        st.dictionaries(exponent_tuples(q + 1, 4 - q), coefficients, max_size=3),
+        min_size=q, max_size=q)
+    terms = draw(st.one_of(st.just([{}] * q), space))
+    return [Poly(q + 1, t) for t in terms], draw(st.integers(min_value=0, max_value=5))
 
 
 @settings(max_examples=100, deadline=None)
 @given(weighted_power_cases())
 def test_derivation_powers_are_weighted_truncations(case):
-    d, weights, order = case
-    m = d.num_vars
-    powers = tower_rows(d.components, order, weights)
-    assert len(powers) == order + 1
+    # row i of a tower built to `order` is D^i x_k cut to t-degree <= order - i
+    space, order = case
+    powers = tower_rows(space, order)
     assert all(type(c) is Fraction
                for row in powers for p in row for c in p.terms.values())
-    full = [Poly.variable(m, k) for k in range(m)]
-    for i, row in enumerate(powers):
-        cap = order - i
-        assert row == [Poly(m, {e: c for e, c in p.terms.items()
-                                if sum(w * x for w, x in zip(weights, e)) <= cap})
-                       for p in full]
-        full = [apply_derivation(d, p) for p in full]
-
-
-@pytest.mark.parametrize("order", range(7))
-def test_laurent_start_propagates_the_inverse(order):
-    # D = x^2 d/dx flows x(t) = x / (1 - t*x), so 1/x(t) = 1/x - t: the rows of
-    # x are i! * x^(i+1) and those of 1/x are 1/x, -1, 0, 0, ...
-    x = Poly.variable(1, 0)
-    powers = tower_rows([x ** 2], order, (0,), starts=[(1,), (-1,)])
-    assert [row[0] for row in powers] == [Poly.monomial(1, (i + 1,), factorial(i))
-                                          for i in range(order + 1)]
-    inverse = [Poly(1, {(-1,): 1}, laurent=True), Poly.constant(1, -1)]
-    assert [row[1] for row in powers] == (inverse + [Poly.zero(1)] * order)[:order + 1]
+    assert powers == tuple_kernel_powers(space, None, order)
 
 
 @pytest.mark.parametrize("order", range(7))
 def test_laurent_start_graded_by_time(order):
-    # the same flow on (x, t) with D = x^2 d/dx + d/dt, graded by t alone: x^-1
-    # has weight 0, so its rows are cut by nothing, and t has weight 1
-    powers = tower_rows([X ** 2, ONE2], order, (0, 1), starts=[(-1, 0), (0, 1)])
+    # D = x^2 d/dx + d/dt flows x(t) = x / (1 - t*x), so 1/x(t) = 1/x - t: the
+    # rows of x are i! * x^(i+1), those of 1/x are 1/x, -1, 0, 0, ... and those
+    # of t are t, 1, 0, ...  Graded by t alone, x and x^-1 have t-degree 0, so
+    # only the rows of t are cut
+    powers = tower_rows([X ** 2], order, starts=[(1, 0), (-1, 0), (0, 1)])
+    assert [row[0] for row in powers] == [Poly.monomial(2, (i + 1, 0), factorial(i))
+                                          for i in range(order + 1)]
     inverse = [Poly(2, {(-1, 0): 1}, laurent=True), Poly.constant(2, -1)]
-    assert [row[0] for row in powers] == (inverse + [ZERO2] * order)[:order + 1]
-    t = Poly.variable(2, 1)
-    time = [t if order else ZERO2, ONE2]
-    assert [row[1] for row in powers] == (time + [ZERO2] * order)[:order + 1]
+    assert [row[1] for row in powers] == (inverse + [ZERO2] * order)[:order + 1]
+    time = [T if order else ZERO2, ONE2]
+    assert [row[2] for row in powers] == (time + [ZERO2] * order)[:order + 1]
 
 
 class TestJetTowerLevels:
     def test_negative_level_is_refused(self):
         with pytest.raises(OrderError, match="order must be >= 0"):
-            JetTower([X ** 2, ONE2], (0, 1)).extended(-3)
+            JetTower([X ** 2]).extended(-3)
 
     def test_level_above_max_order_is_refused(self):
-        tower = JetTower([ONE2, X], (1, 1))
+        tower = JetTower([ONE2])
         with pytest.raises(LimitError,
                            match=f"is 100, above the limit MAX_ORDER = {MAX_ORDER}"):
             tower.extended(100)
@@ -199,110 +203,106 @@ class TestJetTowerLevels:
         assert tower.extended(MAX_ORDER).level == MAX_ORDER
 
     def test_extending_to_a_held_level_computes_nothing(self):
-        tower = JetTower([X ** 2, ONE2], (0, 1)).extended(4)
+        tower = JetTower([X ** 2]).extended(4)
         assert tower.extended(2) is tower and tower.extended(4) is tower
 
 
-def _change(draw, weights, level, below):
-    """A nonzero term x^e of weighted degree >= level, or < level with `below`.
-
-    Without a weight-1 variable every term has degree 0, so level is 0 then.
-    """
-    graded = [k for k, w in enumerate(weights) if w]
-    e = [draw(st.integers(min_value=0, max_value=2)) if not w else 0 for w in weights]
-    if graded:
-        k = draw(st.sampled_from(graded))
-        e[k] = (draw(st.integers(min_value=0, max_value=level - 1)) if below
-                else level + draw(st.integers(min_value=0, max_value=1)))
-    return tuple(e), draw(fractions().filter(bool))
+def _change(draw, q, level, below):
+    """A nonzero term t^g x^e of t-degree g >= level, or g < level with `below`."""
+    e = [draw(st.integers(min_value=0, max_value=2)) for _ in range(q)]
+    g = (draw(st.integers(min_value=0, max_value=level - 1)) if below
+         else level + draw(st.integers(min_value=0, max_value=1)))
+    return (*e, g), draw(fractions().filter(bool))
 
 
 @st.composite
 def relaxed_tower_cases(draw):
-    """Weights, Laurent starts, a field, and per level the terms a swap adds."""
-    m = draw(st.integers(min_value=1, max_value=3))
-    weights = tuple(draw(st.lists(st.integers(min_value=0, max_value=1),
-                                  min_size=m, max_size=m)))
-    # negative exponents on weight-0 variables only
-    start = st.tuples(*[st.integers(min_value=0 if w else -2, max_value=2)
-                        for w in weights])
+    """Laurent starts, space components, and per level the terms a swap adds."""
+    q = draw(st.integers(min_value=1, max_value=3))
+    # negative exponents on space variables only
+    start = st.tuples(*[st.integers(min_value=-2, max_value=2)] * q,
+                      st.integers(min_value=0, max_value=2))
     starts = draw(st.lists(start, min_size=1, max_size=3))
-    components = draw(st.lists(st.dictionaries(exponent_tuples(m, 2), fractions(),
-                                               max_size=3), min_size=m, max_size=m))
+    space = draw(st.lists(st.dictionaries(exponent_tuples(q + 1, 2), fractions(),
+                                          max_size=3), min_size=q, max_size=q))
     top = draw(st.integers(min_value=0, max_value=5))
-    changes = []
-    for level in range(top):
-        terms = []
-        if any(weights) or level == 0:
-            for _ in range(draw(st.integers(min_value=0, max_value=2))):
-                terms.append((draw(st.integers(min_value=0, max_value=m - 1)),
-                              *_change(draw, weights, level, False)))
-        changes.append(terms)
-    bad = (draw(st.integers(min_value=0, max_value=m - 1)),
-           *_change(draw, weights, top, True)) if any(weights) and top else None
-    return weights, starts, [Poly(m, t) for t in components], top, changes, bad
+    component = st.integers(min_value=0, max_value=q - 1)
+    changes = [[(draw(component), *_change(draw, q, level, False))
+                for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+               for level in range(top)]
+    bad = (draw(component), *_change(draw, q, top, True)) if top else None
+    return starts, [Poly(q + 1, t) for t in space], top, changes, bad
 
 
-def _with_terms(components, terms):
-    m = len(components)
-    out = list(components)
+def _with_terms(space, terms):
+    out = list(space)
     for k, e, c in terms:
-        out[k] = out[k] + Poly.monomial(m, e, c)
+        out[k] = out[k] + Poly.monomial(len(e), e, c, laurent=True)
     return out
 
 
 @settings(max_examples=100, deadline=None)
 @given(relaxed_tower_cases())
 def test_relaxed_extension_equals_a_one_shot_build(case):
-    # one level at a time, each swap changing the field only at weighted degree
-    # >= the held level, the tower holds what one build of the final field does
-    weights, starts, components, top, changes, bad = case
-    tower = JetTower(components, weights, starts).extended(0)
+    # one level at a time, each swap changing the field only at t-degree >=
+    # the held level, the tower holds what one build of the final field does
+    starts, space, top, changes, bad = case
+    tower = JetTower(space, starts).extended(0)
     for level, terms in enumerate(changes):
-        components = _with_terms(components, terms)
-        tower = tower.swapped(components).extended(level + 1)
-    fresh = JetTower(components, weights, starts).extended(top)
+        space = _with_terms(space, terms)
+        tower = tower.swapped(space).extended(level + 1)
+    fresh = JetTower(space, starts).extended(top)
     assert tower.level == fresh.level == top
+    assert [list(tower.row(i)) for i in range(top + 1)] == \
+        tuple_kernel_powers(space, starts, top)
     for i in range(top + 1):
         assert tower.row(i) == fresh.row(i)
         for d in range(top + 1 - i):
             assert tower.row(i, d) == fresh.row(i, d)
     if bad is not None:
         with pytest.raises(InternalCheckError, match="carried jet sections"):
-            tower.swapped(_with_terms(components, [bad]))
+            tower.swapped(_with_terms(space, [bad]))
 
 
-T = Poly.variable(2, 1)
+X3, Y3, T3 = (Poly.variable(3, k) for k in range(3))
 
 
-@pytest.mark.parametrize("components, weights, starts", [
-    ([X + T * X ** 2 + Fraction(1, 3) * T ** 2 * X ** 3 - T * X ** 4, ONE2],
-     (0, 1), [(1, 0), (0, 1), (-1, 0)]),
-    ([Y + X ** 2, X * Y + ONE2], (1, 1), None),
-], ids=["time-graded", "all-graded"])
-def test_one_level_at_a_time_forms_each_product_once(monkeypatch, components,
-                                                      weights, starts):
-    # extended one level at a time, a tower multiplies the same pairs of a
-    # component term and a derivative term as one build to the top level does,
-    # so no product that lands in a held level is formed again
-    formed = []
-    derive = vectorfields._derive_into
+@pytest.mark.parametrize("space, starts", [
+    ([X + T * X ** 2 + Fraction(1, 3) * T ** 2 * X ** 3 - T * X ** 4],
+     [(1, 0), (0, 1), (-1, 0)]),
+    ([Y3 + T3 * X3 ** 2, T3 * X3 * Y3 + Fraction(1, 2)], None),
+], ids=["time-graded", "two-space"])
+def test_one_level_at_a_time_forms_each_product_once(monkeypatch, space, starts):
+    # extended one level at a time, a tower forms the same products as one
+    # build to the top level does: each pair of a space term and a derivative
+    # term, and each d/dt scalar product, so none that lands in a held level
+    # is formed again
+    formed = {"space": [], "time": []}
+    derive, time_band = vectorfields._derive_into, vectorfields._time_band
 
     def counting(out, band, part, keys):
         # per component, its terms times the terms of `part` with a nonzero
         # exponent in its variable: the products the tower's loop forms
-        formed.append(sum(len(terms) * sum(keys.unpack(key)[keys.shifts.index(shift)]
-                                           != 0 for key in part)
-                          for shift, terms in band))
+        formed["space"].append(sum(
+            len(terms) * sum(keys.unpack(key)[keys.shifts.index(shift)] != 0
+                             for key in part)
+            for shift, terms in band))
         return derive(out, band, part, keys)
+
+    def counting_time(part, factor):
+        formed["time"].append(len(part))
+        return time_band(part, factor)
     monkeypatch.setattr(vectorfields, "_derive_into", counting)
+    monkeypatch.setattr(vectorfields, "_time_band", counting_time)
     top = 8
-    tower = JetTower(components, weights, starts)
+    tower = JetTower(space, starts)
     for level in range(top + 1):
         tower = tower.extended(level)
-    relaxed, formed[:] = sum(formed), []
-    one_shot = JetTower(components, weights, starts).extended(top)
-    assert relaxed == sum(formed) > 0
+    relaxed = {kind: sum(counts) for kind, counts in formed.items()}
+    formed = {"space": [], "time": []}
+    one_shot = JetTower(space, starts).extended(top)
+    assert relaxed == {kind: sum(counts) for kind, counts in formed.items()}
+    assert relaxed["space"] > 0 and relaxed["time"] > 0
     assert [tower.row(i) for i in range(top + 1)] == \
         [one_shot.row(i) for i in range(top + 1)]
 
@@ -312,55 +312,38 @@ BIG = 10 ** 4
 
 @st.composite
 def packed_tower_cases(draw):
-    """A field, starts and one swap, with exponents up to BIG.
+    """Space components on q = 1-3 coordinates and t, starts and one swap,
+    with exponents up to BIG.
 
-    Weights are all 1 or graded by the last variable alone.  Exponents of
-    weight-0 variables, in starts and components, may be negative.  The swap
-    adds terms of weighted degree >= the held level, with denominators no
-    field had before (7, then 11), so it grows L; with `wide` one of them has
-    an exponent above 2 * BIG in size, so it needs wider digits.
+    Space exponents, in starts and components, may be negative.  The swap
+    adds terms of t-degree >= the held level, with denominators no field had
+    before (7, then 11), so it grows L; with `wide` one of them has a space
+    exponent above 2 * BIG in size, so it needs wider digits.
     """
-    m = draw(st.integers(min_value=1, max_value=3))
-    weights = draw(st.sampled_from([(1,) * m, (0,) * (m - 1) + (1,)]))
+    q = draw(st.integers(min_value=1, max_value=3))
     cap = draw(st.sampled_from([3, BIG]))
 
     def exponents():
-        return tuple(draw(st.integers(min_value=-cap, max_value=cap)) if not w
-                     else draw(st.one_of(st.integers(min_value=0, max_value=2),
-                                         st.integers(min_value=0, max_value=cap)))
-                     for w in weights)
+        return (*(draw(st.integers(min_value=-cap, max_value=cap)) for _ in range(q)),
+                draw(st.one_of(st.integers(min_value=0, max_value=2),
+                               st.integers(min_value=0, max_value=cap))))
     starts = [exponents() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
-    components = [Poly(m, {exponents(): draw(fractions())
-                           for _ in range(draw(st.integers(min_value=0, max_value=2)))},
-                       laurent=True) for _ in range(m)]
+    space = [Poly(q + 1, {exponents(): draw(fractions())
+                          for _ in range(draw(st.integers(min_value=0, max_value=2)))},
+                  laurent=True) for _ in range(q)]
     top = draw(st.integers(min_value=0, max_value=4))
     level = draw(st.integers(min_value=0, max_value=top))
     wide = draw(st.booleans())
     added = []
     for n in range(draw(st.integers(min_value=1, max_value=2))):
-        e = [0] * m
+        e = [0] * (q + 1)
         e[-1] = level + draw(st.integers(min_value=0, max_value=1))
         if wide and not n:
-            j = draw(st.integers(min_value=0, max_value=m - 1))
-            e[j] = (2 * BIG + 1) * (draw(st.sampled_from([1, -1])) if not weights[j] else 1)
-        added.append((draw(st.integers(min_value=0, max_value=m - 1)), tuple(e),
+            e[draw(st.integers(min_value=0, max_value=q - 1))] = \
+                (2 * BIG + 1) * draw(st.sampled_from([1, -1]))
+        added.append((draw(st.integers(min_value=0, max_value=q - 1)), tuple(e),
                       Fraction(draw(st.integers(min_value=1, max_value=6)), (7, 11)[n])))
-    return weights, starts, components, top, level, wide, added
-
-
-def tuple_kernel_powers(components, weights, starts, top):
-    """Row i per start: D^i x^start by `apply_derivation`, cut to weighted
-    degree <= top - i, for i <= top."""
-    m = len(components)
-    d = VectorField(components)
-    row = [Poly(m, {e: 1}, laurent=True) for e in starts]
-    rows = []
-    for i in range(top + 1):
-        rows.append([Poly(m, {e: c for e, c in p.terms.items()
-                              if sum(w * x for w, x in zip(weights, e)) <= top - i},
-                          laurent=True) for p in row])
-        row = [apply_derivation(d, p) for p in row]
-    return rows
+    return starts, space, top, level, wide, added
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,19 +352,39 @@ def test_packed_tower_equals_the_tuple_kernel_powers(case):
     # the tower's packed keys, unpacked by `row`, give the powers that the
     # tuple-key kernel computes, before a swap and after one that grows L and,
     # when wide, repacks the held slices into wider digits
-    weights, starts, components, top, level, wide, added = case
-    tower = JetTower(components, weights, starts).extended(level)
+    starts, space, top, level, wide, added = case
+    tower = JetTower(space, starts).extended(level)
     assert [list(tower.row(i)) for i in range(level + 1)] == \
-        tuple_kernel_powers(components, weights, starts, level)
-    components = list(components)
-    for k, e, c in added:
-        components[k] = components[k] + Poly(len(components), {e: c}, laurent=True)
-    swapped = tower.swapped(components)
+        tuple_kernel_powers(space, starts, level)
+    space = _with_terms(space, added)
+    swapped = tower.swapped(space)
     assert swapped._scale > tower._scale
     assert swapped._keys.bits > tower._keys.bits or not wide
     swapped = swapped.extended(top)
     assert [list(swapped.row(i)) for i in range(top + 1)] == \
-        tuple_kernel_powers(components, weights, starts, top)
+        tuple_kernel_powers(space, starts, top)
+
+
+def held_keys(tower):
+    return [[{d: list(part) for d, part in slices.items()} for slices in row]
+            for row in tower._rows]
+
+
+def test_a_time_exponent_never_widens_the_digits():
+    # t-exponents are not in the keys: a swap that adds t^(2 * BIG + 1), far
+    # beyond every space exponent, keeps the digits and every held key, and
+    # only rescales the slices for its new denominator
+    space = [X ** 2 + T * X]
+    starts = [(1, 0), (-1, 0), (0, 1)]
+    tower = JetTower(space, starts).extended(6)
+    space = _with_terms(space, [(0, (0, 2 * BIG + 1), Fraction(1, 7))])
+    swapped = tower.swapped(space)
+    assert swapped._keys is tower._keys
+    assert held_keys(swapped) == held_keys(tower)
+    assert swapped._scale == 7 * tower._scale
+    swapped = swapped.extended(8)
+    assert [list(swapped.row(i)) for i in range(9)] == \
+        tuple_kernel_powers(space, starts, 8)
 
 
 def curve_value(draw, shape):
@@ -407,7 +410,7 @@ CURVE_SHAPES = ("monomial", "constant", "zero", "one", "polynomial")
 
 @st.composite
 def curve_restriction_cases(draw):
-    """A constant-flow tower on q space coordinates and t, a curve, and a swap.
+    """A tower on q = 1-3 space coordinates and t, a curve, and a swap.
 
     The starts are the coordinates, or an atlas's `crossing_starts`, which
     add x_j^-1.  Space exponents of components may be negative, so a
@@ -416,13 +419,11 @@ def curve_restriction_cases(draw):
     one has a space exponent above 2 * BIG in size, so it needs wider
     digits, and that coordinate goes along a monomial.
     """
-    q = draw(st.integers(min_value=1, max_value=2))
-    m = q + 1
-    weights = (0,) * q + (1,)
-    space = [st.integers(min_value=-2, max_value=2)] * q
-    components = [Poly(m, draw(st.dictionaries(st.tuples(*space, st.integers(0, 2)),
-                                                fractions(), max_size=2)), laurent=True)
-                  for _ in range(q)] + [Poly.one(m)]
+    q = draw(st.integers(min_value=1, max_value=3))
+    exponents = st.tuples(*[st.integers(min_value=-2, max_value=2)] * q,
+                          st.integers(min_value=0, max_value=2))
+    space = [Poly(q + 1, draw(st.dictionaries(exponents, fractions(), max_size=2)),
+                  laurent=True) for _ in range(q)]
     order = draw(st.permutations(range(q)))
     transition = [Poly.monomial(q, tuple(draw(st.sampled_from([1, -1])) if j == order[k]
                                          else 0 for j in range(q)),
@@ -436,7 +437,7 @@ def curve_restriction_cases(draw):
     shapes = [draw(st.sampled_from(CURVE_SHAPES)) for _ in range(q)]
     added = []
     for n in range(draw(st.integers(min_value=1, max_value=2))):
-        e = [0] * m
+        e = [0] * (q + 1)
         e[-1] = level + draw(st.integers(min_value=0, max_value=1))
         if wide and not n:
             j = draw(st.integers(min_value=0, max_value=q - 1))
@@ -445,7 +446,7 @@ def curve_restriction_cases(draw):
         added.append((draw(st.integers(min_value=0, max_value=q - 1)), tuple(e),
                       Fraction(draw(st.integers(min_value=1, max_value=6)), (7, 11)[n])))
     curve = tuple(curve_value(draw, shape) for shape in shapes)
-    return weights, starts, components, curve, top, level, wide, added
+    return starts, space, curve, top, level, wide, added
 
 
 def restriction_outcome(restrict):
@@ -455,34 +456,34 @@ def restriction_outcome(restrict):
         return "LiftError: " + str(exc)
 
 
-def assert_restrictions_match(tower, curve):
-    # every level: the packed restriction equals the Fraction substitution,
-    # and a negative power along a non-monomial raises the same error
-    for i in range(tower.level + 1):
+def assert_restrictions_match(tower, space, starts, curve):
+    # every level: the packed restriction equals the Fraction substitution of
+    # the tuple-key kernel's row, and a negative power along a non-monomial
+    # raises the same error
+    rows = tuple_kernel_powers(space, starts, tower.level)
+    for i, row in enumerate(rows):
         reference = restriction_outcome(
-            lambda: tuple(evaluate_along_curve(p, curve) for p in tower.row(i, 0)))
+            lambda: tuple(evaluate_along_curve(p, curve) for p in row))
         assert restriction_outcome(lambda: tower.along_curve(i, curve)) == reference
 
 
 @settings(max_examples=100, deadline=None)
 @given(curve_restriction_cases())
 def test_curve_restriction_equals_substitution(case):
-    weights, starts, components, curve, top, level, wide, added = case
-    tower = JetTower(components, weights, starts).extended(level)
-    assert_restrictions_match(tower, curve)
-    components = list(components)
-    for k, e, c in added:
-        components[k] = components[k] + Poly(len(components), {e: c}, laurent=True)
-    swapped = tower.swapped(components)
+    starts, space, curve, top, level, wide, added = case
+    tower = JetTower(space, starts).extended(level)
+    assert_restrictions_match(tower, space, starts, curve)
+    space = _with_terms(space, added)
+    swapped = tower.swapped(space)
     assert swapped._keys.bits > tower._keys.bits or not wide
-    assert_restrictions_match(swapped.extended(top), curve)
+    assert_restrictions_match(swapped.extended(top), space, starts, curve)
 
 
 @pytest.mark.parametrize("value", [Poly(1, {(1,): 1, (2,): 1}), Poly.zero(1)],
                          ids=["z+z^2", "zero"])
 def test_negative_power_along_a_non_monomial_is_refused(value):
     # row 0 of the start x^-1 is x^-1 itself
-    tower = JetTower([Poly.zero(2), ONE2], (0, 1), [(-1, 0)]).extended(1)
+    tower = JetTower([ZERO2], [(-1, 0)]).extended(1)
     message = ("cannot restrict a negative power of a coordinate along a curve "
                "component that is not a monomial")
     with pytest.raises(LiftError, match=message):
@@ -494,8 +495,7 @@ def test_negative_power_along_a_non_monomial_is_refused(value):
 def test_curve_restriction_adds_keys_that_meet_and_drops_zero_sums():
     # D = (x - y) d/dx + d/dt: row 1 of x is x - y, 0 along x = y = z, and
     # row 1 of y is 0; along x = 1, y = z, x^0 and x^1 both reach z^0
-    x, y = Poly.variable(3, 0), Poly.variable(3, 1)
-    tower = JetTower([x - y, Poly.zero(3), Poly.one(3)], (0, 0, 1)).extended(2)
+    tower = JetTower([X3 - Y3, Poly.zero(3)]).extended(2)
     z = Poly.variable(1, 0)
     assert tower.along_curve(1, [z, z])[0].terms == {}
     one = Poly.one(1)
@@ -509,8 +509,7 @@ def test_laurent_exponents_at_max_order_stay_in_their_digits(s):
     # D = x^-3 d/dx + d/dt takes x^a to a * x^(a-4), so row i of x^s is
     # prod_{j<i} (s - 4j) * x^(s - 4i): each row moves the exponent by
     # max|component exponent| + 1, as far as the digit-width bound allows
-    tower = JetTower([Poly(2, {(-3, 0): 1}, laurent=True), ONE2], (0, 1),
-                     [(s, 0)]).extended(MAX_ORDER)
+    tower = JetTower([Poly(2, {(-3, 0): 1}, laurent=True)], [(s, 0)]).extended(MAX_ORDER)
     coefficient = 1
     for i in range(MAX_ORDER + 1):
         assert tower.row(i, 0) == (Poly(2, {(s - 4 * i, 0): coefficient},
