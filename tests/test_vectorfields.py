@@ -174,18 +174,25 @@ def test_derivation_powers_are_weighted_truncations(case):
 
 
 @pytest.mark.parametrize("order", range(7))
-def test_laurent_start_graded_by_time(order):
+def test_laurent_start_propagates_the_inverse(order):
     # D = x^2 d/dx + d/dt flows x(t) = x / (1 - t*x), so 1/x(t) = 1/x - t: the
-    # rows of x are i! * x^(i+1), those of 1/x are 1/x, -1, 0, 0, ... and those
-    # of t are t, 1, 0, ...  Graded by t alone, x and x^-1 have t-degree 0, so
-    # only the rows of t are cut
-    powers = tower_rows([X ** 2], order, starts=[(1, 0), (-1, 0), (0, 1)])
+    # rows of x are i! * x^(i+1) and those of 1/x are 1/x, -1, 0, 0, ...
+    powers = tower_rows([X ** 2], order, starts=[(1, 0), (-1, 0)])
     assert [row[0] for row in powers] == [Poly.monomial(2, (i + 1, 0), factorial(i))
                                           for i in range(order + 1)]
     inverse = [Poly(2, {(-1, 0): 1}, laurent=True), Poly.constant(2, -1)]
     assert [row[1] for row in powers] == (inverse + [ZERO2] * order)[:order + 1]
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_laurent_start_graded_by_time(order):
+    # the same flow graded by t alone: x^-1 has t-degree 0, so its rows are cut
+    # by nothing, and the rows of t, which are t, 1, 0, ..., are cut
+    powers = tower_rows([X ** 2], order, starts=[(-1, 0), (0, 1)])
+    inverse = [Poly(2, {(-1, 0): 1}, laurent=True), Poly.constant(2, -1)]
+    assert [row[0] for row in powers] == (inverse + [ZERO2] * order)[:order + 1]
     time = [T if order else ZERO2, ONE2]
-    assert [row[2] for row in powers] == (time + [ZERO2] * order)[:order + 1]
+    assert [row[1] for row in powers] == (time + [ZERO2] * order)[:order + 1]
 
 
 class TestJetTowerLevels:
